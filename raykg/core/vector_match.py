@@ -2,33 +2,48 @@
 
 The general path tokenizes row by row in Python.  For the overwhelmingly
 common large-corpus shape — ASCII text whose tokens are plain alphanumeric
-words separated by single spaces — a token-sequence match IS a byte-substring
-match at space boundaries, so matching runs directly on the Arrow string
-column's data buffer with numpy kernels and never tokenizes at all:
+words separated by single spaces — tokenizing is a split on " ", so a whole
+batch is matched with Arrow and numpy kernels over token ids, with no
+per-row Python and no per-pattern loop:
 
-    zero-copy view of the concatenated row bytes + the offsets array
-      -> (if ignore_case) branchless ASCII lower in one vector pass
-      -> per pattern: candidate positions where byte[pos] == pattern[0],
-         narrowed by vectorized equality on the remaining pattern bytes
-      -> boundary check (space or row edge on both sides) + same-row check
-         via searchsorted on the row-offsets array
-      -> per-row counts via bincount
+    (if ignore_case) ASCII-lower the Arrow string column once
+      -> split on " " into one flat token column + per-row offsets
+      -> each token -> its code in the pattern-token vocabulary
+         (``pc.index_in``: token id + 1; 0 for a token no pattern uses)
+      -> candidates = tokens with a code; for L = 2, 3, ... extend each by
+         the next token of the same row and look (prefix id, token code)
+         up in a sorted per-length table of pattern prefixes
+         (``np.searchsorted``); a miss drops the candidate
+      -> a prefix that spells a whole pattern is a (row, pattern) hit; a
+         keyword listed under several tags emits each of its pattern ids
+      -> one ``np.unique`` reduces to distinct (row, pattern id, count)
 
-This replaced an earlier split_pattern + dictionary_encode + shifted-equality
-design: the byte kernel skips the per-batch tokenize/vocab build entirely
-(~2x on the triple-build hot stage) and is pinned equal to the general
-per-row engine by the fuzz suite (tests/test_vector_match.py).
+Pattern prefixes get dense ids one length at a time, so a lookup key stays
+below (#prefixes x vocabulary size) for any pattern length; packing L ids
+into one ``V**L`` integer would overflow int64 on long patterns over a large
+vocabulary.  Cost is O(tokens) for the split and the id lookup plus
+O(candidates x log K) per pattern length: the ontology size K enters only
+through the lookup tables.  Kernel rate on one 2048-row batch of the
+perfbench ``triples`` input (``perfbench/run.py --workload triples --seed N
+--trace 1``, seeds 1-3, 4-CPU host, median of five runs), against the
+general per-row path:
+
+    K (keywords)      6           512         4096
+    this kernel       91.4 MB/s   87.4 MB/s   50.4 MB/s
+    general path      3.5 MB/s    3.6 MB/s    3.4 MB/s
 
 Eligibility is per row (``isascii`` + alnum-and-space only + whole text is
 one sentence) so mixed batches split into a vectorized majority and a
 general-path remainder with identical semantics.  Because eligible rows are
-single-space separated alnum words with no leading/trailing space, a byte
-match bounded by spaces/row edges and contained in one row is exactly a
-token-sequence match — including overlapping self-matches, which the
-all-matches mode counts and which the candidate scan also finds.  Lemma mode
-always takes the general path; category (longest-match) mode is vectorizable
-only when no two patterns share a token (overlaps impossible), checked at
-build time.
+single-space separated alnum words with no leading/trailing space, their
+space-split tokens are exactly the tokenizer's tokens, and every run of
+consecutive tokens equal to a pattern is a match — including overlapping
+self-matches, which the all-matches mode counts.  Pattern tokens holding
+punctuation or non-ASCII text are in the vocabulary but never occur in an
+eligible row.  Lemma mode always takes the general path; category
+(longest-match) mode is vectorizable only when no two patterns share a token
+(overlaps impossible), checked at build time.  The fuzz suite
+(tests/test_vector_match.py) pins the kernel equal to the per-row engine.
 
 Used by the count/rollup/triple stages, which need (pattern -> occurrence
 count) per row but not character offsets.
@@ -36,7 +51,7 @@ count) per row but not character offsets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -63,8 +78,8 @@ class VectorizedExactMatcher:
             for toks in matcher.pattern_tokens:
                 # a pattern with a repeated token can have a nontrivial
                 # border and therefore self-overlap ("bye bye" in
-                # "bye bye bye": shifted-equality counts 2, longest-wins
-                # keeps 1) — such patterns force the general path
+                # "bye bye bye": the kernel counts 2, longest-wins keeps
+                # 1) — such patterns force the general path
                 if len(set(toks)) != len(toks):
                     self.mode_ok = False
                     break
@@ -72,8 +87,7 @@ class VectorizedExactMatcher:
                     self.mode_ok = False
                     break
                 seen.update(toks)
-        # token text -> dense id over all pattern tokens (used only for the
-        # mode_ok disjointness check above and kept for introspection)
+        # token text -> dense id over all pattern tokens
         self.token_ids: Dict[str, int] = {}
         self.pattern_id_seqs: List[Tuple[int, ...]] = []
         for toks in matcher.pattern_tokens:
@@ -82,18 +96,56 @@ class VectorizedExactMatcher:
                 tid = self.token_ids.setdefault(t, len(self.token_ids))
                 seq.append(tid)
             self.pattern_id_seqs.append(tuple(seq))
-        # the byte form each pattern takes inside an eligible row: tokens
-        # joined by the single space eligible rows guarantee.  Non-ASCII
-        # pattern bytes simply never match an (all-ASCII) eligible row.
-        self.pattern_bytes: List[bytes] = [
-            " ".join(toks).encode("utf-8") for toks in matcher.pattern_tokens
-        ]
-        # 256-entry LUT of the patterns' first bytes: ONE vectorized pass
-        # finds every candidate start for every pattern at once
-        self.first_byte_lut = np.zeros(256, dtype=bool)
-        for pb in self.pattern_bytes:
-            if pb:
-                self.first_byte_lut[pb[0]] = True
+        # the kernel's token code is the index in this array: token id + 1,
+        # so that 0 can stand for "no pattern token" — slot 0 holds " ",
+        # which a split on " " never yields
+        self._vocab = pa.array([" ", *self.token_ids], type=pa.string())
+        self._build_prefix_tables()
+
+    def _build_prefix_tables(self) -> None:
+        """Dense ids for every pattern prefix, one length at a time.
+
+        A length-1 prefix id is the token code (token id + 1).  Length-L
+        prefix ids number the distinct (length L-1 prefix id, L-th token
+        code) pairs: ``_pair_keys[L]`` holds the pairs' keys
+        ``prefix * W + code`` (W = V + 1 for a vocabulary of V tokens)
+        sorted, with a trailing int64-max sentinel, and ``_pair_ids[L]``
+        the matching ids.  A key stays below (#prefixes x W) for any L,
+        where packing L codes as ``W**L`` would overflow int64 on long
+        patterns over a large vocabulary.  A key built from code 0 is in no
+        table.  ``_terminal[L][prefix]`` is the node (distinct pattern token
+        sequence) a length-L prefix spells, or -1; node ``i`` lists its
+        pattern ids at ``_node_pids[_node_first[i]:][:_node_npids[i]]``
+        (more than one when a keyword is listed under several tags)."""
+        seqs = self.pattern_id_seqs
+        W = self._W = len(self.token_ids) + 1
+        self._max_len = max(map(len, seqs), default=0)
+        prefix = [seq[0] + 1 for seq in seqs]  # each pattern's prefix id
+        sizes = [0, W]
+        self._pair_keys: List[np.ndarray] = [np.empty(0, np.int64)] * 2
+        self._pair_ids: List[np.ndarray] = [np.empty(0, np.int64)] * 2
+        for length in range(2, self._max_len + 1):
+            pairs: Dict[int, int] = {}
+            for p, seq in enumerate(seqs):
+                if len(seq) >= length:
+                    key = prefix[p] * W + seq[length - 1] + 1
+                    prefix[p] = pairs.setdefault(key, len(pairs))
+            keys = sorted(pairs)
+            self._pair_keys.append(
+                np.array(keys + [np.iinfo(np.int64).max], dtype=np.int64)
+            )
+            self._pair_ids.append(np.array([pairs[k] for k in keys], dtype=np.int64))
+            sizes.append(len(pairs))
+        self._terminal = [np.full(s, -1, dtype=np.int64) for s in sizes]
+        node_pids: Dict[Tuple[int, int], List[int]] = {}
+        for p, seq in enumerate(seqs):
+            node_pids.setdefault((len(seq), prefix[p]), []).append(p)
+        for node, (length, pre) in enumerate(node_pids):
+            self._terminal[length][pre] = node
+        groups = list(node_pids.values())
+        self._node_npids = np.array([len(g) for g in groups], dtype=np.int64)
+        self._node_first = np.cumsum(self._node_npids) - self._node_npids
+        self._node_pids = np.array([p for g in groups for p in g], dtype=np.int64)
 
     # -- row eligibility ----------------------------------------------------
 
@@ -129,16 +181,16 @@ class VectorizedExactMatcher:
 
     def batch_hits(self, texts):
         """Per-batch distinct (row, pattern) hits as parallel numpy arrays
-        ``(rows, pids, counts)`` — the fully-vectorized form downstream
-        stages can consume without per-hit Python objects.  ``texts`` must
-        all be eligible rows."""
+        ``(rows, pids, counts)``, sorted by pattern id then row — the
+        fully-vectorized form downstream stages can consume without
+        per-hit Python objects.  ``texts`` must all be eligible rows."""
         n = len(texts)
         empty = (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-        if n == 0 or not self.pattern_bytes:
+        if n == 0 or not len(self._node_pids):
             return empty
 
         if isinstance(texts, pa.ChunkedArray):
@@ -147,81 +199,65 @@ class VectorizedExactMatcher:
             arr = texts
         else:
             arr = pa.array(texts, type=pa.string())
-
-        # zero-copy view of the concatenated row bytes + per-row bounds
-        dt = np.int64 if pa.types.is_large_string(arr.type) else np.int32
-        offs = np.frombuffer(arr.buffers()[1], dtype=dt)[
-            arr.offset : arr.offset + n + 1
-        ].astype(np.int64)
-        base = int(offs[0])
-        starts = offs[:-1] - base
-        ends = offs[1:] - base
-        total = int(ends[-1])
-        data_buf = arr.buffers()[2]
-        if data_buf is None or total == 0:
-            return empty
-        buf = np.frombuffer(data_buf, dtype=np.uint8)[base : base + total]
         if self.ignore_case:
-            low = np.where((buf >= 65) & (buf <= 90), buf + 32, buf)
-        else:
-            low = buf
-        T = total
+            arr = pc.ascii_lower(arr)
+        lists = pc.split_pattern(arr, " ")
+        # a sliced list array's offsets are not rebased to 0: cut the child
+        # to the rows' own token range
+        offs = lists.offsets.to_numpy().astype(np.int64)
+        base = int(offs[0])
+        offs -= base
+        toks = lists.values.slice(base, int(offs[-1]))
+        # token codes, 0 for a token no pattern uses (null from index_in),
+        # plus a 0 sentinel.  Read straight from the buffers: fill_null costs
+        # 5x more once a good share of the tokens are pattern tokens.
+        found = pc.index_in(toks, value_set=self._vocab)
+        T, off = len(found), found.offset
+        code = np.zeros(T + 1, dtype=np.int64)
+        code[:-1] = np.frombuffer(found.buffers()[1], np.int32, T, off * 4)
+        if found.null_count:
+            valid = np.unpackbits(
+                np.frombuffer(found.buffers()[0], np.uint8),
+                count=off + T,
+                bitorder="little",
+            )
+            code[:-1] *= valid[off:]
+        # the code a match may extend into: none across a row start
+        ext = code.copy()
+        ext[offs[:-1]] = 0
 
-        # ONE pass finds the candidate starts for every pattern: positions at
-        # a token start (row start, or preceded by a space — spaces are only
-        # ever intra-row since eligible rows never start/end with one) whose
-        # byte is some pattern's first byte.  Everything after is
-        # proportional to the candidate count, not the buffer length.
-        tok_start = np.empty(T, dtype=bool)
-        tok_start[0] = True
-        np.equal(low[:-1], 32, out=tok_start[1:])
-        # starts<T: an empty trailing row has start==T (out of bounds); an
-        # empty mid-batch row's start is the next row's start — already a
-        # genuine token start
-        tok_start[starts[starts < T]] = True
-        cand_all = np.nonzero(self.first_byte_lut[low] & tok_start)[0]
-        if not len(cand_all):
-            return empty
-        b0 = low[cand_all]
-
-        rows_out: List[np.ndarray] = []
-        pids_out: List[np.ndarray] = []
-        counts_out: List[np.ndarray] = []
-        for pid, pb in enumerate(self.pattern_bytes):
-            L = len(pb)
-            if L == 0 or L > T:
-                continue
-            cand = cand_all[b0 == pb[0]]
-            if L > 1:
-                cand = cand[cand <= T - L]
-                for k in range(1, L):
-                    if not len(cand):
-                        break
-                    cand = cand[low[cand + k] == pb[k]]
-            if not len(cand):
-                continue
-            row = np.searchsorted(ends, cand, side="right")
-            # right boundary: a space or the row's own edge, with the whole
-            # match inside one row (rows abut directly in the buffer); the
-            # left boundary is the tok_start filter above
-            e = cand + L
-            row_end = ends[row]
-            at_e = low[np.minimum(e, T - 1)]
-            ok = (e == row_end) | ((e < row_end) & (at_e == 32))
-            if not ok.any():
-                continue
-            per_row = np.bincount(row[ok], minlength=n)
-            hit_rows = np.nonzero(per_row)[0]
-            rows_out.append(hit_rows.astype(np.int64))
-            pids_out.append(np.full(len(hit_rows), pid, dtype=np.int64))
-            counts_out.append(per_row[hit_rows].astype(np.int64))
-        if not rows_out:
-            return empty
-        return (
-            np.concatenate(rows_out),
-            np.concatenate(pids_out),
-            np.concatenate(counts_out),
-        )
+        # candidate matches: (first token, prefix id so far)
+        start = np.nonzero(code)[0]
+        prefix = code[start]
+        hit_starts: List[np.ndarray] = []
+        hit_nodes: List[np.ndarray] = []
+        for length in range(1, self._max_len + 1):
+            if length > 1:
+                # extend by the next token if it is a pattern token of the
+                # same row and the pair is some pattern's prefix
+                nxt = ext[start + (length - 1)]
+                keep = np.nonzero(nxt)[0]
+                key = prefix[keep] * self._W + nxt[keep]
+                keys = self._pair_keys[length]
+                j = np.searchsorted(keys, key)
+                hit = keys[j] == key
+                start = start[keep[hit]]
+                prefix = self._pair_ids[length][j[hit]]
+            node = self._terminal[length][prefix]
+            m = node >= 0
+            hit_starts.append(start[m])
+            hit_nodes.append(node[m])
+            if not len(start):
+                break
+        rows = np.searchsorted(offs, np.concatenate(hit_starts), side="right") - 1
+        nodes = np.concatenate(hit_nodes)
+        # a node listed under several pattern ids emits each of them
+        cnt = self._node_npids[nodes]
+        rows = np.repeat(rows, cnt)
+        within = np.arange(len(rows)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        pids = self._node_pids[np.repeat(self._node_first[nodes], cnt) + within]
+        uniq, counts = np.unique(pids * n + rows, return_counts=True)
+        return uniq % n, uniq // n, counts.astype(np.int64)
 
     def batch_counts(self, texts) -> List[Dict[int, int]]:
         """Per eligible row: {pattern_id: occurrence count} (dict form of

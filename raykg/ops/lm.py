@@ -41,10 +41,33 @@ from typing import List
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from .agg import sharded_groupby_apply
 from .text import WORD_RE
+
+
+def _doc_bigrams(toks: pa.ListArray):
+    """Adjacent non-empty token pairs of each list of a ``list<string>``
+    array, possibly sliced: ``(doc index, w1, w2)`` in document order."""
+    offsets = toks.offsets.to_numpy(zero_copy_only=False)
+    # a sliced list array's offsets index into its whole child array, from
+    # offsets[0] on: cut the child to this slice and rebase to 0
+    flat = toks.values.slice(offsets[0], offsets[-1] - offsets[0])
+    offsets = offsets - offsets[0]
+    keep = pc.greater(pc.utf8_length(flat), 0).to_numpy(zero_copy_only=False)
+    kept_flat = flat.filter(pa.array(keep))
+    csum = np.concatenate([[0], np.cumsum(keep.astype(np.int64))])
+    counts = csum[offsets[1:]] - csum[offsets[:-1]]  # \S+ per doc
+    new_off = np.concatenate([[0], np.cumsum(counts)])
+    nbi = np.maximum(counts - 1, 0)  # bigrams per doc
+    idx = np.concatenate(
+        [np.arange(o, o + k) for o, k in zip(new_off[:-1], nbi)]
+    ) if nbi.any() else np.zeros(0, dtype=np.int64)
+    w1 = kept_flat.take(pa.array(idx, type=pa.int64()))
+    w2 = kept_flat.take(pa.array(idx + 1, type=pa.int64()))
+    return np.repeat(np.arange(len(toks)), nbi), w1, w2
 
 
 def _bigram_rows(
@@ -54,36 +77,15 @@ def _bigram_rows(
     bigram per batch."""
 
     def explode(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
         # Arrow-native tokenization (no Python per string):
-        # utf8_split_whitespace emits empty tokens at string edges, so
-        # filter zero-length tokens from the flattened child array and
-        # rebuild per-doc counts — the result matches WORD_RE (\S+)
-        # exactly; bigram pairs are two shifted takes of the kept tokens
+        # utf8_split_whitespace emits empty tokens at string edges, which
+        # _doc_bigrams drops — the result matches WORD_RE (\S+) exactly;
+        # bigram pairs are two shifted takes of the kept tokens
         toks = pc.utf8_split_whitespace(
             pc.coalesce(batch[text_column], pa.scalar(""))
         ).combine_chunks()
-        offsets = toks.offsets.to_numpy(zero_copy_only=False)
-        flat = toks.values  # child array; offsets index into it directly
-        keep = pc.greater(pc.utf8_length(flat), 0).to_numpy(
-            zero_copy_only=False
-        )
-        kept_flat = flat.filter(pa.array(keep))
-        csum = np.concatenate([[0], np.cumsum(keep.astype(np.int64))])
-        counts = csum[offsets[1:]] - csum[offsets[:-1]]  # \S+ per doc
-        new_off = np.concatenate([[0], np.cumsum(counts)])
-        nbi = np.maximum(counts - 1, 0)  # bigrams per doc
-        idx = np.concatenate(
-            [np.arange(o, o + k) for o, k in zip(new_off[:-1], nbi)]
-        ) if nbi.any() else np.zeros(0, dtype=np.int64)
-        w1 = kept_flat.take(pa.array(idx, type=pa.int64()))
-        w2 = kept_flat.take(pa.array(idx + 1, type=pa.int64()))
-        doc_ids = batch[id_column].take(
-            pa.array(np.repeat(np.arange(batch.num_rows), nbi),
-                     type=pa.int64())
-        )
+        doc_idx, w1, w2 = _doc_bigrams(toks)
+        doc_ids = batch[id_column].take(pa.array(doc_idx, type=pa.int64()))
         df = pd.DataFrame(
             {id_column: doc_ids.to_pandas(), "w1": w1.to_pandas(),
              "w2": w2.to_pandas()}

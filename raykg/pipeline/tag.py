@@ -14,6 +14,7 @@ Output modes: the reference's three formats plus the target-native
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Sequence
 
 import pyarrow as pa
@@ -45,11 +46,37 @@ def resolve_concurrency(config: "PipelineConfig"):
     Fixed pools because Ray 2.49's autoscaling pool was observed pinned at
     min_size under a busy upstream; 3/4 because a pool that reserves every
     CPU starves the read stage into a standstill (observed as a whole-run
-    deadlock on a pool == num_cpus)."""
-    if config.concurrency is not None:
-        return config.concurrency
-    ncpu = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(1, (ncpu * 3) // 4)
+    deadlock on a pool == num_cpus).  A pool (auto or explicit; a
+    ``(min, max)`` pool by its min) whose actors reserve more than the
+    cluster's CPUs minus one raises ``ValueError`` instead of hanging — on a
+    1-CPU cluster that is the auto pool too.
+
+    When CPUs are held at that point, this process's reference cycles are
+    collected first: Ray Data drops the handle of a pool actor still pending
+    when its dataset finishes, but the handle sits in a cycle of the
+    finished executor, so the actor starts late and keeps its CPU until
+    Python's cyclic GC runs.  Back-to-back jobs then started their pool one
+    CPU short and their read tasks starved for 15-20 s."""
+    ncpu = None
+    if ray.is_initialized():
+        ncpu = ray.cluster_resources().get("CPU", 4)
+        if ray.available_resources().get("CPU", 0.0) < ncpu:
+            gc.collect()
+    size = config.concurrency
+    if size is None:
+        size = max(1, (int(4 if ncpu is None else ncpu) * 3) // 4)
+    min_size = size[0] if isinstance(size, tuple) else size
+    if ncpu is not None and min_size * config.num_cpus > ncpu - 1:
+        raise ValueError(
+            f"an actor pool of {min_size} x {config.num_cpus:g} CPUs leaves "
+            f"less than one of the cluster's {ncpu:g} CPUs for the tasks "
+            "that feed it, so the job would hang: start Ray with more CPUs "
+            "(e.g. ray.init(num_cpus=2); logical CPUs may exceed cores), "
+            "lower PipelineConfig.concurrency, or set PipelineConfig.num_cpus "
+            "so that concurrency x num_cpus <= CPUs - 1 (0 lets the actors "
+            "share CPUs with those tasks)"
+        )
+    return size
 
 
 MENTION_SCHEMA = pa.schema(

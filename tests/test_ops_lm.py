@@ -53,3 +53,25 @@ def test_self_repeating_doc_scores_high(ray_session):
     out = lm_score(ds, num_shards=4).to_pandas()
     got = dict(zip(out["doc_id"], out["lm_score"]))
     assert got[5] >= got[1]
+
+
+def test_doc_bigrams_on_sliced_token_lists():
+    # a sliced list<string> array: its offsets start past 0 and index into
+    # the whole child array, so bigrams must come from the slice's own range
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from raykg.ops.lm import _doc_bigrams
+
+    toks = pc.utf8_split_whitespace(
+        pa.array(["pad tokens here", "a b c", " d  e ", "f", "g h"])
+    )
+    sliced = toks.slice(1, 3)
+    assert sliced.offsets.to_pylist()[0] > 0
+    doc, w1, w2 = _doc_bigrams(sliced)
+    got = list(zip(doc.tolist(), w1.to_pylist(), w2.to_pylist()))
+    assert got == [(0, "a", "b"), (0, "b", "c"), (1, "d", "e")]
+    # and the unsliced array gives the same pairs, shifted by one doc
+    doc_all, w1_all, _ = _doc_bigrams(toks)
+    assert doc_all.tolist() == [0, 0, 1, 1, 2, 4]
+    assert w1_all.to_pylist()[2:5] == ["a", "b", "d"]

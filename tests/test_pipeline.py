@@ -597,3 +597,106 @@ def test_prep_cli_end_to_end(tmp_path):
     )
     assert report["tables"]["kept"]["rows"] > 0
     assert report["tables"]["packed"]["rows"] == report["tables"]["canonical"]["rows"]
+
+
+@pytest.mark.parametrize(
+    "cpus,overrides,expect",
+    [
+        (4, {}, 3),
+        (2, {}, 1),
+        (8, {}, 6),
+        (4, {"concurrency": 3}, 3),
+        (4, {"concurrency": (1, 8)}, (1, 8)),
+        (1, {"num_cpus": 0}, 1),
+        (1, {}, ValueError),
+        (4, {"concurrency": 4}, ValueError),
+        (4, {"concurrency": 2, "num_cpus": 2}, ValueError),
+    ],
+)
+def test_resolve_concurrency_leaves_a_cpu_free(monkeypatch, cpus, overrides, expect):
+    from raykg.pipeline import tag
+
+    monkeypatch.setattr(tag.ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(tag.ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    monkeypatch.setattr(tag.ray, "available_resources", lambda: {"CPU": float(cpus)})
+    cfg = PipelineConfig(**overrides)
+    if expect is ValueError:
+        with pytest.raises(ValueError, match="num_cpus"):
+            tag.resolve_concurrency(cfg)
+    else:
+        assert tag.resolve_concurrency(cfg) == expect
+
+
+def test_resolve_concurrency_reaps_leaked_actors_first(monkeypatch):
+    # a CPU held when a new pool is sized (an actor of a finished dataset
+    # kept alive by a reference cycle) triggers one cycle collection
+    from raykg.pipeline import tag
+
+    collected = []
+    monkeypatch.setattr(tag.gc, "collect", lambda: collected.append(1) or 0)
+    monkeypatch.setattr(tag.ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(tag.ray, "cluster_resources", lambda: {"CPU": 4.0})
+    monkeypatch.setattr(tag.ray, "available_resources", lambda: {"CPU": 4.0})
+    assert tag.resolve_concurrency(PipelineConfig()) == 3
+    assert collected == []
+    monkeypatch.setattr(tag.ray, "available_resources", lambda: {"CPU": 3.0})
+    assert tag.resolve_concurrency(PipelineConfig()) == 3
+    assert collected == [1]
+
+
+_ONE_CPU_SCRIPT = """
+import sys
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data
+
+from raykg.pipeline.config import PipelineConfig
+from raykg.pipeline.graph import extract_triples
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+pq.write_table(
+    pa.table({"conv_id": ["c0"], "turn_idx": pa.array([0], pa.int32()),
+              "text": ["spark window"]}),
+    sys.argv[1] + "/t.parquet",
+)
+ds = ray.data.read_parquet(sys.argv[1])
+try:
+    extract_triples(ds, [("Engine", "spark")], PipelineConfig()).count()
+    print("NO_ERROR", flush=True)
+except ValueError as e:
+    print("VALUE_ERROR", e, flush=True)
+# the fix the error names: actors that reserve no CPU share it with the read
+n = extract_triples(ds, [("Engine", "spark")], PipelineConfig(num_cpus=0)).count()
+print("ROWS", n, flush=True)
+ray.shutdown()
+"""
+
+
+def test_single_cpu_cluster_raises_instead_of_hanging(tmp_path):
+    """At ray.init(num_cpus=1) the auto pool (1 actor x 1 CPU) leaves no
+    CPU for the Parquet read that feeds it: the job must fail fast with an
+    error naming the fix, not hang."""
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT, str(tmp_path)],
+        cwd=root, env=env, text=True, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, err = proc.communicate(timeout=150)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("extract_triples hung on a 1-CPU cluster")
+    assert "VALUE_ERROR" in out and "num_cpus" in out, (out, err[-2000:])
+    assert "ROWS 2" in out, (out, err[-2000:])  # utters + tagged_as

@@ -162,11 +162,10 @@ def test_fuzz_repeated_word_keywords_no_category():
         assert resolved_counts(m, fast[i]) == slow_counts(m, t), t
 
 
-def test_byte_kernel_edges():
-    # hazards specific to the byte-buffer kernel: a keyword inside a longer
-    # word, matches that would span row boundaries in the concatenated
-    # buffer, empty rows (incl. trailing), sliced/offset arrays, and
-    # large_string input
+def test_kernel_edges():
+    # a keyword inside a longer word, matches that would span row
+    # boundaries in the flat token column, empty rows (incl. trailing),
+    # sliced/offset arrays, and large_string input
     onto = clean_ontology([("Engine", "spark", "tech"), ("B", "ab", "x")], True)
     m = compile_matcher(onto, "en", MatchConfig(), True)
     vm = VectorizedExactMatcher(m)
@@ -175,10 +174,13 @@ def test_byte_kernel_edges():
     assert out[2] == {0: 1}  # not "drab"/"sparkle" substrings
     assert out[1] == {} and out[3] == {}
     # row-boundary span: rows "x spa" + "rk y" abut as "x spark y" in the
-    # concatenated buffer, so a naive byte scan would see "spark"; the
+    # concatenated data buffer, so a naive byte scan would see "spark"; the
     # same-row check must reject it
     rows, pids, counts = vm.batch_hits(["x spa", "rk y"])
     assert len(rows) == 0
+    # a two-token keyword split across two rows ("agg" | "row") is no match
+    vm2 = VectorizedExactMatcher(matcher())
+    assert vm2.batch_counts(["spark agg", "row x"]) == [{0: 1}, {}]
     # sliced array with non-zero offset + large_string agree with lists
     arr = pa.array(["pad", "spark ab", "ab spark spark"], type=pa.string())
     sl = arr.slice(1, 2)
@@ -186,3 +188,90 @@ def test_byte_kernel_edges():
     assert got == vm.batch_counts(["spark ab", "ab spark spark"])
     ls = pa.array(["spark ab"], type=pa.large_string())
     assert vm.batch_counts(ls) == vm.batch_counts(["spark ab"])
+
+
+def _random_words(rng, n, alphabet="abcdefghij"):
+    words = set()
+    while len(words) < n:
+        words.add("".join(rng.choice(alphabet) for _ in range(rng.randint(2, 5))))
+    return sorted(words)
+
+
+@pytest.mark.parametrize("flags", [{}, {"ignore_case": True}], ids=["exact", "case"])
+def test_large_k_fuzz_equivalence(flags):
+    # ~2000 patterns of 1-6 tokens over a small vocabulary, so tokens and
+    # prefixes are shared heavily; one keyword under two tags; keywords
+    # with punctuation / non-ASCII tokens that no eligible row can hold
+    rng = random.Random(5)
+    vocab = _random_words(rng, 300)
+    vocab += [w.capitalize() for w in vocab[:40]]  # case matters when exact
+    keywords = set()
+    while len(keywords) < 1990:
+        keywords.add(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6))))
+    keywords = sorted(keywords)
+    # extensions of existing keywords: shared prefixes of every length
+    keywords += [kw + " " + rng.choice(vocab) for kw in keywords[:10]]
+    rows = [(f"T{i}", kw) for i, kw in enumerate(keywords)]
+    rows += [
+        ("Dup", keywords[3]),  # the same keyword listed under a second tag
+        ("Punct", "ab-cd " + vocab[0]),
+        ("Comma", vocab[1] + ", " + vocab[2]),
+        ("Accent", "café " + vocab[3]),
+        ("Greek", "λόγος"),
+    ]
+    onto = clean_ontology(rows, has_category=False)
+    m = compile_matcher(onto, "en", MatchConfig(**flags), False)
+    vm = get_vectorized(m)
+    assert vm is not None
+    assert len(m.patterns) >= 2000 and max(map(len, m.pattern_tokens)) >= 6
+    texts = []
+    for _ in range(400):
+        words = []
+        while len(words) < rng.randint(1, 40):
+            if rng.random() < 0.3:
+                words.extend(rng.choice(keywords).split())
+            else:
+                words.append(rng.choice(vocab))
+        if flags.get("ignore_case"):
+            words = [w.upper() if rng.random() < 0.2 else w for w in words]
+        texts.append(" ".join(words))
+    assert vm.eligible_rows(texts).all()
+    # an Arrow array sliced at a non-zero offset, in two pieces
+    arr = pa.array(["pad row"] * 7 + texts, type=pa.string())
+    fast = vm.batch_counts(arr.slice(7, 150)) + vm.batch_counts(arr.slice(157))
+    assert fast == vm.batch_counts(texts)
+    n_hits = 0
+    for i, t in enumerate(texts):
+        expect = slow_counts(m, t)
+        assert resolved_counts(m, fast[i]) == expect, t
+        n_hits += sum(expect.values())
+    assert n_hits > 1000  # the fuzz input really exercises the matcher
+
+
+@pytest.mark.parametrize("n_tokens", [511, 512])
+def test_long_keyword_keys_do_not_overflow(n_tokens):
+    # an 8-token keyword over a pattern vocabulary of ~2**9 tokens: packing
+    # the 8 ids of a window as (V or V+1)**8 needs 72 bits, and in int64
+    # the first token's weight 2**63 keeps only its parity, so the window
+    # "w2 w1 ... w7" would collide with the keyword "w0 w1 ... w7"
+    long_kw = " ".join(f"w{i}" for i in range(8))
+    rows = [("Long", long_kw)]
+    rows += [(f"F{i}", f"f{i}") for i in range(n_tokens - 8)]
+    onto = clean_ontology(rows, has_category=False)
+    m = compile_matcher(onto, "en", MatchConfig(), False)
+    vm = get_vectorized(m)
+    assert len(vm.token_ids) == n_tokens
+    texts = [
+        long_kw,
+        "x " + long_kw + " f3 " + long_kw,
+        " ".join(["w2"] + [f"w{i}" for i in range(1, 8)]),
+        " ".join(["w4"] + [f"w{i}" for i in range(1, 8)]),
+        " ".join([f"w{i}" for i in range(7)] + ["w5"]),
+        " ".join(f"w{i}" for i in range(7)),
+    ]
+    fast = vm.batch_counts(texts)
+    assert fast[0] == {0: 1}
+    assert fast[1] == {0: 2, 4: 1}
+    assert fast[2:] == [{}, {}, {}, {}]
+    for i, t in enumerate(texts):
+        assert resolved_counts(m, fast[i]) == slow_counts(m, t), t
