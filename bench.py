@@ -93,8 +93,10 @@ def run_bench() -> dict:
                 category_column="category",
                 batch_size=1024,
                 concurrency=None,  # auto: 3/4 of cluster CPUs (resolve_concurrency)
-                use_vectorized=os.environ.get("RAYKG_NO_VECTOR") != "1",
-                strict_reference=os.environ.get("RAYKG_STRICT") == "1",
+                # RAYKG_NO_VECTOR: the per-row compute-bound path the
+                # scaling legs measure
+                strict_reference=os.environ.get("RAYKG_STRICT") == "1"
+                or os.environ.get("RAYKG_NO_VECTOR") == "1",
             ),
         )
         n = headline_ds.count()

@@ -157,9 +157,6 @@ def compile_matcher(
         pattern_keywords.append(" ".join(tokens))
         automaton.add(seq, pid)
         keyword_to_tag[key] = row.tag  # last duplicate wins
-    if automaton.num_patterns == 0:
-        # mirror of the matcher having zero patterns: matching yields nothing
-        pass
     automaton.build()
     return CompiledMatcher(
         language=language,
@@ -213,13 +210,11 @@ def process_document(matcher: CompiledMatcher, text) -> List[Mention]:
     tokens = matcher.tokenizer.tokenize(cleaned)
     if not tokens:
         return []
-    spans = split_tokens_to_sentences_spans(tokens, cleaned)
     out: List[Mention] = []
-    cfg = matcher.config
-    lem = matcher.lemmatizer
+    spans = split_tokens_to_sentences_spans(tokens, cleaned)
     for sent_idx, (tok_lo, tok_hi, char_lo, char_hi) in enumerate(spans):
         original = cleaned[char_lo:char_hi]
-        norm = cfg.normalize(original)
+        norm = matcher.config.normalize(original)
         if norm == original:
             sent_tokens = [
                 (t[0], t[1] - char_lo, t[2] - char_lo)
@@ -227,42 +222,7 @@ def process_document(matcher: CompiledMatcher, text) -> List[Mention]:
             ]
         else:
             sent_tokens = matcher.tokenizer.tokenize(norm)
-        if not sent_tokens:
-            continue
-        if cfg.lemmatization and lem is not None:
-            probe_seq = lem.lemmas([t[0] for t in sent_tokens])
-        else:
-            probe_seq = [t[0] for t in sent_tokens]
-        matches = matcher.automaton.find(probe_seq)
-        if not matches:
-            continue
-        if matcher.has_category:
-            matches = filter_longest(matches)
-        else:
-            matches.sort(key=lambda m: (m[0], m[1]))
-        for t_start, t_end, pid in matches:
-            start_char = sent_tokens[t_start][1]
-            end_char = sent_tokens[t_end - 1][2]
-            span_text = norm[start_char:end_char]
-            tag, category = matcher.patterns[pid]
-            if not matcher.has_category:
-                key = (
-                    lem.lemmatize_joined([t[0] for t in sent_tokens[t_start:t_end]])
-                    if cfg.lemmatization and lem is not None
-                    else span_text
-                )
-                tag = matcher.keyword_to_tag.get(key, tag)
-            out.append(
-                Mention(
-                    sent_idx=sent_idx,
-                    start_char=start_char,
-                    end_char=end_char,
-                    keyword=span_text,
-                    tag=tag,
-                    category=category,
-                    sentence=original,
-                )
-            )
+        _match_sentence(matcher, sent_idx, original, norm, sent_tokens, out)
     return out
 
 
@@ -271,57 +231,66 @@ def match_sentences(
 ) -> List[Mention]:
     """Match one document's sentence list; returns mentions in sentence order.
 
-    Normalizes each sentence with the shared invariant, tokenizes, walks the
-    automaton, and resolves overlaps per mode (all matches vs longest-wins).
-    The reported keyword is the span text sliced from the normalized
-    sentence; the reported sentence is the original one
-    (formatter_by_match.py:84-93).
+    Normalizes each sentence with the shared invariant and tokenizes it; the
+    matching itself is :func:`_match_sentence`.
     """
     out: List[Mention] = []
-    cfg = matcher.config
-    tok = matcher.tokenizer
-    lem = matcher.lemmatizer
     for sent_idx, original in enumerate(original_sentences):
-        norm = cfg.normalize(original)
-        tokens = tok.tokenize(norm)
-        if not tokens:
-            continue
-        if cfg.lemmatization and lem is not None:
-            probe_seq = lem.lemmas([t[0] for t in tokens])
-        else:
-            probe_seq = [t[0] for t in tokens]
-        matches = matcher.automaton.find(probe_seq)
-        if not matches:
-            continue
-        if matcher.has_category:
-            matches = filter_longest(matches)
-        else:
-            # PhraseMatcher emits in match order; sort by (start, end) for
-            # deterministic downstream order
-            matches.sort(key=lambda m: (m[0], m[1]))
-        for t_start, t_end, pid in matches:
-            start_char = tokens[t_start][1]
-            end_char = tokens[t_end - 1][2]
-            span_text = norm[start_char:end_char]
-            tag, category = matcher.patterns[pid]
-            if not matcher.has_category:
-                # resolve through the reverse map so duplicate normalized
-                # keywords keep last-row-wins semantics
-                key = (
-                    lem.lemmatize_joined([t[0] for t in tokens[t_start:t_end]])
-                    if cfg.lemmatization and lem is not None
-                    else span_text
-                )
-                tag = matcher.keyword_to_tag.get(key, tag)
-            out.append(
-                Mention(
-                    sent_idx=sent_idx,
-                    start_char=start_char,
-                    end_char=end_char,
-                    keyword=span_text,
-                    tag=tag,
-                    category=category,
-                    sentence=original,
-                )
-            )
+        norm = matcher.config.normalize(original)
+        tokens = matcher.tokenizer.tokenize(norm)
+        _match_sentence(matcher, sent_idx, original, norm, tokens, out)
     return out
+
+
+def _match_sentence(
+    matcher: CompiledMatcher, sent_idx: int, original: str, norm: str, tokens, out
+) -> None:
+    """Append one sentence's mentions to ``out``: the match step shared by
+    :func:`process_document` and :func:`match_sentences`.
+
+    ``tokens`` are the normalized sentence's tokens, with offsets into
+    ``norm``.  Walks the automaton over the tokens (or their lemmas) and
+    resolves overlaps per mode (all matches vs longest-wins).  The reported
+    keyword is the span text sliced from the normalized sentence; the
+    reported sentence is the original one (formatter_by_match.py:84-93).
+    """
+    if not tokens:
+        return
+    lem = matcher.lemmatizer if matcher.config.lemmatization else None
+    probe_seq = [t[0] for t in tokens]
+    if lem is not None:
+        probe_seq = lem.lemmas(probe_seq)
+    matches = matcher.automaton.find(probe_seq)
+    if not matches:
+        return
+    if matcher.has_category:
+        matches = filter_longest(matches)
+    else:
+        # PhraseMatcher emits in match order; sort by (start, end) for
+        # deterministic downstream order
+        matches.sort(key=lambda m: (m[0], m[1]))
+    for t_start, t_end, pid in matches:
+        start_char = tokens[t_start][1]
+        end_char = tokens[t_end - 1][2]
+        span_text = norm[start_char:end_char]
+        tag, category = matcher.patterns[pid]
+        if not matcher.has_category:
+            # resolve through the reverse map so duplicate normalized
+            # keywords keep last-row-wins semantics
+            key = (
+                lem.lemmatize_joined([t[0] for t in tokens[t_start:t_end]])
+                if lem is not None
+                else span_text
+            )
+            tag = matcher.keyword_to_tag.get(key, tag)
+        out.append(
+            Mention(
+                sent_idx=sent_idx,
+                start_char=start_char,
+                end_char=end_char,
+                keyword=span_text,
+                tag=tag,
+                category=category,
+                sentence=original,
+            )
+        )

@@ -17,6 +17,9 @@ per-row Python and no per-pattern loop:
       -> a prefix that spells a whole pattern is a (row, pattern) hit; a
          keyword listed under several tags emits each of its pattern ids
       -> one ``np.unique`` reduces to distinct (row, pattern id, count)
+      -> (``tag_keyword_counts``) pattern ids resolve to (tag, keyword)
+         pairs through a table built once per matcher; ids that resolve to
+         the same pair fold into one hit
 
 Pattern prefixes get dense ids one length at a time, so a lookup key stays
 below (#prefixes x vocabulary size) for any pattern length; packing L ids
@@ -34,7 +37,7 @@ general per-row path:
 
 Eligibility is per row (``isascii`` + alnum-and-space only + whole text is
 one sentence) so mixed batches split into a vectorized majority and a
-general-path remainder with identical semantics.  Because eligible rows are
+per-row remainder with identical semantics.  Because eligible rows are
 single-space separated alnum words with no leading/trailing space, their
 space-split tokens are exactly the tokenizer's tokens, and every run of
 consecutive tokens equal to a pattern is a match — including overlapping
@@ -45,8 +48,13 @@ eligible row.  Lemma mode always takes the general path; category
 (overlaps impossible), checked at build time.  The fuzz suite
 (tests/test_vector_match.py) pins the kernel equal to the per-row engine.
 
-Used by the count/rollup/triple stages, which need (pattern -> occurrence
-count) per row but not character offsets.
+The count-style actors (triples, per-turn counts, per-turn tag rollups) need
+(tag, keyword) occurrence counts per row but no character offsets.  They all
+tag a batch through one function, ``TagActor._tag_keyword_counts``
+(pipeline/tag.py): eligible rows come here whenever ``get_vectorized``
+allows the matching mode, every other row goes through the per-row engine.
+There is no switch to turn the kernel off; ``strict_reference`` runs the
+reference per-row path everywhere.
 """
 
 from __future__ import annotations
@@ -101,6 +109,18 @@ class VectorizedExactMatcher:
         # which a split on " " never yields
         self._vocab = pa.array([" ", *self.token_ids], type=pa.string())
         self._build_prefix_tables()
+        # pattern id -> id of its (tag, keyword) pair ("tk"), numbered in
+        # pattern order; without categories the tag is the keyword's last
+        # ontology row (keyword_to_tag), so a keyword listed twice is one tk
+        tks: Dict[Tuple[str, str], int] = {}
+        tk_of_pid = []
+        for (tag, _cat), kw in zip(matcher.patterns, matcher.pattern_keywords):
+            if not matcher.has_category:
+                tag = matcher.keyword_to_tag.get(kw, tag)
+            tk_of_pid.append(tks.setdefault((tag, kw), len(tks)))
+        self._tk_of_pid = np.array(tk_of_pid, dtype=np.int64)
+        self._tk_tags = pa.array([t for t, _ in tks], type=pa.string())
+        self._tk_keywords = pa.array([k for _, k in tks], type=pa.string())
 
     def _build_prefix_tables(self) -> None:
         """Dense ids for every pattern prefix, one length at a time.
@@ -153,29 +173,16 @@ class VectorizedExactMatcher:
 
     @classmethod
     def eligible_rows(cls, texts) -> np.ndarray:
-        """True where the row is simple: ASCII alnum words separated by
-        single spaces (no punctuation -> no sentence boundaries, no affix
-        tokenization).  Accepts a pyarrow Array (vectorized RE2 check, no
-        per-row Python strings) or a Python sequence.  (A numpy byte-LUT
-        variant was measured here and lost to RE2: the per-row segment
-        reductions cost more than the single regex pass.)"""
-        if isinstance(texts, (pa.Array, pa.ChunkedArray)):
-            if isinstance(texts, pa.ChunkedArray):
-                texts = texts.combine_chunks()
-            m = pc.match_substring_regex(texts, cls._ELIGIBLE_RE)
-            return pc.fill_null(m, False).to_numpy(zero_copy_only=False)
-        out = np.zeros(len(texts), dtype=bool)
-        for i, t in enumerate(texts):
-            if (
-                t
-                and t.isascii()
-                and "  " not in t
-                and t.replace(" ", "").isalnum()
-                and t[0] != " "
-                and t[-1] != " "
-            ):
-                out[i] = True
-        return out
+        """True where the row of the Arrow string column ``texts`` is simple:
+        ASCII alnum words separated by single spaces (no punctuation -> no
+        sentence boundaries, no affix tokenization).  One vectorized RE2
+        pass, no per-row Python strings.  (A numpy byte-LUT variant was
+        measured here and lost to RE2: the per-row segment reductions cost
+        more than the single regex pass.)"""
+        if isinstance(texts, pa.ChunkedArray):
+            texts = texts.combine_chunks()
+        m = pc.match_substring_regex(texts, cls._ELIGIBLE_RE)
+        return pc.fill_null(m, False).to_numpy(zero_copy_only=False)
 
     # -- the kernel ---------------------------------------------------------
 
@@ -183,7 +190,8 @@ class VectorizedExactMatcher:
         """Per-batch distinct (row, pattern) hits as parallel numpy arrays
         ``(rows, pids, counts)``, sorted by pattern id then row — the
         fully-vectorized form downstream stages can consume without
-        per-hit Python objects.  ``texts`` must all be eligible rows."""
+        per-hit Python objects.  ``texts`` is an Arrow string column of
+        eligible rows only."""
         n = len(texts)
         empty = (
             np.empty(0, dtype=np.int64),
@@ -193,12 +201,7 @@ class VectorizedExactMatcher:
         if n == 0 or not len(self._node_pids):
             return empty
 
-        if isinstance(texts, pa.ChunkedArray):
-            arr = texts.combine_chunks()
-        elif isinstance(texts, pa.Array):
-            arr = texts
-        else:
-            arr = pa.array(texts, type=pa.string())
+        arr = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts
         if self.ignore_case:
             arr = pc.ascii_lower(arr)
         lists = pc.split_pattern(arr, " ")
@@ -259,16 +262,21 @@ class VectorizedExactMatcher:
         uniq, counts = np.unique(pids * n + rows, return_counts=True)
         return uniq % n, uniq // n, counts.astype(np.int64)
 
-    def batch_counts(self, texts) -> List[Dict[int, int]]:
-        """Per eligible row: {pattern_id: occurrence count} (dict form of
-        :meth:`batch_hits`)."""
-        n = len(texts)
-        counts: List[Dict[int, int]] = [dict() for _ in range(n)]
-        rows, pids, cnts = self.batch_hits(texts)
-        for r, p, c in zip(rows.tolist(), pids.tolist(), cnts.tolist()):
-            counts[r][p] = c
-        return counts
-
+    def tag_keyword_counts(self, texts):
+        """Distinct (row, tag, keyword) hits of the eligible rows ``texts``
+        as ``(rows, tags, keywords, counts)``: numpy row indices and counts,
+        Arrow string tags and keywords.  Pattern ids resolve to their
+        (tag, keyword) pair as the per-row path resolves a mention; pattern
+        ids that resolve to the same pair (a keyword listed under two tags
+        without categories) fold into one hit whose count is their sum."""
+        rows, tk, counts = self.batch_hits(texts)  # tk == pid when no folds
+        if len(self._tk_tags) < len(self._tk_of_pid):
+            n = len(texts)
+            uniq, inv = np.unique(self._tk_of_pid[tk] * n + rows, return_inverse=True)
+            rows, tk = uniq % n, uniq // n
+            counts = np.bincount(inv, weights=counts).astype(np.int64)
+        take = pa.array(tk, type=pa.int64())
+        return rows, self._tk_tags.take(take), self._tk_keywords.take(take), counts
 
 def get_vectorized(matcher: CompiledMatcher) -> Optional[VectorizedExactMatcher]:
     """Build (and cache on the matcher) the vectorized kernel; None when the

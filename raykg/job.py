@@ -507,7 +507,7 @@ def main(argv=None) -> int:
         import ray.data
 
         from .pipeline.config import PipelineConfig
-        from .pipeline.queries import ONTOLOGY
+        from .pipeline.default_ontology import ONTOLOGY
         from .pipeline.transcripts import read_transcripts
 
         if args.ontology:

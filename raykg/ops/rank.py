@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -84,6 +85,15 @@ def _segment_runs(achange: np.ndarray, lo: int, hi: int) -> tuple:
     return n_runs, hi - last_start
 
 
+def _unrankable(col) -> int:
+    """Nulls, plus NaN in a float column: sorted() and the tie test
+    ``v[1:] != v[:-1]`` order neither, so neither gets a rank."""
+    n = col.null_count
+    if pa.types.is_floating(col.type):
+        n += pc.sum(pc.is_nan(col)).as_py() or 0
+    return n
+
+
 @ray.remote
 def _block_key_edges(block, key_cols: list, sort_cols: list):
     """(n, null_count, first_sort_tuple, last_sort_tuple, head_run_len,
@@ -96,7 +106,7 @@ def _block_key_edges(block, key_cols: list, sort_cols: list):
     t = BlockAccessor.for_block(block).to_arrow()
     if t.num_rows == 0:
         return 0, 0, None, None, 0, 0, 0, 0, 0, 0
-    nulls = sum(t[c].null_count for c in sort_cols)
+    nulls = sum(_unrankable(t[c]) for c in sort_cols)
     if nulls:
         return t.num_rows, nulls, None, None, 0, 0, 0, 0, 0, 0
     n = t.num_rows
@@ -230,7 +240,7 @@ def with_keyed_ranks(
     semantics (ties share the rank; a tie run crossing a block boundary
     resolves through the driver merge); ``row_number`` and ``ntile``
     need ``order_by`` to be a total order within each key for
-    determinism, as in SQL.  Null sort keys fail loudly."""
+    determinism, as in SQL.  Null or NaN sort keys fail loudly."""
     sort_cols = list(keys) + list(order_by)
     try:
         m = ds.sort(sort_cols).materialize()
@@ -252,7 +262,7 @@ def with_keyed_ranks(
     if any(nulls for _n, nulls, *_ in infos):
         raise ValueError(
             f"with_keyed_ranks: a sort column of {sort_cols!r} contains "
-            "nulls; filter or fill the column first"
+            "nulls or NaN; filter or fill the column first"
         )
     keyed = sorted(
         (

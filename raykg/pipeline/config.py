@@ -35,11 +35,6 @@ class PipelineConfig:
     batch_size: int = 2048
     concurrency: Union[int, Tuple[int, int], None] = None  # None = auto: 3/4 of cluster CPUs
     num_cpus: float = 1.0
-    # the Arrow/numpy batch matcher (core/vector_match.py) — fastest, but
-    # memory-bandwidth-bound; False forces the per-row compute-bound path
-    # (useful for single-node scaling studies; multi-node clusters bring
-    # their own bandwidth per node)
-    use_vectorized: bool = True
     # reference-equivalent general path only (per-row tokenize/match; what
     # non-ASCII and multilingual text runs regardless) — used by the
     # compute-bound scaling benchmark

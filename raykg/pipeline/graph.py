@@ -24,12 +24,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-from ..core.format import unique_list
 from .config import PipelineConfig
 from .tag import MentionActor, _broadcast_ontology, resolve_concurrency as _resolve_concurrency
 
@@ -54,12 +54,43 @@ NODE_SCHEMA = pa.schema(
 )
 
 
-def turn_id(conv_id: str, turn_idx: int) -> str:
-    return f"{conv_id}#{turn_idx}"
-
-
 def concept_id(tag: str) -> str:
     return f"concept:{tag}"
+
+
+def _triples(subj, pred: str, obj, conv, turn) -> pa.Table:
+    m = len(subj)
+    return pa.Table.from_arrays(
+        [subj, pa.repeat(pred, m), obj, conv, turn, pa.repeat(1.0, m)],
+        schema=TRIPLE_SCHEMA,
+    )
+
+
+def _turn_keys(batch: pa.Table, conv_column: str, turn_column: str):
+    """(conv_id, int32 turn_idx, turn id) columns of a batch."""
+    conv = batch[conv_column]
+    conv = conv.combine_chunks() if isinstance(conv, pa.ChunkedArray) else conv
+    turn = batch[turn_column]
+    turn = turn.combine_chunks() if isinstance(turn, pa.ChunkedArray) else turn
+    turn = pc.cast(turn, pa.int32())
+    return conv, turn, pc.binary_join_element_wise(conv, pc.cast(turn, pa.string()), "#")
+
+
+def _structural_triples(batch: pa.Table, tool_column: str, conv, turn, tid) -> List[pa.Table]:
+    """One ``utters`` edge per turn, and one ``used_tool`` edge per turn
+    whose tool (cast to string) is neither null nor empty; ``conv``,
+    ``turn`` and ``tid`` are the batch's :func:`_turn_keys`."""
+    parts = [_triples(conv, "utters", tid, conv, turn)]
+    if tool_column in batch.schema.names:
+        tool = batch[tool_column]
+        tool = tool.combine_chunks() if isinstance(tool, pa.ChunkedArray) else tool
+        mask = pc.fill_null(pc.and_kleene(pc.is_valid(tool), pc.not_equal(tool, "")), False)
+        if pc.any(mask).as_py():
+            parts.append(
+                _triples(tid.filter(mask), "used_tool", pc.cast(tool.filter(mask), pa.string()),
+                         conv.filter(mask), turn.filter(mask))
+            )
+    return parts
 
 
 class TripleActor(MentionActor):
@@ -79,202 +110,23 @@ class TripleActor(MentionActor):
         self.include_structural = include_structural
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        fast = self._call_vectorized(batch)
-        if fast is not None:
-            return fast
-        return self._call_general(batch)
-
-    def _call_vectorized(self, batch: pa.Table) -> "pa.Table | None":
-        """Arrow-native construction: structural edges via compute kernels,
-        tagged_as from the vectorized matcher's (row, pattern) hit arrays —
-        no per-triple Python strings.  Rows the kernel can't handle go
-        through the general per-row path and are concatenated."""
-        import numpy as np
-        import pyarrow.compute as pc
-
-        from ..core.vector_match import get_vectorized
-
-        if self.config.multilingual or not self.config.use_vectorized:
-            return None
-        matcher = self._get_matcher(self.config.language)
-        vm = get_vectorized(matcher)
-        if vm is None:
-            return None
-        n = batch.num_rows
-        conv_col = batch[self.conv_column]
-        if isinstance(conv_col, pa.ChunkedArray):
-            conv_col = conv_col.combine_chunks()
-        turn_col = batch[self.turn_column]
-        if isinstance(turn_col, pa.ChunkedArray):
-            turn_col = turn_col.combine_chunks()
-        tid = pc.binary_join_element_wise(conv_col, pc.cast(turn_col, pa.string()), "#")
+        conv, turn, tid = _turn_keys(batch, self.conv_column, self.turn_column)
         parts = []
-
-        # constant pred/weight columns: build once per actor at a growing
-        # high-water length and zero-copy slice per batch (np.full of Python
-        # strings re-encoded every call measured ~10% of the whole stage)
-        consts = getattr(self, "_const_cols", None)
-        if consts is None:
-            consts = self._const_cols = {}
-
-        def const_col(key, m, make):
-            arr = consts.get(key)
-            if arr is None or len(arr) < m:
-                arr = consts[key] = make(max(m, 2 * len(arr) if arr is not None else m))
-            return arr.slice(0, m)
-
-        def triple_table(subj, pred, obj, conv, turn):
-            m = len(subj)
-            return pa.Table.from_arrays(
-                [
-                    subj,
-                    const_col(pred, m, lambda k: pa.array(np.full(k, pred), type=pa.string())),
-                    obj,
-                    conv,
-                    turn,
-                    const_col("__w1", m, lambda k: pa.array(np.ones(k), type=pa.float64())),
-                ],
-                schema=TRIPLE_SCHEMA,
-            )
-
         if self.include_structural:
-            parts.append(triple_table(conv_col, "utters", tid, conv_col, turn_col))
-            if self.tool_column in batch.schema.names:
-                tool_col = batch[self.tool_column]
-                if isinstance(tool_col, pa.ChunkedArray):
-                    tool_col = tool_col.combine_chunks()
-                mask = pc.and_kleene(
-                    pc.is_valid(tool_col), pc.not_equal(tool_col, "")
+            parts = _structural_triples(batch, self.tool_column, conv, turn, tid)
+        hits = self._tag_keyword_counts(batch)
+        if hits.num_rows:
+            rows = hits["row"]
+            parts.append(
+                _triples(
+                    pc.binary_join_element_wise(tid.take(rows), hits["keyword"], "#"),
+                    "tagged_as",
+                    pc.binary_join_element_wise("concept:", hits["tag"], ""),
+                    conv.take(rows),
+                    turn.take(rows),
                 )
-                mask = pc.fill_null(mask, False)
-                if pc.any(mask).as_py():
-                    parts.append(
-                        triple_table(
-                            tid.filter(mask),
-                            "used_tool",
-                            tool_col.filter(mask),
-                            conv_col.filter(mask),
-                            turn_col.filter(mask),
-                        )
-                    )
-
-        # pattern metadata, resolved once per matcher
-        meta = getattr(matcher, "_triple_meta", None)
-        if meta is None:
-            kws = matcher.pattern_keywords
-            resolved = []
-            for pid, (tag, _cat) in enumerate(matcher.patterns):
-                if not self.has_category:
-                    tag = matcher.keyword_to_tag.get(kws[pid], tag)
-                resolved.append(concept_id(tag))
-            meta = (pa.array(kws, type=pa.string()), pa.array(resolved, type=pa.string()))
-            matcher._triple_meta = meta
-        kw_arr, concept_arr = meta
-
-        text_col = batch[self.config.text_column]
-        if isinstance(text_col, pa.ChunkedArray):
-            text_col = text_col.combine_chunks()
-        elig = vm.eligible_rows(text_col)
-        elig_idx = np.nonzero(elig)[0]
-        if len(elig_idx):
-            rows, pids, _counts = vm.batch_hits(
-                text_col.take(pa.array(elig_idx, type=pa.int64()))
             )
-            if len(rows):
-                g = pa.array(elig_idx[rows], type=pa.int64())
-                p = pa.array(pids, type=pa.int64())
-                sub_tid = tid.take(g)
-                subj = pc.binary_join_element_wise(sub_tid, kw_arr.take(p), "#")
-                parts.append(
-                    triple_table(
-                        subj, "tagged_as", concept_arr.take(p),
-                        conv_col.take(g), turn_col.take(g),
-                    )
-                )
-        slow_idx = np.nonzero(~elig)[0]
-        if len(slow_idx):
-            langs = self._row_languages(batch)
-            subj_l, obj_l, conv_l, turn_l = [], [], [], []
-            convs = conv_col.to_pylist()
-            turns = turn_col.to_pylist()
-            for i in slow_idx:
-                i = int(i)
-                mentions = self._doc_mentions(text_col[i].as_py(), langs[i])
-                if not mentions:
-                    continue
-                t_id = turn_id(convs[i], turns[i])
-                for tag, keyword in unique_list(
-                    [(m.tag, m.keyword) for m in mentions]
-                ):
-                    subj_l.append(f"{t_id}#{keyword}")
-                    obj_l.append(concept_id(tag))
-                    conv_l.append(convs[i])
-                    turn_l.append(turns[i])
-            if subj_l:
-                parts.append(
-                    triple_table(
-                        pa.array(subj_l, type=pa.string()),
-                        "tagged_as",
-                        pa.array(obj_l, type=pa.string()),
-                        pa.array(conv_l, type=pa.string()),
-                        pa.array(turn_l, type=pa.int32()),
-                    )
-                )
-        if not parts:
-            return pa.Table.from_arrays(
-                [pa.array([], type=f.type) for f in TRIPLE_SCHEMA],
-                schema=TRIPLE_SCHEMA,
-            )
-        return pa.concat_tables(parts)
-
-    def _call_general(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.config.text_column].to_pylist()
-        langs = self._row_languages(batch)
-        convs = batch[self.conv_column].to_pylist()
-        turns = batch[self.turn_column].to_pylist()
-        tools = (
-            batch[self.tool_column].to_pylist()
-            if self.include_structural and self.tool_column in batch.schema.names
-            else [None] * batch.num_rows
-        )
-        subj: List[str] = []
-        pred: List[str] = []
-        obj: List[str] = []
-        e_conv: List[str] = []
-        e_turn: List[int] = []
-        weight: List[float] = []
-
-        def emit(s, p, o, c, t, w=1.0):
-            subj.append(s)
-            pred.append(p)
-            obj.append(o)
-            e_conv.append(c)
-            e_turn.append(t)
-            weight.append(w)
-
-        per_row = self._batch_tag_counts(texts, langs)
-        for conv, turn, tool, row in zip(convs, turns, tools, per_row):
-            tid = turn_id(conv, turn)
-            if self.include_structural:
-                emit(conv, "utters", tid, conv, turn)
-                if tool is not None and tool == tool and tool != "":
-                    emit(tid, "used_tool", str(tool), conv, turn)
-            if row:
-                for tag, keyword in unique_list(
-                    [(t, k) for t, _c, k, _n in row]
-                ):
-                    emit(f"{tid}#{keyword}", "tagged_as", concept_id(tag), conv, turn)
-        return pa.Table.from_arrays(
-            [
-                pa.array(subj, type=pa.string()),
-                pa.array(pred, type=pa.string()),
-                pa.array(obj, type=pa.string()),
-                pa.array(e_conv, type=pa.string()),
-                pa.array(e_turn, type=pa.int32()),
-                pa.array(weight, type=pa.float64()),
-            ],
-            schema=TRIPLE_SCHEMA,
-        )
+        return pa.concat_tables(parts) if parts else TRIPLE_SCHEMA.empty_table()
 
 
 def extract_triples(
@@ -371,32 +223,16 @@ def triples_from_mentions(
 
     Pinned equal to :func:`extract_triples` output by test
     (tests/test_pipeline.py)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
     from ..ops.setops import distinct_rows
 
     def tag_kw_triples(batch: pa.Table) -> pa.Table:
-        conv = batch[conv_column]
-        conv = conv.combine_chunks() if isinstance(conv, pa.ChunkedArray) else conv
-        turn = batch[turn_column]
-        turn = turn.combine_chunks() if isinstance(turn, pa.ChunkedArray) else turn
-        tid = pc.binary_join_element_wise(conv, pc.cast(turn, pa.string()), "#")
-        subj = pc.binary_join_element_wise(tid, batch["keyword"], "#")
-        tags = batch["tag"]
-        tags = tags.combine_chunks() if isinstance(tags, pa.ChunkedArray) else tags
-        obj = pc.binary_join_element_wise(pa.array(["concept:"] * len(tags)), tags, "")
-        n = batch.num_rows
-        return pa.Table.from_arrays(
-            [
-                subj,
-                pa.array(np.full(n, "tagged_as"), type=pa.string()),
-                obj,
-                conv,
-                pc.cast(turn, pa.int32()),
-                pa.array(np.ones(n), type=pa.float64()),
-            ],
-            schema=TRIPLE_SCHEMA,
+        conv, turn, tid = _turn_keys(batch, conv_column, turn_column)
+        return _triples(
+            pc.binary_join_element_wise(tid, batch["keyword"], "#"),
+            "tagged_as",
+            pc.binary_join_element_wise("concept:", batch["tag"], ""),
+            conv,
+            turn,
         )
 
     tagged = distinct_rows(
@@ -409,48 +245,8 @@ def triples_from_mentions(
         return tagged
 
     def structural(batch: pa.Table) -> pa.Table:
-        conv = batch[conv_column]
-        conv = conv.combine_chunks() if isinstance(conv, pa.ChunkedArray) else conv
-        turn = batch[turn_column]
-        turn = turn.combine_chunks() if isinstance(turn, pa.ChunkedArray) else turn
-        turn = pc.cast(turn, pa.int32())
-        tid = pc.binary_join_element_wise(conv, pc.cast(turn, pa.string()), "#")
-        n = batch.num_rows
-        parts = [
-            pa.Table.from_arrays(
-                [
-                    conv,
-                    pa.array(np.full(n, "utters"), type=pa.string()),
-                    tid,
-                    conv,
-                    turn,
-                    pa.array(np.ones(n), type=pa.float64()),
-                ],
-                schema=TRIPLE_SCHEMA,
-            )
-        ]
-        if tool_column in batch.schema.names:
-            tool = batch[tool_column]
-            tool = tool.combine_chunks() if isinstance(tool, pa.ChunkedArray) else tool
-            mask = pc.fill_null(
-                pc.and_kleene(pc.is_valid(tool), pc.not_equal(tool, "")), False
-            )
-            if pc.any(mask).as_py():
-                m = pc.sum(pc.cast(mask, pa.int64())).as_py()
-                parts.append(
-                    pa.Table.from_arrays(
-                        [
-                            tid.filter(mask),
-                            pa.array(np.full(m, "used_tool"), type=pa.string()),
-                            pc.cast(tool.filter(mask), pa.string()),
-                            conv.filter(mask),
-                            turn.filter(mask),
-                            pa.array(np.ones(m), type=pa.float64()),
-                        ],
-                        schema=TRIPLE_SCHEMA,
-                    )
-                )
-        return pa.concat_tables(parts)
+        keys = _turn_keys(batch, conv_column, turn_column)
+        return pa.concat_tables(_structural_triples(batch, tool_column, *keys))
 
     cols = [conv_column, turn_column]
     if tool_column in transcripts_meta.schema().names:
@@ -475,9 +271,7 @@ def with_node_part_key(nodes: "ray.data.Dataset") -> "ray.data.Dataset":
     sized, not corpus sized).
 
     Assumes conv_ids do not contain ``#`` — the id separator the whole
-    node-id scheme is built on (`turn_id`)."""
-    import pyarrow.compute as pc
-
+    node-id scheme is built on (`_turn_keys`)."""
     def add(batch: pa.Table) -> pa.Table:
         ids = batch["node_id"]
         ids = ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) else ids
@@ -500,8 +294,6 @@ def tool_nodes_from_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     from ..ops.setops import distinct_rows
 
     def just_tools(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         keep = pc.equal(batch["pred"], "used_tool")
         return pa.table({"obj": batch["obj"].filter(keep)})
 
@@ -514,8 +306,6 @@ def tool_nodes_from_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     )
 
     def to_nodes(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         obj = batch["obj"]
         obj = obj.combine_chunks() if isinstance(obj, pa.ChunkedArray) else obj
         n = len(obj)
@@ -567,8 +357,6 @@ def build_nodes(
     def to_schema(batch: pa.Table) -> pa.Table:
         # a shard whose category column is all-null comes back as Arrow
         # null type; cast pins every block to NODE_SCHEMA
-        import pyarrow.compute as pc
-
         return pa.Table.from_arrays(
             [pc.cast(batch[f.name], f.type) for f in NODE_SCHEMA],
             schema=NODE_SCHEMA,

@@ -20,6 +20,7 @@ import ray.data
 from ray.data.aggregate import Count
 
 from ..config import PipelineConfig
+from ..default_ontology import ONTOLOGY
 from ..graph import build_nodes, concept_scores, extract_triples, triples_to_edges
 from ..tag import extract_mentions, tag_dataset
 from ..transcripts import TRANSCRIPTS_SQL, read_transcripts
@@ -29,19 +30,6 @@ from ...ops import multimodal as mm_ops
 from ...ops import similarity as sim_ops
 from ...ops import text as text_ops
 
-
-# The benchmark/correctness ontology: keywords from the corpus vocabulary,
-# chosen so no two keywords share a token (category longest-match == all
-# matches) and no keyword self-overlaps (token-scan count == non-overlapping
-# regex count, verified in tests).
-ONTOLOGY = [
-    ("Engine", "spark", "tech"),
-    ("Windowing", "window", "op"),
-    ("AggRow", "agg row", "pattern"),
-    ("BigData", "big data", "buzz"),
-    ("Customer", "customer", "entity"),
-    ("FastMerge", "fast merge", "pattern"),
-]
 
 ONTOLOGY_SQL_VALUES = ", ".join(
     f"('{t}', '{k}', '{c}')" for t, k, c in ONTOLOGY

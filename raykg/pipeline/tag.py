@@ -15,9 +15,12 @@ Output modes: the reference's three formats plus the target-native
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -38,6 +41,7 @@ from ..core.ontology import (
     process_document,
 )
 from ..core.tokenize import Tokenizer, check_language
+from ..core.vector_match import get_vectorized
 from .config import PipelineConfig
 
 def resolve_concurrency(config: "PipelineConfig"):
@@ -79,6 +83,16 @@ def resolve_concurrency(config: "PipelineConfig"):
     return size
 
 
+# the tagging step's output: distinct (batch row, tag, keyword) + count
+HIT_SCHEMA = pa.schema(
+    [
+        ("row", pa.int64()),
+        ("tag", pa.string()),
+        ("keyword", pa.string()),
+        ("n", pa.int64()),
+    ]
+)
+
 MENTION_SCHEMA = pa.schema(
     [
         ("conv_id", pa.string()),
@@ -105,67 +119,41 @@ def ontology_rows_from_table(table: pa.Table, config: PipelineConfig) -> List[tu
 
 class _MentionCountActorBody:
     def __call__(self, batch: pa.Table) -> pa.Table:
-        m = self
-        texts = batch[m.config.text_column].to_pylist()
-        langs = m._row_languages(batch)
-        convs = batch[m.conv_column].to_pylist()
-        turns = batch[m.turn_column].to_pylist()
-        extras = getattr(m, "extra_columns", ())
-        extra_vals = {c: batch[c].to_pylist() for c in extras}
-        out = {"conv_id": [], "turn_idx": [], "tag": [], "keyword": [], "n_matches": []}
-        out_extra: Dict[str, list] = {c: [] for c in extras}
-        per_row = m._batch_tag_counts(texts, langs)
-        for i, (conv, turn, row) in enumerate(zip(convs, turns, per_row)):
-            counts: Dict[tuple, int] = {}
-            for tag, _cat, kw, cnt in row:
-                counts[(tag, kw)] = counts.get((tag, kw), 0) + cnt
-            for (tag, kw), n in counts.items():
-                out["conv_id"].append(conv)
-                out["turn_idx"].append(turn)
-                out["tag"].append(tag)
-                out["keyword"].append(kw)
-                out["n_matches"].append(n)
-                for c in extras:
-                    out_extra[c].append(extra_vals[c][i])
+        hits = self._tag_keyword_counts(batch)
+        keys = batch.select([self.conv_column, self.turn_column, *self.extra_columns])
+        keys = keys.take(hits["row"])
         cols = {
-            "conv_id": pa.array(out["conv_id"], type=pa.string()),
-            "turn_idx": pa.array(out["turn_idx"], type=pa.int32()),
-            "tag": pa.array(out["tag"], type=pa.string()),
-            "keyword": pa.array(out["keyword"], type=pa.string()),
-            "n_matches": pa.array(out["n_matches"], type=pa.int64()),
+            "conv_id": pc.cast(keys[0], pa.string()),
+            "turn_idx": pc.cast(keys[1], pa.int32()),
+            "tag": hits["tag"],
+            "keyword": hits["keyword"],
+            "n_matches": hits["n"],
         }
-        for c in extras:
-            cols[c] = pa.array(out_extra[c], type=batch.schema.field(c).type)
-        return pa.Table.from_pydict(cols)
+        for i, c in enumerate(self.extra_columns):
+            cols[c] = keys[2 + i]
+        return pa.table(cols)
 
 
 class _DocTagsActorBody:
     def __call__(self, batch: pa.Table) -> pa.Table:
-        m = self
-        texts = batch[m.config.text_column].to_pylist()
-        langs = m._row_languages(batch)
-        convs = batch[m.conv_column].to_pylist()
-        turns = batch[m.turn_column].to_pylist()
-        out = {"conv_id": [], "turn_idx": [], "tags_sorted": [],
-               "keywords_sorted": [], "n_tags": []}
-        per_row = m._batch_tag_counts(texts, langs)
-        for conv, turn, row in zip(convs, turns, per_row):
-            tags = {t for t, _c, _k, _n in row}
-            kws = {k for _t, _c, k, _n in row}
-            if not tags:
-                continue
-            out["conv_id"].append(conv)
-            out["turn_idx"].append(turn)
-            out["tags_sorted"].append(",".join(sorted(tags)))
-            out["keywords_sorted"].append(",".join(sorted(kws)))
-            out["n_tags"].append(len(tags))
-        return pa.Table.from_pydict(
+        hits = self._tag_keyword_counts(batch)
+
+        def sorted_distinct(col):
+            # per matched row (ascending): its distinct values, sorted
+            pairs = hits.group_by(["row", col]).aggregate([])
+            pairs = pairs.sort_by([("row", "ascending"), (col, "ascending")])
+            return pairs.group_by("row", use_threads=False).aggregate([(col, "list")])
+
+        tags = sorted_distinct("tag")
+        kws = sorted_distinct("keyword")
+        keys = batch.select([self.conv_column, self.turn_column]).take(tags["row"])
+        return pa.table(
             {
-                "conv_id": pa.array(out["conv_id"], type=pa.string()),
-                "turn_idx": pa.array(out["turn_idx"], type=pa.int32()),
-                "tags_sorted": pa.array(out["tags_sorted"], type=pa.string()),
-                "keywords_sorted": pa.array(out["keywords_sorted"], type=pa.string()),
-                "n_tags": pa.array(out["n_tags"], type=pa.int64()),
+                "conv_id": pc.cast(keys[0], pa.string()),
+                "turn_idx": pc.cast(keys[1], pa.int32()),
+                "tags_sorted": pc.binary_join(tags["tag_list"], ","),
+                "keywords_sorted": pc.binary_join(kws["keyword_list"], ","),
+                "n_tags": pc.cast(pc.list_value_length(tags["tag_list"]), pa.int64()),
             }
         )
 
@@ -244,56 +232,47 @@ class TagActor:
                 f"'{truncate_text_list([text or ''])}'"
             ) from e
 
-    def _batch_tag_counts(self, texts, langs):
-        """Per row: list of (tag, category, keyword, occurrence_count).
+    def _tag_keyword_counts(self, batch: pa.Table) -> pa.Table:
+        """The tagging step of the count-style actors: one row per distinct
+        (batch ``row``, ``tag``, ``keyword``) with its occurrence count
+        ``n``.
 
-        Rows that are "simple" (ASCII, alnum+single-space only) and a
-        matching mode that permits it go through the fully vectorized
-        Arrow/numpy kernel (core/vector_match.py) — zero per-token Python
-        strings; everything else takes the general per-row path.  Results
-        are identical up to within-row ordering (general path: appearance
-        order; vectorized: ontology order)."""
-        import numpy as np
-
-        from ..core.vector_match import get_vectorized
-
-        n = len(texts)
-        result = [None] * n
+        When the matching mode allows it (``get_vectorized``; never for
+        multilingual batches), eligible rows — ASCII alnum words separated
+        by single spaces — go through the Arrow/numpy kernel
+        (core/vector_match.py) with no per-row Python.  Every other row goes
+        through ``_doc_mentions``.  Both give the same (tag, keyword) counts
+        for a row.  Kernel rows come first, ordered by (tag, keyword) pair
+        then row; then the per-row rows, in row order and within a row in
+        order of first appearance."""
+        texts = batch[self.config.text_column]
+        texts = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts
+        slow = np.arange(batch.num_rows)
+        parts = []
         vm = None
-        matcher = None
-        if not self.config.multilingual and self.config.use_vectorized:
-            matcher = self._get_matcher(self.config.language)
-            vm = get_vectorized(matcher)
+        if not self.config.multilingual:
+            vm = get_vectorized(self._get_matcher(self.config.language))
         if vm is not None:
-            mask = vm.eligible_rows(texts)
-            idx = np.nonzero(mask)[0]
-            if len(idx):
-                counts = vm.batch_counts([texts[i] for i in idx])
-                pats = matcher.patterns
-                kws = matcher.pattern_keywords
-                k2t = matcher.keyword_to_tag
-                has_cat = self.has_category
-                for pos, i in enumerate(idx):
-                    row = []
-                    for pid, cnt in counts[pos].items():
-                        tag, cat = pats[pid]
-                        kw = kws[pid]
-                        if not has_cat:
-                            tag = k2t.get(kw, tag)
-                        row.append((tag, cat, kw, cnt))
-                    result[int(i)] = row
-        for i in range(n):
-            if result[i] is None:
-                agg = {}
-                order = []
-                for m in self._doc_mentions(texts[i], langs[i]):
-                    key = (m.tag, m.category, m.keyword)
-                    if key not in agg:
-                        agg[key] = 0
-                        order.append(key)
-                    agg[key] += 1
-                result[i] = [(t, c, k, agg[(t, c, k)]) for (t, c, k) in order]
-        return result
+            eligible = vm.eligible_rows(texts)
+            fast = np.nonzero(eligible)[0]
+            slow = np.nonzero(~eligible)[0]
+            if len(fast):
+                rows, tags, kws, counts = vm.tag_keyword_counts(
+                    texts if not len(slow) else texts.take(pa.array(fast))
+                )
+                parts.append(pa.table([fast[rows], tags, kws, counts], schema=HIT_SCHEMA))
+        if len(slow):
+            langs = self._row_languages(batch)
+            out: Dict[str, list] = {name: [] for name in HIT_SCHEMA.names}
+            for i, text in zip(slow.tolist(), texts.take(pa.array(slow)).to_pylist()):
+                counts = Counter((m.tag, m.keyword) for m in self._doc_mentions(text, langs[i]))
+                for (tag, kw), n in counts.items():
+                    out["row"].append(i)
+                    out["tag"].append(tag)
+                    out["keyword"].append(kw)
+                    out["n"].append(n)
+            parts.append(pa.table(out, schema=HIT_SCHEMA))
+        return pa.concat_tables(parts) if parts else HIT_SCHEMA.empty_table()
 
     def _format_by_match(self, batch: pa.Table) -> pa.Table:
         texts = batch[self.config.text_column].to_pylist()

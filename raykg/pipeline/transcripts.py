@@ -153,6 +153,11 @@ def read_documents_scaled(
     the filter stage still executes, uniformly per replica.)"""
     import pyarrow.parquet as pq_mod
 
+    if salt_vocab and replication > 10_000:
+        # the suffix has four digits: more replicas would reuse vocabularies
+        raise ValueError(
+            f"salt_vocab supports at most 10,000 replicas, got {replication}"
+        )
     path = f"{sf_dir}/documents.parquet"
     if replication == 1 and not salt_vocab:
         return ray.data.read_parquet(path, columns=["doc_id", "text"])
@@ -174,7 +179,7 @@ def read_documents_scaled(
                 if salt_vocab:
                     salted = pc.replace_substring_regex(
                         shifted["text"], pattern=r"(\S+)",
-                        replacement=rf"\1q{rid % 10_000:04d}",
+                        replacement=rf"\1q{rid:04d}",
                     )
                     shifted = shifted.set_column(1, "text", salted)
                 parts.append(shifted)

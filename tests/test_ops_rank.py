@@ -340,3 +340,22 @@ def test_with_keyed_ranks_randomized_configs(ray_session):
                 rtol=0, atol=1e-12,
                 err_msg=f"config={(n, nk, od, kdt, parts)} col={c}",
             )
+
+
+def test_with_keyed_ranks_rejects_nan_sort_keys(ray_session):
+    """A NaN sort key has no rank: it fails like a null instead of
+    yielding arbitrary ranks."""
+    import pyarrow as pa
+    import pytest
+    import ray.data
+
+    from raykg.ops.rank import with_keyed_ranks
+
+    t = pa.table({"k": ["a", "a", "b", "b"],
+                  "o": pa.array([1.0, float("nan"), 2.0, 0.5])})
+    assert t["o"].null_count == 0
+    with pytest.raises(ValueError, match="NaN"):
+        with_keyed_ranks(
+            ray.data.from_arrow(t), keys=["k"], order_by=["o"],
+            specs=[("rank", "rk", None)],
+        )

@@ -575,6 +575,18 @@ def test_prep_corpus_job_resume_and_decontam(ray_session, tmp_path):
         assert r4["tables"]["packed"]["rows"] == r4["tables"]["clean"]["rows"]
 
 
+def test_salted_replicas_past_the_suffix_width_raise(ray_session):
+    """The salt suffix has four digits: replica 10,000 would reuse replica
+    0's vocabulary and break per-replica independence, so it is refused."""
+    from raykg.pipeline.transcripts import read_documents_scaled
+
+    with pytest.raises(ValueError, match="10,000 replicas"):
+        read_documents_scaled(SF, 10_001, salt_vocab=True)
+    read_documents_scaled(SF, 10_000, salt_vocab=True)
+    # unsalted replication has no suffix and no such limit
+    read_documents_scaled(SF, 10_001)
+
+
 def test_prep_cli_end_to_end(tmp_path):
     """`python -m raykg.job --prep` as the driver would run it: a
     subprocess with its own Ray session, JSON report on stdout."""
@@ -597,6 +609,30 @@ def test_prep_cli_end_to_end(tmp_path):
     )
     assert report["tables"]["kept"]["rows"] > 0
     assert report["tables"]["packed"]["rows"] == report["tables"]["canonical"]["rows"]
+
+
+def test_job_cli_default_ontology_skips_query_registry(tmp_path):
+    """The CLI's built-in ontology must not import the query registry
+    (every query module and its oracle SQL) into a graph build."""
+    import subprocess
+    import sys
+
+    code = (
+        "import json, sys\n"
+        "from raykg.job import main\n"
+        f"rc = main(['--input', {SF!r}, '--derive-from-documents', '--out', "
+        f"{str(tmp_path / 'kg')!r}, '--num-partitions', '4', '--num-cpus', '4'])\n"
+        "print(json.dumps({'registry': 'raykg.pipeline.queries' in sys.modules}))\n"
+        "sys.exit(rc)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], cwd=os.path.dirname(os.path.dirname(__file__)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    lines = [json.loads(l) for l in r.stdout.splitlines() if l.startswith("{")]
+    assert lines[0]["tables"]["edges"]["rows"] > 0
+    assert lines[-1] == {"registry": False}
 
 
 @pytest.mark.parametrize(

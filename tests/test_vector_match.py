@@ -1,7 +1,9 @@
 """Vectorized batch matcher: equivalence with the per-row engine, eligibility
-rules, and mode gating (core/vector_match.py)."""
+rules, and mode gating (core/vector_match.py); the count-style actors' one
+tagging path against per-row process_document."""
 
 import random
+from collections import Counter
 
 import pyarrow as pa
 import pytest
@@ -13,6 +15,9 @@ from raykg.core.ontology import (
     process_document,
 )
 from raykg.core.vector_match import VectorizedExactMatcher, get_vectorized
+from raykg.pipeline.config import PipelineConfig
+from raykg.pipeline.graph import TRIPLE_SCHEMA, TripleActor
+from raykg.pipeline.tag import MentionCountActor
 
 ONTO = [
     ("Engine", "spark", "tech"),
@@ -29,6 +34,22 @@ VOCAB = ["spark", "window", "agg", "row", "big", "data", "fast", "merge",
 def matcher(has_cat=True, **flags):
     onto = clean_ontology(ONTO, has_category=has_cat)
     return compile_matcher(onto, "en", MatchConfig(**flags), has_cat)
+
+
+def strings(texts):
+    return pa.array(texts, type=pa.string())
+
+
+def hit_counts(vm, texts):
+    """Per row: {pattern_id: count}, from ``batch_hits`` over an Arrow
+    column (a Python list is converted first)."""
+    if not isinstance(texts, pa.Array):
+        texts = strings(texts)
+    out = [{} for _ in range(len(texts))]
+    rows, pids, counts = vm.batch_hits(texts)
+    for r, p, c in zip(rows.tolist(), pids.tolist(), counts.tolist()):
+        out[r][p] = c
+    return out
 
 
 def resolved_counts(m, hits_dict):
@@ -64,8 +85,8 @@ def test_fuzz_equivalence(flags, has_cat):
         if flags.get("ignore_case"):
             words = [w.upper() if rng.random() < 0.3 else w for w in words]
         texts.append(" ".join(words))
-    assert vm.eligible_rows(texts).all()
-    fast = vm.batch_counts(texts)
+    assert vm.eligible_rows(strings(texts)).all()
+    fast = hit_counts(vm, texts)
     for i, t in enumerate(texts):
         assert resolved_counts(m, fast[i]) == slow_counts(m, t), t
 
@@ -74,12 +95,12 @@ def test_eligibility_rules():
     vm = VectorizedExactMatcher(matcher())
     good = ["spark window", "a", "UPPER case OK", "x1 b2 3"]
     bad = ["", "two  spaces", " leading", "trailing ", "punct.", "uni é", "new\nline", None]
-    mask = vm.eligible_rows(good + bad)
+    mask = vm.eligible_rows(strings(good + bad))
     assert mask[: len(good)].all()
     assert not mask[len(good):].any()
-    # arrow-array form agrees with the python form
-    arrow_mask = vm.eligible_rows(pa.array(good + bad, type=pa.string()))
-    assert (mask == arrow_mask).all()
+    # a chunked column gives the same mask
+    chunked = pa.chunked_array([strings(good), strings(bad)])
+    assert (vm.eligible_rows(chunked) == mask).all()
 
 
 def test_mode_gating():
@@ -98,7 +119,7 @@ def test_mode_gating():
     m2 = compile_matcher(onto2, "en", MatchConfig(), False)
     vm2 = get_vectorized(m2)
     assert vm2 is not None
-    counts = vm2.batch_counts(["big data data"])
+    counts = hit_counts(vm2, ["big data data"])
     # "big data" once; "data" twice (all-matches incl. the one inside bigram)
     assert resolved_counts(m2, counts[0]) == slow_counts(m2, "big data data")
 
@@ -106,7 +127,9 @@ def test_mode_gating():
 def test_batch_hits_shapes():
     m = matcher()
     vm = VectorizedExactMatcher(m)
-    rows, pids, counts = vm.batch_hits(["spark spark", "nothing here", "agg row window"])
+    rows, pids, counts = vm.batch_hits(
+        strings(["spark spark", "nothing here", "agg row window"])
+    )
     assert len(rows) == len(pids) == len(counts)
     got = {(int(r), int(p)): int(c) for r, p, c in zip(rows, pids, counts)}
     # row 0: spark twice; row 2: agg row once + window once
@@ -117,8 +140,8 @@ def test_batch_hits_shapes():
 
 def test_empty_inputs():
     vm = VectorizedExactMatcher(matcher())
-    assert vm.batch_counts([]) == []
-    rows, pids, counts = vm.batch_hits([])
+    assert hit_counts(vm, []) == []
+    rows, pids, counts = vm.batch_hits(strings([]))
     assert len(rows) == 0
 
 
@@ -138,7 +161,7 @@ def test_mode_gating_self_overlap():
     m2 = compile_matcher(onto2, "en", MatchConfig(), False)
     vm2 = get_vectorized(m2)
     assert vm2 is not None
-    counts = vm2.batch_counts(["bye bye bye"])
+    counts = hit_counts(vm2, ["bye bye bye"])
     expect = slow_counts(m2, "bye bye bye")
     assert resolved_counts(m2, counts[0]) == expect
     assert sum(expect.values()) == 2  # both overlapping occurrences
@@ -157,7 +180,7 @@ def test_fuzz_repeated_word_keywords_no_category():
         " ".join(rng.choice(["bye", "go", "x"]) for _ in range(rng.randint(1, 12)))
         for _ in range(200)
     ]
-    fast = vm.batch_counts(texts)
+    fast = hit_counts(vm, texts)
     for i, t in enumerate(texts):
         assert resolved_counts(m, fast[i]) == slow_counts(m, t), t
 
@@ -169,25 +192,25 @@ def test_kernel_edges():
     onto = clean_ontology([("Engine", "spark", "tech"), ("B", "ab", "x")], True)
     m = compile_matcher(onto, "en", MatchConfig(), True)
     vm = VectorizedExactMatcher(m)
-    out = vm.batch_counts(["ab", "", "drab spark sparkle", ""])
+    out = hit_counts(vm, ["ab", "", "drab spark sparkle", ""])
     assert out[0] == {1: 1}
     assert out[2] == {0: 1}  # not "drab"/"sparkle" substrings
     assert out[1] == {} and out[3] == {}
     # row-boundary span: rows "x spa" + "rk y" abut as "x spark y" in the
     # concatenated data buffer, so a naive byte scan would see "spark"; the
     # same-row check must reject it
-    rows, pids, counts = vm.batch_hits(["x spa", "rk y"])
+    rows, pids, counts = vm.batch_hits(strings(["x spa", "rk y"]))
     assert len(rows) == 0
     # a two-token keyword split across two rows ("agg" | "row") is no match
     vm2 = VectorizedExactMatcher(matcher())
-    assert vm2.batch_counts(["spark agg", "row x"]) == [{0: 1}, {}]
+    assert hit_counts(vm2, ["spark agg", "row x"]) == [{0: 1}, {}]
     # sliced array with non-zero offset + large_string agree with lists
     arr = pa.array(["pad", "spark ab", "ab spark spark"], type=pa.string())
     sl = arr.slice(1, 2)
-    got = vm.batch_counts(sl)
-    assert got == vm.batch_counts(["spark ab", "ab spark spark"])
+    got = hit_counts(vm, sl)
+    assert got == hit_counts(vm, ["spark ab", "ab spark spark"])
     ls = pa.array(["spark ab"], type=pa.large_string())
-    assert vm.batch_counts(ls) == vm.batch_counts(["spark ab"])
+    assert hit_counts(vm, ls) == hit_counts(vm, ["spark ab"])
 
 
 def _random_words(rng, n, alphabet="abcdefghij"):
@@ -235,11 +258,11 @@ def test_large_k_fuzz_equivalence(flags):
         if flags.get("ignore_case"):
             words = [w.upper() if rng.random() < 0.2 else w for w in words]
         texts.append(" ".join(words))
-    assert vm.eligible_rows(texts).all()
+    assert vm.eligible_rows(strings(texts)).all()
     # an Arrow array sliced at a non-zero offset, in two pieces
     arr = pa.array(["pad row"] * 7 + texts, type=pa.string())
-    fast = vm.batch_counts(arr.slice(7, 150)) + vm.batch_counts(arr.slice(157))
-    assert fast == vm.batch_counts(texts)
+    fast = hit_counts(vm, arr.slice(7, 150)) + hit_counts(vm, arr.slice(157))
+    assert fast == hit_counts(vm, texts)
     n_hits = 0
     for i, t in enumerate(texts):
         expect = slow_counts(m, t)
@@ -269,9 +292,136 @@ def test_long_keyword_keys_do_not_overflow(n_tokens):
         " ".join([f"w{i}" for i in range(7)] + ["w5"]),
         " ".join(f"w{i}" for i in range(7)),
     ]
-    fast = vm.batch_counts(texts)
+    fast = hit_counts(vm, texts)
     assert fast[0] == {0: 1}
     assert fast[1] == {0: 2, 4: 1}
     assert fast[2:] == [{}, {}, {}, {}]
     for i, t in enumerate(texts):
         assert resolved_counts(m, fast[i]) == slow_counts(m, t), t
+
+
+# --- the actors' one tagging path -------------------------------------------
+
+
+def _rows(table, names):
+    return sorted(zip(*[table[c].to_pylist() for c in names]), key=repr)
+
+
+def test_duplicate_keyword_tagged_as_once_per_turn(ray_session):
+    """A keyword listed under two tags (no category) resolves to one tag:
+    TripleActor emits its tagged_as triple once per turn, whether the turn
+    takes the kernel ("spark here") or the per-row path ("spark, here"),
+    and exactly as triples_from_mentions does."""
+    import ray.data
+
+    from raykg.pipeline.graph import triples_from_mentions
+    from raykg.pipeline.tag import extract_mentions
+
+    rows = [("A", "spark"), ("B", "spark")]
+    cfg = PipelineConfig(concurrency=1)
+    batch = pa.table({
+        "conv_id": ["c1", "c1"],
+        "turn_idx": pa.array([0, 1], type=pa.int32()),
+        "text": ["spark here", "spark, here"],
+    })
+    out = TripleActor(clean_ontology(rows, has_category=False), cfg)(batch)
+    tagged = [
+        (s, o) for s, p, o in _rows(out, ["subj", "pred", "obj"]) if p == "tagged_as"
+    ]
+    assert tagged == [("c1#0#spark", "concept:B"), ("c1#1#spark", "concept:B")]
+    ds = ray.data.from_arrow(batch)
+    want = pa.Table.from_pandas(
+        triples_from_mentions(extract_mentions(ds, rows, cfg), ds).to_pandas()
+    )
+    assert _rows(out, TRIPLE_SCHEMA.names) == _rows(want, TRIPLE_SCHEMA.names)
+
+
+_WORDS = ["spark", "Spark", "window", "windows", "agg", "row", "big", "data",
+          "fast", "merge", "customer", "the", "x1", "café", "worked", "working"]
+_ONTO_NOCAT = [
+    ("Engine", "spark"), ("Dup", "spark"), ("Windowing", "window"),
+    ("AggRow", "agg row"), ("BigData", "big data"), ("Data", "data"),
+    ("Cafe", "café"), ("Work", "worked"), ("Punct", "fast, merge"),
+]
+_ONTO_CAT = [
+    ("Engine", "spark", "tech"), ("Windowing", "window", "op"),
+    ("AggRow", "agg row", "pattern"), ("BigData", "big data", "buzz"),
+    ("Cafe", "café", "x"),
+]
+_ONTO_CAT_SHARED = _ONTO_CAT + [("Data", "data", "y")]
+_MODES = {
+    "exact": (_ONTO_NOCAT, {}),
+    "case": (_ONTO_NOCAT, {"ignore_case": True}),
+    "category": (_ONTO_CAT, {"category_column": "category"}),
+    "category_shared": (_ONTO_CAT_SHARED, {"category_column": "category"}),
+    "lemma": (_ONTO_NOCAT, {"lemmatization": True}),
+    "multilingual": (
+        _ONTO_NOCAT, {"language": "language_column", "language_column": "lang"}
+    ),
+}
+
+
+def _random_batch(rng, n):
+    """Eligible rows mixed with punctuated, non-ASCII, multi-sentence,
+    double-spaced, empty and null rows."""
+    texts = []
+    for _ in range(n):
+        words = [rng.choice(_WORDS[:13]) for _ in range(rng.randint(1, 12))]
+        kind = rng.random()
+        if kind < 0.4:
+            text = " ".join(words)
+        elif kind < 0.55:
+            text = ", ".join(words)
+        elif kind < 0.7:
+            text = " ".join(words + [rng.choice(_WORDS[13:])])
+        elif kind < 0.85:
+            text = " ".join(words) + ". " + " ".join(reversed(words)) + "!"
+        elif kind < 0.95:
+            text = "  ".join(words)
+        else:
+            text = rng.choice(["", None])
+        texts.append(text)
+    return pa.table({
+        "conv_id": [f"c{i // 4}" for i in range(n)],
+        "turn_idx": pa.array([i % 4 for i in range(n)], type=pa.int32()),
+        "text": texts,
+        "tool": [rng.choice([None, "", "search"]) for _ in range(n)],
+        "lang": [rng.choice(["en", "fr", "de"]) for _ in range(n)],
+    })
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_actors_equal_per_row_process_document(mode, seed):
+    """TripleActor and MentionCountActor, called without Ray, against the
+    triples and counts built row by row from process_document."""
+    onto_rows, flags = _MODES[mode]
+    cfg = PipelineConfig(**flags)
+    onto = clean_ontology(onto_rows, has_category=cfg.has_category)
+    batch = _random_batch(random.Random(seed), 300)
+    matchers = {}
+    want_triples, want_counts = [], []
+    for conv, turn, text, tool, lang in zip(*[batch[c].to_pylist() for c in batch.column_names]):
+        lang = lang if cfg.multilingual else "en"
+        if lang not in matchers:
+            matchers[lang] = compile_matcher(onto, lang, cfg.match_config, cfg.has_category)
+        tid = f"{conv}#{turn}"
+        want_triples.append((conv, "utters", tid, conv, turn, 1.0))
+        if tool:
+            want_triples.append((tid, "used_tool", tool, conv, turn, 1.0))
+        counts = Counter(
+            (m.tag, m.keyword) for m in process_document(matchers[lang], text)
+        )
+        for (tag, kw), n in counts.items():
+            want_triples.append((f"{tid}#{kw}", "tagged_as", f"concept:{tag}", conv, turn, 1.0))
+            want_counts.append((conv, turn, tag, kw, n))
+    # the batch's eligible rows take the kernel in exactly these modes
+    kernel = None if cfg.multilingual else get_vectorized(matchers["en"])
+    assert (kernel is not None) == (mode in ("exact", "case", "category"))
+    triples = TripleActor(onto, cfg)(batch)
+    counts = MentionCountActor(onto, cfg)(batch)
+    assert triples.schema == TRIPLE_SCHEMA
+    assert _rows(triples, TRIPLE_SCHEMA.names) == sorted(want_triples, key=repr)
+    names = ["conv_id", "turn_idx", "tag", "keyword", "n_matches"]
+    assert _rows(counts, names) == sorted(want_counts, key=repr)
+    assert len(want_counts) > 50  # the batch really exercises the matcher
