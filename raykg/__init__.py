@@ -7,7 +7,7 @@ Parquet transcript tables, built on ``ray.data.Dataset`` pipelines:
 
 - ``raykg.core``      pure-Python matching semantics (no Ray dependency):
                       normalization, tokenization, sentence splitting,
-                      Aho-Corasick dictionary matching, lemma lookup,
+                      token-id dictionary matching, lemma lookup,
                       output formatting.  Mirrors the semantics of the
                       reference's spaCy-based Tagger (ontology_tagger.py)
                       without spaCy.

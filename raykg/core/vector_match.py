@@ -1,101 +1,73 @@
-"""Vectorized batch matcher for simple text.
+"""The token-id matching kernel: the engine's one matcher, for every row and
+every matching mode (README "Matcher kernel").
 
-The general path tokenizes row by row in Python.  For the overwhelmingly
-common large-corpus shape — ASCII text whose tokens are plain alphanumeric
-words separated by single spaces — tokenizing is a split on " ", so a whole
-batch is matched with Arrow and numpy kernels over token ids, with no
-per-row Python and no per-pattern loop:
+A batch is matched in two steps.  *Codes*: every token becomes its code in
+the pattern-token vocabulary (token id + 1; 0 for a token no pattern
+uses), all tokens of the batch in one flat array cut into segments (a row
+or a sentence each) by an offset array.  Eligible rows (``eligible_rows``:
+ASCII alnum words separated by single spaces, so one sentence whose tokens
+are its space-split words) are coded by ``split_codes`` with Arrow and no
+per-row Python; every other row is sentencized, normalized and tokenized
+in Python (core/ontology.py ``match_documents``) and ``token_codes`` looks
+each token, or lemma, up in the same vocabulary.  *Spans*: one ``spans``
+call per batch extends candidate matches one token at a time through
+sorted per-length tables of pattern prefixes (``np.searchsorted``) and
+returns every (segment, start, end, pattern id) occurrence, overlapping
+self-matches included ("bye bye" twice in "bye bye bye"); in category mode
+each segment keeps its longest-first non-overlapping spans
+(``filter_longest``).
 
-    (if ignore_case) ASCII-lower the Arrow string column once
-      -> split on " " into one flat token column + per-row offsets
-      -> each token -> its code in the pattern-token vocabulary
-         (``pc.index_in``: token id + 1; 0 for a token no pattern uses)
-      -> candidates = tokens with a code; for L = 2, 3, ... extend each by
-         the next token of the same row and look (prefix id, token code)
-         up in a sorted per-length table of pattern prefixes
-         (``np.searchsorted``); a miss drops the candidate
-      -> a prefix that spells a whole pattern is a (row, pattern) hit; a
-         keyword listed under several tags emits each of its pattern ids
-      -> one ``np.unique`` reduces to distinct (row, pattern id, count)
-      -> (``tag_keyword_counts``) pattern ids resolve to (tag, keyword)
-         pairs through a table built once per matcher; ids that resolve to
-         the same pair fold into one hit
-
-Pattern prefixes get dense ids one length at a time, so a lookup key stays
-below (#prefixes x vocabulary size) for any pattern length; packing L ids
-into one ``V**L`` integer would overflow int64 on long patterns over a large
-vocabulary.  Cost is O(tokens) for the split and the id lookup plus
-O(candidates x log K) per pattern length: the ontology size K enters only
-through the lookup tables.  Kernel rate on one 2048-row batch of the
-perfbench ``triples`` input (``perfbench/run.py --workload triples --seed N
---trace 1``, seeds 1-3, 4-CPU host, median of five runs), against the
-general per-row path:
-
-    K (keywords)      6           512         4096
-    this kernel       91.4 MB/s   87.4 MB/s   50.4 MB/s
-    general path      3.5 MB/s    3.6 MB/s    3.4 MB/s
-
-Eligibility is per row (``isascii`` + alnum-and-space only + whole text is
-one sentence) so mixed batches split into a vectorized majority and a
-per-row remainder with identical semantics.  Because eligible rows are
-single-space separated alnum words with no leading/trailing space, their
-space-split tokens are exactly the tokenizer's tokens, and every run of
-consecutive tokens equal to a pattern is a match — including overlapping
-self-matches, which the all-matches mode counts.  Pattern tokens holding
-punctuation or non-ASCII text are in the vocabulary but never occur in an
-eligible row.  Lemma mode always takes the general path; category
-(longest-match) mode is vectorizable only when no two patterns share a token
-(overlaps impossible), checked at build time.  The fuzz suite
-(tests/test_vector_match.py) pins the kernel equal to the per-row engine.
-
-The count-style actors (triples, per-turn counts, per-turn tag rollups) need
-(tag, keyword) occurrence counts per row but no character offsets.  They all
-tag a batch through one function, ``TagActor._tag_keyword_counts``
-(pipeline/tag.py): eligible rows come here whenever ``get_vectorized``
-allows the matching mode, every other row goes through the per-row engine.
-There is no switch to turn the kernel off; ``strict_reference`` runs the
-reference per-row path everywhere.
+Cost is O(tokens) for the codes plus O(candidates x log K) per pattern
+length: the ontology size K enters only through the lookup tables.
+``batch_hits`` reduces the spans of eligible rows to distinct (row,
+pattern id, count); ``tag_keyword_counts`` resolves pattern ids to (tag,
+keyword) pairs for the count-style actors.  ``tests/test_vector_match.py``
+pins the spans to a brute-force span finder.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .ontology import CompiledMatcher
+if TYPE_CHECKING:
+    from .ontology import CompiledMatcher
+
+
+def filter_longest(matches: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
+    """spaCy ``util.filter_spans`` semantics for the EntityRuler/doc.ents path
+    (reference ``ontology_tagger.py:251-266``): longest span wins, ties go to
+    the earliest span, result is non-overlapping and sorted by start."""
+    ordered = sorted(matches, key=lambda m: (-(m[1] - m[0]), m[0]))
+    taken: set[int] = set()
+    kept: List[Tuple[int, int, int]] = []
+    for start, end, pid in ordered:
+        if any(i in taken for i in range(start, end)):
+            continue
+        taken.update(range(start, end))
+        kept.append((start, end, pid))
+    kept.sort(key=lambda m: m[0])
+    return kept
+
+
+def reduce_hits(seg: np.ndarray, pid: np.ndarray, n: int):
+    """Distinct (segment, pattern id) of spans with their counts, sorted by
+    pattern id then segment; ``n`` bounds the segment numbers."""
+    uniq, counts = np.unique(pid * max(n, 1) + seg, return_counts=True)
+    return uniq % max(n, 1), uniq // max(n, 1), counts.astype(np.int64)
 
 
 class VectorizedExactMatcher:
-    """Batch (pattern_id -> count) counting for eligible rows."""
+    """The prefix-table kernel of one compiled matcher."""
 
-    def __init__(self, matcher: CompiledMatcher):
-        self.matcher = matcher
-        cfg = matcher.config
-        self.ignore_case = cfg.ignore_case
-        # eligibility of the MODE (rows are checked separately):
-        # - lemma mode rewrites tokens -> general path only
-        # - category mode filters overlaps; safe to vectorize only if no
-        #   token occurs in two patterns and no pattern repeats another's
-        #   prefix (disjoint token sets make overlap impossible)
-        self.mode_ok = not cfg.lemmatization and not cfg.strict_reference
-        if matcher.has_category and self.mode_ok:
-            seen: set = set()
-            for toks in matcher.pattern_tokens:
-                # a pattern with a repeated token can have a nontrivial
-                # border and therefore self-overlap ("bye bye" in
-                # "bye bye bye": the kernel counts 2, longest-wins keeps
-                # 1) — such patterns force the general path
-                if len(set(toks)) != len(toks):
-                    self.mode_ok = False
-                    break
-                if any(t in seen for t in toks):
-                    self.mode_ok = False
-                    break
-                seen.update(toks)
-        # token text -> dense id over all pattern tokens
+    def __init__(self, matcher: "CompiledMatcher"):
+        self.ignore_case = matcher.config.ignore_case
+        self.has_category = matcher.has_category
+        # token text (or lemma) -> dense id over all pattern tokens
         self.token_ids: Dict[str, int] = {}
         self.pattern_id_seqs: List[Tuple[int, ...]] = []
         for toks in matcher.pattern_tokens:
@@ -184,23 +156,11 @@ class VectorizedExactMatcher:
         m = pc.match_substring_regex(texts, cls._ELIGIBLE_RE)
         return pc.fill_null(m, False).to_numpy(zero_copy_only=False)
 
-    # -- the kernel ---------------------------------------------------------
+    # -- codes --------------------------------------------------------------
 
-    def batch_hits(self, texts):
-        """Per-batch distinct (row, pattern) hits as parallel numpy arrays
-        ``(rows, pids, counts)``, sorted by pattern id then row — the
-        fully-vectorized form downstream stages can consume without
-        per-hit Python objects.  ``texts`` is an Arrow string column of
-        eligible rows only."""
-        n = len(texts)
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-        if n == 0 or not len(self._node_pids):
-            return empty
-
+    def split_codes(self, texts) -> Tuple[np.ndarray, np.ndarray]:
+        """Token codes and per-row token offsets of the Arrow string column
+        ``texts`` of eligible rows, split on " " with no per-row Python."""
         arr = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts
         if self.ignore_case:
             arr = pc.ascii_lower(arr)
@@ -211,33 +171,53 @@ class VectorizedExactMatcher:
         base = int(offs[0])
         offs -= base
         toks = lists.values.slice(base, int(offs[-1]))
-        # token codes, 0 for a token no pattern uses (null from index_in),
-        # plus a 0 sentinel.  Read straight from the buffers: fill_null costs
-        # 5x more once a good share of the tokens are pattern tokens.
+        # 0 for a token no pattern uses (null from index_in).  Read straight
+        # from the buffers: fill_null costs 5x more once a good share of the
+        # tokens are pattern tokens.
         found = pc.index_in(toks, value_set=self._vocab)
         T, off = len(found), found.offset
-        code = np.zeros(T + 1, dtype=np.int64)
-        code[:-1] = np.frombuffer(found.buffers()[1], np.int32, T, off * 4)
+        code = np.frombuffer(found.buffers()[1], np.int32, T, off * 4).astype(np.int64)
         if found.null_count:
             valid = np.unpackbits(
                 np.frombuffer(found.buffers()[0], np.uint8),
                 count=off + T,
                 bitorder="little",
             )
-            code[:-1] *= valid[off:]
-        # the code a match may extend into: none across a row start
-        ext = code.copy()
-        ext[offs[:-1]] = 0
+            code *= valid[off:]
+        return code, offs
 
+    def token_codes(self, tokens: Sequence[str]) -> np.ndarray:
+        """Token codes of Python tokens (texts, or lemmas in lemma mode):
+        one dict lookup per token."""
+        get = self.token_ids.get
+        return np.fromiter(map(get, tokens, repeat(-1)), np.int64, len(tokens)) + 1
+
+    # -- the kernel ---------------------------------------------------------
+
+    def spans(self, code: np.ndarray, offs: np.ndarray):
+        """Every pattern occurrence in the segments ``offs`` of the token
+        codes ``code``, as parallel int64 arrays ``(seg, start, end, pid)``:
+        segment number, start and end (exclusive) token within the segment,
+        pattern id.  Ordered by (seg, start, end, pid); in category mode a
+        segment keeps only its longest-first non-overlapping spans."""
         # candidate matches: (first token, prefix id so far)
         start = np.nonzero(code)[0]
+        if not len(start) or not len(self._node_pids):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, empty
         prefix = code[start]
+        # the code a match may extend into: none across a segment start,
+        # and a 0 sentinel past the last token
+        T = len(code)
+        ext = np.zeros(T + 1, dtype=np.int64)
+        ext[:T] = code
+        ext[offs[:-1]] = 0
         hit_starts: List[np.ndarray] = []
         hit_nodes: List[np.ndarray] = []
         for length in range(1, self._max_len + 1):
             if length > 1:
                 # extend by the next token if it is a pattern token of the
-                # same row and the pair is some pattern's prefix
+                # same segment and the pair is some pattern's prefix
                 nxt = ext[start + (length - 1)]
                 keep = np.nonzero(nxt)[0]
                 key = prefix[keep] * self._W + nxt[keep]
@@ -252,37 +232,65 @@ class VectorizedExactMatcher:
             hit_nodes.append(node[m])
             if not len(start):
                 break
-        rows = np.searchsorted(offs, np.concatenate(hit_starts), side="right") - 1
-        nodes = np.concatenate(hit_nodes)
-        # a node listed under several pattern ids emits each of them
+        # hits come ordered by (length, start): a stable sort by start
+        # orders them by (start, end)
+        lengths = np.repeat(
+            np.arange(1, len(hit_starts) + 1), [len(h) for h in hit_starts]
+        )
+        starts = np.concatenate(hit_starts)
+        order = np.argsort(starts, kind="stable")
+        starts, lengths, nodes = starts[order], lengths[order], np.concatenate(hit_nodes)[order]
+        # a node listed under several pattern ids emits each of them, in
+        # pattern id order
         cnt = self._node_npids[nodes]
-        rows = np.repeat(rows, cnt)
-        within = np.arange(len(rows)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        pids = self._node_pids[np.repeat(self._node_first[nodes], cnt) + within]
-        uniq, counts = np.unique(pids * n + rows, return_counts=True)
-        return uniq % n, uniq // n, counts.astype(np.int64)
+        starts, lengths = np.repeat(starts, cnt), np.repeat(lengths, cnt)
+        within = np.arange(len(starts)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        pid = self._node_pids[np.repeat(self._node_first[nodes], cnt) + within]
+        seg = np.searchsorted(offs, starts, side="right") - 1
+        start = starts - offs[seg]
+        end = start + lengths
+        if self.has_category and len(seg) > 1:
+            keep = self._longest(seg, start, end)
+            seg, start, end, pid = seg[keep], start[keep], end[keep], pid[keep]
+        return seg, start, end, pid
 
-    def tag_keyword_counts(self, texts):
-        """Distinct (row, tag, keyword) hits of the eligible rows ``texts``
-        as ``(rows, tags, keywords, counts)``: numpy row indices and counts,
-        Arrow string tags and keywords.  Pattern ids resolve to their
-        (tag, keyword) pair as the per-row path resolves a mention; pattern
-        ids that resolve to the same pair (a keyword listed under two tags
-        without categories) fold into one hit whose count is their sum."""
-        rows, tk, counts = self.batch_hits(texts)  # tk == pid when no folds
-        if len(self._tk_tags) < len(self._tk_of_pid):
-            n = len(texts)
+    @staticmethod
+    def _longest(seg, start, end) -> np.ndarray:
+        """Mask of the spans ``filter_longest`` keeps in each segment; only
+        segments with two or more spans need the filter."""
+        first = np.flatnonzero(np.diff(seg, prepend=-1))
+        n = np.diff(np.append(first, len(seg)))
+        keep = np.ones(len(seg), dtype=bool)
+        for lo, k in zip(first[n > 1].tolist(), n[n > 1].tolist()):
+            spans = zip(start[lo:lo + k].tolist(), end[lo:lo + k].tolist(), range(lo, lo + k))
+            keep[lo:lo + k] = False
+            keep[[i for _, _, i in filter_longest(spans)]] = True
+        return keep
+
+    def batch_hits(self, texts):
+        """Per-batch distinct (row, pattern) hits as parallel numpy arrays
+        ``(rows, pids, counts)``, sorted by pattern id then row — the
+        fully-vectorized form downstream stages can consume without
+        per-hit Python objects.  ``texts`` is an Arrow string column of
+        eligible rows only."""
+        if not len(texts):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        seg, _start, _end, pid = self.spans(*self.split_codes(texts))
+        return reduce_hits(seg, pid, len(texts))
+
+    def tag_keyword_counts(self, hits):
+        """Distinct (row, tag, keyword) of the ``(rows, pids, counts)``
+        ``hits`` as ``(rows, tags, keywords, counts)``: numpy row indices
+        and counts, Arrow string tags and keywords.  Pattern ids resolve to
+        their (tag, keyword) pair as a mention does; pattern ids that
+        resolve to the same pair (a keyword listed under two tags without
+        categories) fold into one hit whose count is their sum."""
+        rows, tk, counts = hits  # tk == pid when no folds
+        if len(self._tk_tags) < len(self._tk_of_pid) and len(rows):
+            n = int(rows.max()) + 1
             uniq, inv = np.unique(self._tk_of_pid[tk] * n + rows, return_inverse=True)
             rows, tk = uniq % n, uniq // n
             counts = np.bincount(inv, weights=counts).astype(np.int64)
         take = pa.array(tk, type=pa.int64())
         return rows, self._tk_tags.take(take), self._tk_keywords.take(take), counts
-
-def get_vectorized(matcher: CompiledMatcher) -> Optional[VectorizedExactMatcher]:
-    """Build (and cache on the matcher) the vectorized kernel; None when the
-    matching mode can't be vectorized."""
-    vm = getattr(matcher, "_vectorized", None)
-    if vm is None:
-        vm = VectorizedExactMatcher(matcher)
-        matcher._vectorized = vm  # type: ignore[attr-defined]
-    return vm if vm.mode_ok else None

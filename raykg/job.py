@@ -22,9 +22,46 @@ calls ray.init).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
+
+# part of every tag-chain fingerprint: bump it when an output table's
+# layout changes, so a resume recomputes instead of mixing layouts
+_SCHEMA_VERSION = 1
+
+
+def _ontology_rows(ontology, config):
+    """The cleaned ontology rows of ``ontology`` (cleaned rows pass through)."""
+    from .core.ontology import clean_ontology
+
+    if isinstance(ontology, list) and ontology and hasattr(ontology[0], "tag"):
+        return ontology
+    return clean_ontology(list(ontology), has_category=config.has_category)
+
+
+def _fingerprint(config, onto_rows) -> str:
+    """The resume fingerprint of the tag chain's tables: a 32-hex sha256
+    digest over everything their rows depend on besides the input — the
+    matching flags, language, ``category_column``, ``strict_reference``,
+    the cleaned ontology rows and the schema version.  A partition whose
+    manifest carries another fingerprint is recomputed, so a resume after
+    an ontology edit cannot keep stale mentions."""
+    payload = json.dumps(
+        {
+            "ignore_case": config.ignore_case,
+            "ignore_diacritics": config.ignore_diacritics,
+            "lemmatization": config.lemmatization,
+            "language": config.language,
+            "category_column": config.category_column,
+            "strict_reference": config.strict_reference,
+            "ontology": [[r.tag, r.keyword, r.category] for r in onto_rows],
+            "schema": _SCHEMA_VERSION,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
 def build_graph(
@@ -41,7 +78,6 @@ def build_graph(
     partitioned graph tables on disk; returns the run report."""
     import os
 
-    from .core.ontology import clean_ontology
     from .pipeline.graph import (
         build_nodes,
         concept_scores,
@@ -51,15 +87,8 @@ def build_graph(
     from .pipeline.io import PartitionedWriter
     from .pipeline.tag import extract_mentions
 
-    fingerprint = json.dumps(
-        {
-            "ignore_case": config.ignore_case,
-            "ignore_diacritics": config.ignore_diacritics,
-            "lemmatization": config.lemmatization,
-            "language": config.language,
-        },
-        sort_keys=True,
-    )
+    onto_rows = _ontology_rows(ontology, config)
+    fingerprint = _fingerprint(config, onto_rows)
     report: dict = {"out_dir": out_dir, "tables": {}}
 
     # ONE matcher pass: mentions are extracted and persisted first, then
@@ -97,12 +126,6 @@ def build_graph(
     s = w_edges.write(triples, key_column="conv_id", resume=resume, fingerprint=fingerprint)
     report["tables"]["edges"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
 
-    if isinstance(ontology, list) and ontology and hasattr(ontology[0], "tag"):
-        onto_rows = ontology
-    else:
-        onto_rows = clean_ontology(
-            list(ontology), has_category=config.has_category
-        )
     # nodes route by SOURCE conversation (conv-prefixed node ids) with one
     # shared global partition for tool/concept rows — the layout that lets
     # update_graph refresh exactly the changed conversations' node rows.
@@ -322,7 +345,6 @@ def update_graph(
 
     import ray
 
-    from .core.ontology import clean_ontology
     from .ops.hashing import partition_of
     from .pipeline.graph import (
         NODE_GLOBAL_PART_KEY,
@@ -335,15 +357,8 @@ def update_graph(
     from .pipeline.io import PartitionedWriter
     from .pipeline.tag import extract_mentions
 
-    fingerprint = json.dumps(
-        {
-            "ignore_case": config.ignore_case,
-            "ignore_diacritics": config.ignore_diacritics,
-            "lemmatization": config.lemmatization,
-            "language": config.language,
-        },
-        sort_keys=True,
-    )
+    onto_rows = _ontology_rows(ontology, config)
+    fingerprint = _fingerprint(config, onto_rows)
     parts = sorted(
         {partition_of(str(c), num_partitions) for c in changed_conv_ids}
     )
@@ -374,12 +389,6 @@ def update_graph(
     s = w_edges.refresh(triples, "conv_id", parts, fingerprint=fingerprint)
     report["tables"]["edges"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
 
-    if isinstance(ontology, list) and ontology and hasattr(ontology[0], "tag"):
-        onto_rows = ontology
-    else:
-        onto_rows = clean_ontology(
-            list(ontology), has_category=config.has_category
-        )
     # nodes are conv-routed (build_graph's nodes_v2 layout), so the update
     # touches exactly the changed conversations' node partitions plus the
     # one global partition (tool/concept rows, tool set may shrink/grow):

@@ -99,7 +99,8 @@ def sharded_groupby_apply(
         )
 
     def run(g: pd.DataFrame) -> pd.DataFrame:
-        n, nbytes = len(g), int(g.memory_usage(deep=False).sum())
+        # deep: a string counts its bytes, not its 8-byte object pointer
+        n, nbytes = len(g), int(g.memory_usage(deep=True).sum())
         if n > row_cap or nbytes > byte_cap:
             sizes = g.groupby(keys, sort=False).size().sort_values()
             hot_key, hot_n = sizes.index[-1], int(sizes.iloc[-1])

@@ -35,9 +35,9 @@ class PipelineConfig:
     batch_size: int = 2048
     concurrency: Union[int, Tuple[int, int], None] = None  # None = auto: 3/4 of cluster CPUs
     num_cpus: float = 1.0
-    # reference-equivalent general path only (per-row tokenize/match; what
-    # non-ASCII and multilingual text runs regardless) — used by the
-    # compute-bound scaling benchmark
+    # reference-equivalent Python tokenizing for every row (no Arrow split
+    # of eligible rows; what non-ASCII and multilingual text runs
+    # regardless) — used by the compute-bound scaling benchmark
     strict_reference: bool = False
 
     def __post_init__(self) -> None:

@@ -31,7 +31,7 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from .config import PipelineConfig
-from .tag import MentionActor, _broadcast_ontology, resolve_concurrency as _resolve_concurrency
+from .tag import MentionActor, map_stage
 
 TRIPLE_SCHEMA = pa.schema(
     [
@@ -135,19 +135,8 @@ def extract_triples(
     config: PipelineConfig,
     include_structural: bool = True,
 ) -> "ray.data.Dataset":
-    ref = _broadcast_ontology(ontology, config)
-    return transcripts.map_batches(
-        TripleActor,
-        fn_constructor_kwargs={
-            "ontology": ref,
-            "config": config,
-            "include_structural": include_structural,
-        },
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-        concurrency=_resolve_concurrency(config),
-        num_cpus=config.num_cpus,
-    )
+    return map_stage(transcripts, TripleActor, ontology, config,
+                     include_structural=include_structural)
 
 
 def triples_to_edges(triples: "ray.data.Dataset") -> "ray.data.Dataset":

@@ -257,9 +257,9 @@ def q_conv_stats(sf_dir: str):
 
 # Overlap-hardening ontology: keywords deliberately SHARE tokens (every
 # "big data" occurrence collides with a "data" match, etc.), so these
-# queries exercise longest-wins span filtering (core/automaton.filter_longest)
-# and the general per-row matcher path end-to-end — the main ONTOLOGY is
-# token-disjoint by design and never does.
+# queries exercise longest-wins span filtering (core/vector_match.filter_longest)
+# end-to-end, on split and Python-tokenized rows alike — the main ONTOLOGY
+# is token-disjoint by design and never does.
 OVERLAP_ONTOLOGY = [
     ("BigData", "big data", "concept"),
     ("DataWindow", "data window", "concept"),

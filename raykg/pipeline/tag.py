@@ -4,9 +4,10 @@ This is the Ray-Data-native re-expression of the reference's driver-side
 ``Tagger.tag_and_format`` loop (``ontology_tagger.py:94-137`` +
 ``formatting/*``): instead of one Python process mutating a pandas
 DataFrame row by row, the cleaned ontology is broadcast once (``ray.put``)
-and a pool of actors compiles per-language token automata in ``__init__`` /
+and a pool of actors compiles per-language matchers in ``__init__`` /
 lazily per language, then streams zero-copy Arrow batches through
-sentence-split -> normalize -> match -> format.
+sentence-split -> normalize -> match -> format, with one matcher-kernel
+call per batch and language.
 
 Output modes: the reference's three formats plus the target-native
 ``mentions`` long table that feeds the graph layer (SURVEY.md §1.2).
@@ -35,14 +36,16 @@ from ..core.format import (
 )
 from ..core.ontology import (
     CompiledMatcher,
+    Mention,
     OntologyRow,
     clean_ontology,
     compile_matcher,
-    process_document,
+    match_documents,
 )
-from ..core.tokenize import Tokenizer, check_language
-from ..core.vector_match import get_vectorized
+from ..core.tokenize import check_language
+from ..core.vector_match import VectorizedExactMatcher
 from .config import PipelineConfig
+
 
 def resolve_concurrency(config: "PipelineConfig"):
     """None -> fixed pool sized to ~3/4 of the cluster's CPUs.
@@ -180,7 +183,6 @@ class TagActor:
                     seen.add(r.category)
                     self.all_categories.append(r.category)
         self._matchers: Dict[str, CompiledMatcher] = {}
-        self._sent_tokenizers: Dict[str, Tokenizer] = {}
         if not config.multilingual:
             self._get_matcher(config.language)  # build eagerly for the fixed language
 
@@ -194,15 +196,9 @@ class TagActor:
                 self.ontology, language, self.config.match_config, self.has_category
             )
             self._matchers[language] = m
-            self._sent_tokenizers[language] = Tokenizer(language)
         return m
 
     # -- batch processing ---------------------------------------------------
-
-    def _row_languages(self, batch: pa.Table) -> Sequence[Optional[str]]:
-        if self.config.multilingual:
-            return batch[self.config.language_column].to_pylist()
-        return [self.config.language] * batch.num_rows
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         fmt = self.config.output_format
@@ -214,77 +210,74 @@ class TagActor:
             return self._format_by_doc(batch, json_mode=True)
         raise ValueError(f"unknown output format {fmt}")
 
-    def _doc_mentions(self, text: Optional[str], language: Optional[str]):
-        matcher = self._get_matcher(language)
-        # single-tokenization fast path (falls back to the reference
-        # sentencize->normalize->tokenize flow per sentence when
-        # normalization is not the identity)
-        try:
-            return process_document(matcher, text)
-        except Exception as e:
-            # the reference quotes the offending docs TRUNCATED in its
-            # tokenization-error message (spacy_tokenizer.py:428,
-            # cleaning_utils.py:24-40) — same log-hygiene contract here
-            from ..core.format import truncate_text_list
-
-            raise type(e)(
-                f"Tokenization error: {e} for document(s): "
-                f"'{truncate_text_list([text or ''])}'"
-            ) from e
+    def _mentions(self, batch: pa.Table) -> List[List[Mention]]:
+        """The mentions of every row of ``batch``: one ``match_documents``
+        call per language present."""
+        texts = batch[self.config.text_column].to_pylist()
+        if not self.config.multilingual:
+            return match_documents(self._get_matcher(self.config.language), texts)[0]
+        by_lang: Dict[Optional[str], List[int]] = {}
+        for i, lang in enumerate(batch[self.config.language_column].to_pylist()):
+            by_lang.setdefault(lang, []).append(i)
+        out: List[List[Mention]] = [[] for _ in texts]
+        for lang, rows in by_lang.items():
+            mentions, _ = match_documents(self._get_matcher(lang), [texts[i] for i in rows])
+            for i, m in zip(rows, mentions):
+                out[i] = m
+        return out
 
     def _tag_keyword_counts(self, batch: pa.Table) -> pa.Table:
         """The tagging step of the count-style actors: one row per distinct
         (batch ``row``, ``tag``, ``keyword``) with its occurrence count
         ``n``.
 
-        When the matching mode allows it (``get_vectorized``; never for
-        multilingual batches), eligible rows — ASCII alnum words separated
-        by single spaces — go through the Arrow/numpy kernel
-        (core/vector_match.py) with no per-row Python.  Every other row goes
-        through ``_doc_mentions``.  Both give the same (tag, keyword) counts
-        for a row.  Kernel rows come first, ordered by (tag, keyword) pair
-        then row; then the per-row rows, in row order and within a row in
-        order of first appearance."""
+        Eligible rows — ASCII alnum words separated by single spaces — are
+        coded by an Arrow split with no per-row Python, every other row
+        through the Python tokenizer; both ride in the same kernel call
+        (core/ontology.py ``match_documents``).  Lemma mode,
+        ``strict_reference`` and multilingual batches tokenize every row in
+        Python.  Both give the same (tag, keyword) counts for a row.  Split
+        rows come first, ordered by (tag, keyword) pair then row; then the
+        other rows, in row order and within a row in order of first
+        appearance."""
         texts = batch[self.config.text_column]
         texts = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts
-        slow = np.arange(batch.num_rows)
+        mc = self.config.match_config
         parts = []
-        vm = None
-        if not self.config.multilingual:
-            vm = get_vectorized(self._get_matcher(self.config.language))
-        if vm is not None:
-            eligible = vm.eligible_rows(texts)
+        if self.config.multilingual or mc.lemmatization or mc.strict_reference:
+            slow = np.arange(batch.num_rows)
+            mentions = self._mentions(batch)
+        else:
+            eligible = VectorizedExactMatcher.eligible_rows(texts)
             fast = np.nonzero(eligible)[0]
             slow = np.nonzero(~eligible)[0]
-            if len(fast):
-                rows, tags, kws, counts = vm.tag_keyword_counts(
-                    texts if not len(slow) else texts.take(pa.array(fast))
-                )
-                parts.append(pa.table([fast[rows], tags, kws, counts], schema=HIT_SCHEMA))
-        if len(slow):
-            langs = self._row_languages(batch)
-            out: Dict[str, list] = {name: [] for name in HIT_SCHEMA.names}
-            for i, text in zip(slow.tolist(), texts.take(pa.array(slow)).to_pylist()):
-                counts = Counter((m.tag, m.keyword) for m in self._doc_mentions(text, langs[i]))
-                for (tag, kw), n in counts.items():
-                    out["row"].append(i)
-                    out["tag"].append(tag)
-                    out["keyword"].append(kw)
-                    out["n"].append(n)
-            parts.append(pa.table(out, schema=HIT_SCHEMA))
-        return pa.concat_tables(parts) if parts else HIT_SCHEMA.empty_table()
+            matcher = self._get_matcher(self.config.language)
+            mentions, hits = match_documents(
+                matcher,
+                texts.take(pa.array(slow)).to_pylist(),
+                texts if not len(slow) else texts.take(pa.array(fast)),
+            )
+            rows, tags, kws, counts = matcher.kernel.tag_keyword_counts(hits)
+            parts.append(pa.table([fast[rows], tags, kws, counts], schema=HIT_SCHEMA))
+        out: Dict[str, list] = {name: [] for name in HIT_SCHEMA.names}
+        for i, doc in zip(slow.tolist(), mentions):
+            for (tag, kw), n in Counter((m.tag, m.keyword) for m in doc).items():
+                out["row"].append(i)
+                out["tag"].append(tag)
+                out["keyword"].append(kw)
+                out["n"].append(n)
+        parts.append(pa.table(out, schema=HIT_SCHEMA))
+        return pa.concat_tables(parts)
 
     def _format_by_match(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.config.text_column].to_pylist()
-        langs = self._row_languages(batch)
         tag_cols = TAG_COLUMNS["one_row_per_match"][
             "category" if self.has_category else "no_category"
         ]
         out_names = generate_unique_columns(batch.schema.names, tag_cols)
         indices: List[int] = []
         columns: List[List[Optional[str]]] = [[] for _ in out_names]
-        for i, (text, lang) in enumerate(zip(texts, langs)):
-            rows = format_match_rows(self._doc_mentions(text, lang), self.has_category)
+        for i, mentions in enumerate(self._mentions(batch)):
+            rows = format_match_rows(mentions, self.has_category)
             if rows:
                 for row in rows:
                     indices.append(i)
@@ -303,8 +296,6 @@ class TagActor:
         )
 
     def _format_by_doc(self, batch: pa.Table, json_mode: bool) -> pa.Table:
-        texts = batch[self.config.text_column].to_pylist()
-        langs = self._row_languages(batch)
         mode = "category" if self.has_category else "no_category"
         if json_mode:
             logical_cols = TAG_COLUMNS["one_row_per_doc_json"][mode]
@@ -318,8 +309,7 @@ class TagActor:
         out_names = generate_unique_columns(batch.schema.names, logical_cols)
         rename = dict(zip(logical_cols, out_names))
         columns: Dict[str, List[Optional[str]]] = {n: [] for n in out_names}
-        for text, lang in zip(texts, langs):
-            mentions = self._doc_mentions(text, lang)
+        for mentions in self._mentions(batch):
             if json_mode:
                 values = format_doc_json(mentions, self.has_category)
             else:
@@ -352,13 +342,11 @@ class MentionActor(TagActor):
         self.extra_columns = tuple(extra_columns)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.config.text_column].to_pylist()
-        langs = self._row_languages(batch)
         convs = batch[self.conv_column].to_pylist()
         turns = batch[self.turn_column].to_pylist()
         out = {name: [] for name in MENTION_SCHEMA.names}
-        for conv, turn, text, lang in zip(convs, turns, texts, langs):
-            for m in self._doc_mentions(text, lang):
+        for conv, turn, mentions in zip(convs, turns, self._mentions(batch)):
+            for m in mentions:
                 out["conv_id"].append(conv)
                 out["turn_idx"].append(turn)
                 out["sent_idx"].append(m.sent_idx)
@@ -383,34 +371,15 @@ class DocTagsActor(_DocTagsActorBody, MentionActor):
     turn-locality argument."""
 
 
-def _mention_stage(actor_cls, ds, ontology, config, conv_column="conv_id",
-                   turn_column="turn_idx", extra_columns=()):
-    ref = _broadcast_ontology(ontology, config)
-    return ds.map_batches(
-        actor_cls,
-        fn_constructor_kwargs={
-            "ontology": ref,
-            "config": config,
-            "conv_column": conv_column,
-            "turn_column": turn_column,
-            "extra_columns": tuple(extra_columns),
-        },
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-        concurrency=resolve_concurrency(config),
-        num_cpus=config.num_cpus,
-    )
-
-
 def extract_mention_counts(ds, ontology, config, **kw):
     """(conv_id, turn_idx, tag, keyword, n_matches) — streaming, no shuffle."""
-    return _mention_stage(MentionCountActor, ds, ontology, config, **kw)
+    return map_stage(ds, MentionCountActor, ontology, config, **kw)
 
 
 def extract_doc_tags(ds, ontology, config, **kw):
     """(conv_id, turn_idx, tags_sorted, keywords_sorted, n_tags) — streaming,
     no shuffle; only matched turns are emitted."""
-    return _mention_stage(DocTagsActor, ds, ontology, config, **kw)
+    return map_stage(ds, DocTagsActor, ontology, config, **kw)
 
 
 def _append_after(
@@ -448,6 +417,24 @@ def _broadcast_ontology(ontology, config: PipelineConfig):
     return ray.put(cleaned)
 
 
+def map_stage(ds: "ray.data.Dataset", actor_cls, ontology, config: PipelineConfig,
+              **actor_kwargs) -> "ray.data.Dataset":
+    """``ds.map_batches`` through a fixed pool of ``actor_cls`` actors, each
+    built with the broadcast ontology, ``config`` and ``actor_kwargs``."""
+    return ds.map_batches(
+        actor_cls,
+        fn_constructor_kwargs={
+            "ontology": _broadcast_ontology(ontology, config),
+            "config": config,
+            **actor_kwargs,
+        },
+        batch_format="pyarrow",
+        batch_size=config.batch_size,
+        concurrency=resolve_concurrency(config),
+        num_cpus=config.num_cpus,
+    )
+
+
 def tag_dataset(
     ds: "ray.data.Dataset", ontology, config: PipelineConfig
 ) -> "ray.data.Dataset":
@@ -455,17 +442,9 @@ def tag_dataset(
 
     The ontology (pyarrow Table / pandas DataFrame / row tuples) is cleaned
     on the driver (reference ``ontology_tagger.py:145-160``), broadcast once,
-    and applied by an autoscaling actor pool.
+    and applied by a fixed actor pool.
     """
-    ref = _broadcast_ontology(ontology, config)
-    return ds.map_batches(
-        TagActor,
-        fn_constructor_kwargs={"ontology": ref, "config": config},
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-        concurrency=resolve_concurrency(config),
-        num_cpus=config.num_cpus,
-    )
+    return map_stage(ds, TagActor, ontology, config)
 
 
 def extract_mentions(
@@ -476,17 +455,5 @@ def extract_mentions(
     turn_column: str = "turn_idx",
 ) -> "ray.data.Dataset":
     """Transcripts -> mentions long table (the graph layer's input)."""
-    ref = _broadcast_ontology(ontology, config)
-    return ds.map_batches(
-        MentionActor,
-        fn_constructor_kwargs={
-            "ontology": ref,
-            "config": config,
-            "conv_column": conv_column,
-            "turn_column": turn_column,
-        },
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-        concurrency=resolve_concurrency(config),
-        num_cpus=config.num_cpus,
-    )
+    return map_stage(ds, MentionActor, ontology, config,
+                     conv_column=conv_column, turn_column=turn_column)

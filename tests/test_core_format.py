@@ -138,6 +138,7 @@ def test_truncate_text_list():
 def test_oversize_document_error_quotes_truncated_text():
     """The per-document tokenization error must quote the doc TRUNCATED
     (reference spacy_tokenizer.py:428), never the full 10^7-char body."""
+    import pyarrow as pa
     import pytest
 
     from raykg.core.ontology import OntologyRow
@@ -150,7 +151,7 @@ def test_oversize_document_error_quotes_truncated_text():
     )
     actor._get_matcher("en").tokenizer.max_num_characters = 50
     with pytest.raises(ValueError) as ei:
-        actor._doc_mentions("word " * 100, "en")
+        actor._mentions(pa.table({"text": ["word", "word " * 100]}))
     msg = str(ei.value)
     assert "Tokenization error" in msg and "(...)" in msg
     # the quoted doc is cut at 140 chars, not the full body

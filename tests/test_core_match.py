@@ -1,9 +1,9 @@
 """Matcher + ontology conformance vs the reference unit tests
 (test_ontology_tagger.py, test_lemmatization.py) and Appendix A semantics."""
 
+import numpy as np
 import pytest
 
-from raykg.core.automaton import TokenAutomaton, filter_longest
 from raykg.core.normalize import normalize
 from raykg.core.ontology import (
     MatchConfig,
@@ -11,6 +11,7 @@ from raykg.core.ontology import (
     compile_matcher,
     match_sentences,
 )
+from raykg.core.vector_match import filter_longest
 
 
 def make_matcher(rows, has_category=False, **cfg):
@@ -18,14 +19,17 @@ def make_matcher(rows, has_category=False, **cfg):
     return compile_matcher(onto, "en", MatchConfig(**cfg), has_category)
 
 
-def test_automaton_overlapping_matches():
-    a = TokenAutomaton()
-    a.add(["b", "c"], 0)
-    a.add(["a", "b", "c", "d"], 1)
-    a.add(["c"], 2)
-    a.build()
-    got = set(a.find(["a", "b", "c", "d"]))
-    assert got == {(1, 3, 0), (0, 4, 1), (2, 3, 2)}
+def test_kernel_overlapping_spans():
+    # nested and overlapping occurrences are all spans, ordered by
+    # (start, end, pattern id)
+    m = make_matcher([("T0", "b c"), ("T1", "a b c d"), ("T2", "c")])
+    kernel = m.kernel
+    code = kernel.token_codes(["a", "b", "c", "d"])
+    seg, start, end, pid = kernel.spans(code, np.array([0, 4]))
+    assert seg.tolist() == [0, 0, 0]
+    assert list(zip(start.tolist(), end.tolist(), pid.tolist())) == [
+        (0, 4, 1), (1, 3, 0), (2, 3, 2)
+    ]
 
 
 def test_filter_longest_prefers_longest_then_earliest():
@@ -38,7 +42,7 @@ def test_filter_longest_prefers_longest_then_earliest():
 def test_missing_keywords_dropped():
     # reference test_ontology_tagger.py:12-28 — matcher holds exactly 1 pattern
     m = make_matcher([("tag1", float("nan")), ("tag2", "keyword2"), ("tag3", "")])
-    assert m.automaton.num_patterns == 1
+    assert len(m.patterns) == 1
 
 
 def test_empty_ontology_raises():

@@ -958,6 +958,27 @@ def test_sharded_groupby_volume_guard(ray_session):
     assert sorted(out["n"].tolist()) == [10, 90]
 
 
+def test_sharded_groupby_byte_cap_counts_string_bytes(ray_session):
+    """The byte cap counts the bytes of string values, not 8-byte object
+    pointers: a few rows of long strings over a small cap must raise."""
+    import pandas as pd
+    import pytest
+    import ray.data
+
+    from raykg.ops.agg import sharded_groupby_apply
+
+    df = pd.DataFrame({"k": ["a", "b", "c", "d"], "text": ["x" * 100_000] * 4})
+    ds = ray.data.from_pandas(df)
+
+    def apply(g):
+        return g.groupby("k").size().rename("n").reset_index()
+
+    with pytest.raises(Exception, match="fit-in-one-worker cap"):
+        sharded_groupby_apply(ds, ["k"], apply, num_shards=1, byte_cap=64 << 10).materialize()
+    out = sharded_groupby_apply(ds, ["k"], apply, num_shards=1, byte_cap=8 << 20).to_pandas()
+    assert sorted(out["k"]) == ["a", "b", "c", "d"]
+
+
 def test_default_shards_env_knob(monkeypatch):
     from raykg.ops.agg import default_shards
 

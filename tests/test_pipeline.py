@@ -222,6 +222,31 @@ def test_job_build_graph_and_resume(tmp_path):
     assert total == report["tables"]["edges"]["rows"]
 
 
+def test_job_resume_after_ontology_edit_recomputes(tmp_path):
+    """A resume with an edited ontology recomputes the mentions instead of
+    keeping the partitions the first run wrote."""
+    import ray.data as rd
+
+    from raykg.job import build_graph
+
+    cfg = PipelineConfig(language="en", category_column="category", concurrency=2)
+    out = str(tmp_path / "kg")
+
+    def tags():
+        files = [str(p) for p in (tmp_path / "kg" / "mentions").glob("part=*/data.parquet")]
+        return rd.read_parquet(files).to_pandas()["tag"].value_counts().to_dict()
+
+    build_graph(read_transcripts(SF), ONTO, cfg, out, num_partitions=4)
+    before = tags()
+    assert before.get("Engine", 0) > 0
+    edited = [("Engine", "no such keyword", "tech")] + ONTO[1:]
+    report = build_graph(read_transcripts(SF), edited, cfg, out, num_partitions=4)
+    assert report["tables"]["mentions"]["rows"] > 0
+    after = tags()
+    assert "Engine" not in after
+    assert after == {t: n for t, n in before.items() if t != "Engine"}
+
+
 def test_job_pagerank_table(tmp_path):
     from raykg.job import build_graph
     from raykg.pipeline.config import PipelineConfig

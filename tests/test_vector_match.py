@@ -1,10 +1,12 @@
-"""Vectorized batch matcher: equivalence with the per-row engine, eligibility
-rules, and mode gating (core/vector_match.py); the count-style actors' one
-tagging path against per-row process_document."""
+"""The token-id kernel (core/vector_match.py): its spans and the per-row
+engine against a brute-force span finder, the split path of eligible rows
+against the per-row engine, eligibility rules; the actors' one kernel call
+per batch and their tagging against per-row process_document."""
 
 import random
 from collections import Counter
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -14,10 +16,11 @@ from raykg.core.ontology import (
     compile_matcher,
     process_document,
 )
-from raykg.core.vector_match import VectorizedExactMatcher, get_vectorized
+from raykg.core.sentencize import split_sentences
+from raykg.core.vector_match import VectorizedExactMatcher, filter_longest
 from raykg.pipeline.config import PipelineConfig
 from raykg.pipeline.graph import TRIPLE_SCHEMA, TripleActor
-from raykg.pipeline.tag import MentionCountActor
+from raykg.pipeline.tag import MentionActor, MentionCountActor, TagActor
 
 ONTO = [
     ("Engine", "spark", "tech"),
@@ -72,12 +75,99 @@ def slow_counts(m, text):
     return out
 
 
+def brute_spans(pattern_tokens, tokens, longest=False):
+    """Reference span finder, O(tokens x patterns): every (start, end, pid)
+    whose slice of ``tokens`` equals pattern ``pid``; category mode keeps
+    the longest-first non-overlapping ones."""
+    found = [
+        (start, start + len(pat), pid)
+        for start in range(len(tokens))
+        for pid, pat in enumerate(pattern_tokens)
+        if tuple(tokens[start:start + len(pat)]) == tuple(pat)
+    ]
+    return filter_longest(found) if longest else sorted(found)
+
+
+def kernel_spans(m, seqs):
+    """Per token sequence: its spans from one kernel call over all of them."""
+    offs = np.cumsum([0] + [len(seq) for seq in seqs])
+    code = m.kernel.token_codes([t for seq in seqs for t in seq])
+    seg, start, end, pid = m.kernel.spans(code, offs)
+    out = [[] for _ in seqs]
+    for s, a, b, p in zip(seg.tolist(), start.tolist(), end.tolist(), pid.tolist()):
+        out[s].append((a, b, p))
+    return out
+
+
+def brute_mentions(m, text):
+    """process_document's mentions rebuilt from brute_spans over the
+    reference sentence split."""
+    out = []
+    for sent_idx, original in enumerate(split_sentences(text, m.tokenizer)):
+        norm = m.config.normalize(original)
+        toks = m.tokenizer.tokenize(norm)
+        for a, b, p in brute_spans(m.pattern_tokens, [t[0] for t in toks], m.has_category):
+            kw = norm[toks[a][1]:toks[b - 1][2]]
+            tag, cat = m.patterns[p]
+            if not m.has_category:
+                tag = m.keyword_to_tag.get(kw, tag)
+            out.append((sent_idx, toks[a][1], toks[b - 1][2], kw, tag, cat, original))
+    return out
+
+
+_SHARED = [
+    ("BigData", "big data", "c"), ("Data", "data", "w"), ("DataWin", "data win", "c"),
+    ("Win", "win", "w"), ("Bye", "bye bye", "b"), ("ByeBig", "bye big data", "c"),
+    ("Data2", "data", "x"),  # the same keyword under a second tag
+]
+
+
+@pytest.mark.parametrize("has_cat", [False, True], ids=["all_matches", "longest"])
+def test_spans_equal_brute_force(has_cat):
+    """Patterns that share tokens, nest, repeat a token ("bye bye") and
+    repeat a keyword: the kernel's spans over many segments in one call
+    equal the brute-force finder's, in both modes."""
+    m = compile_matcher(clean_ontology(_SHARED, has_category=has_cat), "en", MatchConfig(), has_cat)
+    rng = random.Random(3)
+    words = ["big", "data", "win", "bye", "x", "Data"]
+    seqs = [[rng.choice(words) for _ in range(rng.randint(0, 14))] for _ in range(400)]
+    got = kernel_spans(m, seqs)
+    n_spans = 0
+    for seq, spans in zip(seqs, got):
+        assert spans == brute_spans(m.pattern_tokens, seq, has_cat), seq
+        n_spans += len(spans)
+    assert n_spans > 500
+
+
+@pytest.mark.parametrize("has_cat", [False, True], ids=["all_matches", "longest"])
+def test_process_document_equals_brute_force(has_cat):
+    """process_document, on eligible, punctuated, multi-sentence and
+    non-ASCII documents, against mentions rebuilt from brute_spans."""
+    m = compile_matcher(
+        clean_ontology(_SHARED + [("Cafe", "café win", "x")], has_category=has_cat),
+        "en", MatchConfig(ignore_case=True), has_cat,
+    )
+    rng = random.Random(4)
+    words = ["big", "Data", "win", "bye", "x", "café"]
+    seps = [" ", " ", ", ", ". ", "  "]
+    n_mentions = 0
+    for _ in range(200):
+        n = rng.randint(0, 16)
+        text = "".join(rng.choice(words) + rng.choice(seps) for _ in range(n)).strip()
+        got = [
+            (x.sent_idx, x.start_char, x.end_char, x.keyword, x.tag, x.category, x.sentence)
+            for x in process_document(m, text)
+        ]
+        assert got == brute_mentions(m, text), text
+        n_mentions += len(got)
+    assert n_mentions > 300
+
+
 @pytest.mark.parametrize("flags", [{}, {"ignore_case": True}], ids=["exact", "case"])
 @pytest.mark.parametrize("has_cat", [False, True], ids=["nocat", "cat"])
 def test_fuzz_equivalence(flags, has_cat):
     m = matcher(has_cat=has_cat, **flags)
     vm = VectorizedExactMatcher(m)
-    assert vm.mode_ok  # ONTO patterns are token-disjoint
     rng = random.Random(11)
     texts = []
     for _ in range(300):
@@ -103,25 +193,28 @@ def test_eligibility_rules():
     assert (vm.eligible_rows(chunked) == mask).all()
 
 
-def test_mode_gating():
-    # lemmatization -> never vectorized
-    assert get_vectorized(matcher(lemmatization=True)) is None
-    # strict_reference -> never vectorized
-    assert get_vectorized(matcher(strict_reference=True)) is None
-    # category mode with overlapping patterns (shared token) -> not vectorized
+def test_shared_token_patterns_category_mode():
+    # category mode with patterns that share a token: the kernel filters
+    # each row's spans longest-first, as the per-row engine does
     onto = clean_ontology(
         [("A", "big data", "x"), ("B", "data", "y")], has_category=True
     )
     m = compile_matcher(onto, "en", MatchConfig(), True)
-    assert get_vectorized(m) is None
-    # ...but the same patterns in no-category (all-matches) mode ARE ok
+    texts = ["big data data", "data big data", "big data"]
+    for t, counts in zip(texts, hit_counts(m.kernel, texts)):
+        assert resolved_counts(m, counts) == slow_counts(m, t), t
+    assert slow_counts(m, "big data data") == {("A", "x", "big data"): 1, ("B", "y", "data"): 1}
+    # the same patterns in no-category (all-matches) mode count the "data"
+    # inside the bigram too
     onto2 = clean_ontology([("A", "big data"), ("B", "data")], has_category=False)
     m2 = compile_matcher(onto2, "en", MatchConfig(), False)
-    vm2 = get_vectorized(m2)
-    assert vm2 is not None
-    counts = hit_counts(vm2, ["big data data"])
-    # "big data" once; "data" twice (all-matches incl. the one inside bigram)
+    counts = hit_counts(m2.kernel, ["big data data"])
     assert resolved_counts(m2, counts[0]) == slow_counts(m2, "big data data")
+    assert slow_counts(m2, "big data data") == {("A", None, "big data"): 1, ("B", None, "data"): 2}
+    # lemma and strict_reference modes match through the same kernel
+    for flags in ({"lemmatization": True}, {"strict_reference": True}):
+        m3 = compile_matcher(onto2, "en", MatchConfig(**flags), False)
+        assert slow_counts(m3, "big data data") == slow_counts(m2, "big data data")
 
 
 def test_batch_hits_shapes():
@@ -145,26 +238,18 @@ def test_empty_inputs():
     assert len(rows) == 0
 
 
-def test_mode_gating_self_overlap():
-    # a pattern with a repeated token ("bye bye") can self-overlap; in
-    # category (longest-wins) mode the shifted-equality kernel would count
-    # overlapping occurrences the span filter removes -> general path only
-    onto = clean_ontology(
-        [("Bye", "bye bye", "x"), ("Hi", "hello", "y")], has_category=True
-    )
-    m = compile_matcher(onto, "en", MatchConfig(), True)
-    assert get_vectorized(m) is None
-    assert slow_counts(m, "bye bye bye") == {("Bye", "x", "bye bye"): 1}
-    # in all-matches (no-category) mode overlapping self-matches are real
-    # matches and the vectorized kernel agrees with the general path
-    onto2 = clean_ontology([("Bye", "bye bye")], has_category=False)
-    m2 = compile_matcher(onto2, "en", MatchConfig(), False)
-    vm2 = get_vectorized(m2)
-    assert vm2 is not None
-    counts = hit_counts(vm2, ["bye bye bye"])
-    expect = slow_counts(m2, "bye bye bye")
-    assert resolved_counts(m2, counts[0]) == expect
-    assert sum(expect.values()) == 2  # both overlapping occurrences
+def test_self_overlap_bye_bye():
+    # a pattern with a repeated token self-overlaps: "bye bye" occurs twice
+    # in "bye bye bye"; all-matches mode keeps both spans, category
+    # (longest-wins) mode the first one — in the kernel's spans, in
+    # batch_hits and in process_document alike
+    for has_cat, want in ((False, [(0, 2, 0), (1, 3, 0)]), (True, [(0, 2, 0)])):
+        onto = clean_ontology([("Bye", "bye bye", "x"), ("Hi", "hello", "y")], has_cat)
+        m = compile_matcher(onto, "en", MatchConfig(), has_cat)
+        assert kernel_spans(m, [["bye", "bye", "bye"]]) == [want]
+        assert brute_spans(m.pattern_tokens, ["bye", "bye", "bye"], has_cat) == want
+        assert hit_counts(m.kernel, ["bye bye bye"]) == [{0: len(want)}]
+        assert sum(slow_counts(m, "bye bye bye").values()) == len(want)
 
 
 def test_fuzz_repeated_word_keywords_no_category():
@@ -173,8 +258,7 @@ def test_fuzz_repeated_word_keywords_no_category():
 
     onto = clean_ontology([("Bye", "bye bye"), ("Go", "go")], has_category=False)
     m = compile_matcher(onto, "en", MatchConfig(), False)
-    vm = get_vectorized(m)
-    assert vm is not None
+    vm = m.kernel
     rng = _random.Random(7)
     texts = [
         " ".join(rng.choice(["bye", "go", "x"]) for _ in range(rng.randint(1, 12)))
@@ -244,8 +328,7 @@ def test_large_k_fuzz_equivalence(flags):
     ]
     onto = clean_ontology(rows, has_category=False)
     m = compile_matcher(onto, "en", MatchConfig(**flags), False)
-    vm = get_vectorized(m)
-    assert vm is not None
+    vm = m.kernel
     assert len(m.patterns) >= 2000 and max(map(len, m.pattern_tokens)) >= 6
     texts = []
     for _ in range(400):
@@ -282,7 +365,7 @@ def test_long_keyword_keys_do_not_overflow(n_tokens):
     rows += [(f"F{i}", f"f{i}") for i in range(n_tokens - 8)]
     onto = clean_ontology(rows, has_category=False)
     m = compile_matcher(onto, "en", MatchConfig(), False)
-    vm = get_vectorized(m)
+    vm = m.kernel
     assert len(vm.token_ids) == n_tokens
     texts = [
         long_kw,
@@ -392,7 +475,7 @@ def _random_batch(rng, n):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("mode", sorted(_MODES))
-def test_actors_equal_per_row_process_document(mode, seed):
+def test_actors_equal_per_row_process_document(mode, seed, monkeypatch):
     """TripleActor and MentionCountActor, called without Ray, against the
     triples and counts built row by row from process_document."""
     onto_rows, flags = _MODES[mode]
@@ -415,13 +498,49 @@ def test_actors_equal_per_row_process_document(mode, seed):
         for (tag, kw), n in counts.items():
             want_triples.append((f"{tid}#{kw}", "tagged_as", f"concept:{tag}", conv, turn, 1.0))
             want_counts.append((conv, turn, tag, kw, n))
-    # the batch's eligible rows take the kernel in exactly these modes
-    kernel = None if cfg.multilingual else get_vectorized(matchers["en"])
-    assert (kernel is not None) == (mode in ("exact", "case", "category"))
+    # the batch's eligible rows are coded by an Arrow split in exactly
+    # these modes (category with shared tokens too)
+    split_rows = []
+    split_codes = VectorizedExactMatcher.split_codes
+    monkeypatch.setattr(
+        VectorizedExactMatcher, "split_codes",
+        lambda self, texts: split_rows.append(len(texts)) or split_codes(self, texts),
+    )
     triples = TripleActor(onto, cfg)(batch)
     counts = MentionCountActor(onto, cfg)(batch)
+    splits = mode in ("exact", "case", "category", "category_shared")
+    assert len(split_rows) == (2 if splits else 0)
+    assert all(n > 50 for n in split_rows)
     assert triples.schema == TRIPLE_SCHEMA
     assert _rows(triples, TRIPLE_SCHEMA.names) == sorted(want_triples, key=repr)
     names = ["conv_id", "turn_idx", "tag", "keyword", "n_matches"]
     assert _rows(counts, names) == sorted(want_counts, key=repr)
     assert len(want_counts) > 50  # the batch really exercises the matcher
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_one_kernel_call_per_batch_and_language(mode, monkeypatch):
+    """Every actor matches a batch with one kernel call per language in it:
+    split rows and per-row rows together, all sentences of all rows."""
+    onto_rows, flags = _MODES[mode]
+    cfg = PipelineConfig(**flags)
+    onto = clean_ontology(onto_rows, has_category=cfg.has_category)
+    batch = _random_batch(random.Random(5), 300)
+    calls = []
+    spans = VectorizedExactMatcher.spans
+    monkeypatch.setattr(
+        VectorizedExactMatcher, "spans",
+        lambda self, code, offs: calls.append(len(offs) - 1) or spans(self, code, offs),
+    )
+    want = len(set(batch["lang"].to_pylist())) if cfg.multilingual else 1
+    actors = [
+        MentionActor(onto, cfg),
+        TripleActor(onto, cfg),
+        TagActor(onto, PipelineConfig(output_format="one_row_per_match", **flags)),
+        TagActor(onto, PipelineConfig(output_format="one_row_per_doc", **flags)),
+    ]
+    for actor in actors:
+        calls.clear()
+        actor(batch)
+        assert len(calls) == want, type(actor).__name__
+        assert sum(calls) >= 300  # every row, or every sentence, is a segment
