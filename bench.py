@@ -236,8 +236,7 @@ def run_bench() -> dict:
     timed("media_mjpeg")
     timed("media_wav")
     timed("media_ulaw")
-    # round-5 additions: MP3 bitstream decode, MP4 container demux
-    timed("media_mp3")
+    # round-5 additions: MP4 container demux
     timed("media_mp4")
     timed("media_mp4v")
     timed("order_date_ranks")
@@ -255,7 +254,7 @@ def run_bench() -> dict:
     timed("value_ewma")
     timed("user_survival", consume=len)
     # round-4 third-session additions: distribution tests, drift,
-    # sequences, readability/zipf, graph centrality, TPC-H, RFM
+    # sequences, readability/zipf, graph centrality, RFM
     timed("value_ks", consume=len)
     timed("value_cusum")
     timed("event_markov", consume=len)
@@ -272,14 +271,9 @@ def run_bench() -> dict:
     timed("kg_adamic")
     timed("kg_betweenness", consume=len)
     timed("embed_silhouette")
-    timed("tpch_q1", consume=len)
-    timed("tpch_q3")
-    timed("tpch_q6", consume=len)
     timed("rfm_segments")
-    # round-4 fourth-session additions: TPC-H join chains, CCNet
-    # boilerplate removal, DSIR selection, temporal mention chains
-    timed("tpch_q5", consume=len)
-    timed("tpch_q18", consume=len)
+    # round-4 fourth-session additions: CCNet boilerplate removal,
+    # DSIR selection, temporal mention chains
     timed("boilerplate")
     timed("dsir_weights")
     timed("mention_chains")
@@ -299,11 +293,6 @@ def run_bench() -> dict:
     timed("kg_cardinality", consume=len)
     timed("onto_coverage", consume=len)
     # round-4 fifth-session additions
-    timed("tpch_q14", consume=len)
-    timed("tpch_q19", consume=len)
-    timed("tpch_q10", consume=len)
-    timed("tpch_q4", consume=len)
-    timed("tpch_q17", consume=len)
     timed("orders_above_avg", consume=len)
     timed("hll_setops", consume=len)
     timed("props_extract", consume=len)
@@ -314,14 +303,7 @@ def run_bench() -> dict:
     timed("tool_transitions", consume=len)
     timed("skew_report", consume=len)
     timed("embed_pair_dot", consume=len)
-    # round-4 sixth-session additions: the remaining TPC-H analogues
-    timed("tpch_q7", consume=len)
-    timed("tpch_q8", consume=len)
-    timed("tpch_q9", consume=len)
-    timed("tpch_q12", consume=len)
-    timed("tpch_q13", consume=len)
-    timed("tpch_q21")
-    timed("tpch_q22", consume=len)
+    # round-4 sixth-session additions
     timed("value_ttest", consume=len)
     timed("daily_trend", consume=len)
     timed("value_slope", consume=len)
@@ -329,12 +311,7 @@ def run_bench() -> dict:
     timed("value_outliers")
     timed("turn_coherence")
     timed("modularity", consume=len)
-    timed("tpch_q16", consume=len)
-    timed("tpch_q11", consume=len)
     timed("cohort_value", consume=len)
-    timed("tpch_q2", consume=len)
-    timed("tpch_q15", consume=len)
-    timed("tpch_q20", consume=len)
     timed("type_trend", consume=len)
     timed("type_theil_sen", consume=len)
     timed("conv_lang_entropy")

@@ -37,17 +37,10 @@ stages (`ops/multimodal.py`) decode them for REAL:
 - **MP4 / ISO-BMFF** container mux + demux lives in ``ops/mp4.py`` —
   box-tree walk + stsd/stts/stsc/stsz/stco sample extraction, with
   real PCM (sowt/twos) and MJPEG ('jpeg') track decode.
-- **MP3** (MPEG-1 Layer III) bitstream decode lives in ``ops/mp3.py``
-  — frame sync, side info, bit reservoir, Huffman, requantization,
-  alias reduction, IMDCT across all window layouts (normal/start/stop/
-  short/mixed) and stereo modes (mono/LR/MS); the polyphase synthesis
-  window (ISO Table 3-B.3, pure table data) is its one documented
-  plug-point.
 
 Still raising ``NotImplementedError``: arithmetic-coded / lossless /
-hierarchical JPEG, AAC-in-MP4, the remaining MP3 Huffman pair tables
-(4-31, pure Annex-B data) and the MP3 synthesis window — each a
-documented data/codec plug-point beside a real decoder.
+hierarchical JPEG, AAC-in-MP4 and MP3 — each a documented codec
+plug-point beside a real decoder.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ Decode support is three-tiered:
   pixels/samples; the `media_png` / `media_gif` / `media_jpeg` /
   `media_mjpeg` / `media_wav` / `media_ulaw` queries pin encode->decode
   exactness against SQL oracles.
-- ``fake=False`` with MP3/MP4 (or arithmetic-coded JPEG): raises
+- ``fake=False`` with MP4 (or arithmetic-coded JPEG): raises
   ``NotImplementedError`` — the honest plug-point for PIL/ffmpeg on a
   production image (psychoacoustic / video decoders genuinely need a
   library).
@@ -380,84 +380,6 @@ def documents_to_mp4v_media(batch: pa.Table) -> pa.Table:
         {
             "media_id": pa.array(ids, type=pa.int64()),
             "payload": pa.array(payloads, type=pa.binary()),
-        }
-    )
-
-
-def documents_to_mp3_media(batch: pa.Table) -> pa.Table:
-    """Deterministic REAL MPEG-1 Layer III payloads (``ops/mp3.py``):
-    2*(1+d5%2) granules of quantized spectra v_j = (d0 + 5j + 7g) % 3
-    - 1 over the first 64+d2%57 coefficients, 44.1 kHz with a
-    digest-derived bit-reservoir shift (d3 % 24) and block type
-    (d4 % 4 -> normal / start / SHORT / stop windows — spectrum sums
-    are position-independent, so one oracle pins every window-switching
-    layout).  ODD doc_ids encode TWO-CHANNEL stereo (right channel
-    w_j = (d1 + 11j + 3g) % 3 - 1; 32-byte side info, per-granule
-    channel interleave) — so the corpus exercises frame sync, all
-    side-info layouts, reservoir reassembly, Huffman and
-    requantization with exactly known integer spectra the SQL oracle
-    reproduces."""
-    from . import mp3
-
-    ids = batch["doc_id"].to_pylist()
-    payloads = []
-    for i, t in zip(ids, batch["text"].to_pylist()):
-        d = _doc_digest(t)
-        n = 64 + d[2] % 57
-        ng = 2 * (1 + d[5] % 2)
-        specs = [
-            ((d[0] + 5 * np.arange(n) + 7 * g) % 3) - 1 for g in range(ng)
-        ]
-        rights = (
-            [((d[1] + 11 * np.arange(n) + 3 * g) % 3) - 1 for g in range(ng)]
-            if int(i) % 2
-            else None
-        )
-        bt = d[4] % 4
-        # mono long-block docs also carry digest-derived scalefactors
-        # with scfsi sharing — the raw spectra (what the oracle sums)
-        # are unchanged; the requant exponent path runs for real
-        sfs = (
-            [(d[1] + 7 * np.arange(21) + g) % 4 for g in range(ng)]
-            if rights is None and bt == 0
-            else None
-        )
-        payloads.append(
-            mp3.encode_mp3(
-                specs, bitrate_kbps=64, reservoir_shift=d[3] % 24,
-                right_spectra=rights, block_type=bt,
-                scalefactors=sfs,
-                scalefac_compress=9 if sfs is not None else 0,
-                scalefac_scale=1 if sfs is not None else 0,
-                scfsi=(d[5] % 2, 0, d[5] % 2, 0) if sfs is not None else (0, 0, 0, 0),
-            )
-        )
-    return pa.table(
-        {
-            "media_id": pa.array(ids, type=pa.int64()),
-            "payload": pa.array(payloads, type=pa.binary()),
-        }
-    )
-
-
-def decode_mp3_spectrum_sums(batch: pa.Table) -> pa.Table:
-    """REAL MP3 bitstream decode -> exact integer quantized-spectrum
-    reductions (granule count, value sum, nonzero count) — pins the
-    header/side-info/bit-reservoir/Huffman chain byte-exactly in SQL."""
-    from . import mp3
-
-    ngs, sums, nnz = [], [], []
-    for p in batch["payload"].to_pylist():
-        r = mp3.decode_mp3_spectrum(bytes(p))
-        ngs.append(r["n_granules"])
-        sums.append(r["spectrum_sum"])
-        nnz.append(r["n_nonzero"])
-    return pa.table(
-        {
-            "media_id": batch["media_id"],
-            "n_granules": pa.array(ngs, type=pa.int32()),
-            "spectrum_sum": pa.array(sums, type=pa.int64()),
-            "n_nonzero": pa.array(nnz, type=pa.int64()),
         }
     )
 

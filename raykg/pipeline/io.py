@@ -10,10 +10,13 @@ metrics"):
 
 A partition is complete iff its manifest exists and says ``complete``; both
 data file and manifest are written to temp names and renamed, so a killed
-run can never leave a partition that looks complete.  Re-running skips
-complete partitions — and because the partition key is a deterministic
-content hash of ``conv_id`` (crc32, not Python ``hash``), the same rows land
-in the same partition on every run and on every cluster size.
+run can never leave a partition that looks complete.  Every partition a
+write owns ends with a manifest: one that no row hashes into gets a
+zero-row manifest and no data file, so a rebuild over an old output
+cannot keep stale rows.  Re-running skips complete partitions — and
+because the partition key is a deterministic content hash of ``conv_id``
+(crc32, not Python ``hash``), the same rows land in the same partition on
+every run and on every cluster size.
 
 The manifest carries lineage + metrics: row count, distinct conversations,
 content hash of the data file, and the writer's config fingerprint.
@@ -105,29 +108,38 @@ class PartitionedWriter:
         read should do so via ``done_partitions()``).  With
         ``drop_key_column=True`` the key is a ROUTING-ONLY helper column
         and is removed from the written data (callers whose partition key
-        is derived, e.g. the node table's source-conv key).
+        is derived, e.g. the node table's source-conv key).  Every
+        partition not skipped ends with a manifest, a zero-row one if no
+        row hashed into it.
         """
-        num_partitions = self.num_partitions
         done = self.done_partitions(fingerprint=fingerprint) if resume else set()
-        if len(done) == num_partitions:
+        owned = [p for p in range(self.num_partitions) if p not in done]
+        return self._write(ds, key_column, owned, fingerprint, drop_key_column)
+
+    def _write(
+        self, ds, key_column: str, owned, fingerprint: str, drop_key_column: bool
+    ) -> pd.DataFrame:
+        """Write the partitions in ``owned`` from the rows of ``ds`` that
+        hash into them.  Every owned partition ends complete: one that
+        receives no rows gets a zero-row manifest and loses any stale data
+        file, so a rebuild over an old output cannot read back rows the
+        new input no longer produces."""
+        num_partitions = self.num_partitions
+        if not owned:
             # full resume: every partition complete — pure metadata check,
             # the input pipeline is never executed (a skip-all re-run of a
             # finished job costs manifest scans, not a corpus pass)
-            return pd.DataFrame(
-                {"part": pd.Series(dtype="int64"), "rows": pd.Series(dtype="int64"),
-                 "content_md5": pd.Series(dtype="object")}
-            )
+            return _empty_summary()
         with_part = add_partition_column(ds, key_column, num_partitions)
-        if done:
-            done_arr = sorted(done)
+        if len(owned) < num_partitions:
+            owned_arr = pa.array(sorted(owned), type=pa.int32())
 
-            def drop_done(batch: pa.Table) -> pa.Table:
+            def keep_owned(batch: pa.Table) -> pa.Table:
                 import pyarrow.compute as pc
 
-                mask = pc.invert(pc.is_in(batch["part"], pa.array(done_arr, type=pa.int32())))
-                return batch.filter(mask)
+                return batch.filter(pc.is_in(batch["part"], value_set=owned_arr))
 
-            with_part = with_part.map_batches(drop_done, batch_format="pyarrow")
+            with_part = with_part.map_batches(keep_owned, batch_format="pyarrow")
 
         out_dir = self.out_dir
         part_dir_fmt = self._part_dir
@@ -185,23 +197,41 @@ class PartitionedWriter:
         summary = with_part.groupby("part").map_groups(
             write_group, batch_format="pyarrow"
         )
-        result = summary.to_pandas()  # tiny: one row per partition
-        if result.empty:  # full resume: every partition already complete
-            return pd.DataFrame(
-                {"part": pd.Series(dtype="int64"), "rows": pd.Series(dtype="int64"),
-                 "content_md5": pd.Series(dtype="object")}
-            )
+        result = summary.to_pandas()  # tiny: one row per written partition
+        written = set(result["part"]) if len(result) else set()
+        for p in sorted(set(owned) - written):
+            self._write_empty(p, fingerprint)
+        if result.empty:
+            return _empty_summary()
         schema_path = os.path.join(out_dir, "_schema.json")
         if not os.path.exists(schema_path) and len(result):
             with open(schema_path, "w") as f:
                 json.dump({"num_partitions": num_partitions, "key_column": key_column}, f)
         return result.sort_values("part").reset_index(drop=True)
 
+    def _write_empty(self, part: int, fingerprint: str) -> None:
+        """Mark ``part`` complete with zero rows.  The manifest lands first
+        (atomically) and the stale data file goes after it: a crash in
+        between leaves a zero-row manifest, which read() skips."""
+        pdir = self._part_dir(part)
+        os.makedirs(pdir, exist_ok=True)
+        mtmp = os.path.join(pdir, ".manifest.json.tmp")
+        with open(mtmp, "w") as f:
+            json.dump(
+                {"part": part, "status": "complete", "rows": 0, "n_keys": 0,
+                 "content_md5": None, "columns": [], "fingerprint": fingerprint},
+                f,
+            )
+        os.replace(mtmp, self.manifest_path(part))
+        data_path = os.path.join(pdir, "data.parquet")
+        if os.path.exists(data_path):
+            os.remove(data_path)
+
     def read(self, partitions: Optional[Set[int]] = None) -> "ray.data.Dataset":
         """Read back every complete partition (or only ``partitions`` —
         partition pruning at the read, no post-filter).  Partitions whose
-        manifest records zero rows (emptied by an incremental refresh)
-        have no data file and are skipped."""
+        manifest records zero rows (no input row hashed into them) have
+        no data file and are skipped."""
         done = self.done_partitions()
         if partitions is not None:
             done &= {int(p) for p in partitions}
@@ -241,45 +271,18 @@ class PartitionedWriter:
         the input to rows hashing into them (a vectorized mask BEFORE any
         exchange — at 10^12 turns an update touching 0.1% of conversations
         reads 0.1% of partitions' worth of work, not the corpus), and
-        resume-write (complete partitions are skipped as usual)."""
-        import pyarrow.compute as pc
-
-        from ..ops.hashing import bucket_column
-
+        write them; a target partition left with no rows (all of its keys
+        were deleted upstream) ends complete and empty."""
         parts = sorted(int(p) for p in partitions)
         self.invalidate(parts)
-        want = pa.array(parts, type=pa.int32())
-        num_partitions = self.num_partitions
+        return self._write(ds, key_column, parts, fingerprint, drop_key_column)
 
-        def keep(batch: pa.Table) -> pa.Table:
-            pcol = bucket_column(batch[key_column], num_partitions, stable_str=True)
-            return batch.filter(pc.is_in(pcol, value_set=want))
 
-        filtered = ds.map_batches(keep, batch_format="pyarrow")
-        summary = self.write(
-            filtered, key_column, resume=True, fingerprint=fingerprint,
-            drop_key_column=drop_key_column,
-        )
-        # a refreshed partition that received NO rows (all of its keys were
-        # deleted upstream) still becomes COMPLETE: stale data out, a
-        # zero-row manifest in — read() skips it, a later resume keeps it
-        for p in parts:
-            if not os.path.exists(self.manifest_path(p)):
-                pdir = self._part_dir(p)
-                os.makedirs(pdir, exist_ok=True)
-                data_path = os.path.join(pdir, "data.parquet")
-                if os.path.exists(data_path):
-                    os.remove(data_path)
-                mtmp = os.path.join(pdir, ".manifest.json.tmp")
-                with open(mtmp, "w") as f:
-                    json.dump(
-                        {"part": p, "status": "complete", "rows": 0,
-                         "n_keys": 0, "content_md5": None, "columns": [],
-                         "fingerprint": fingerprint},
-                        f,
-                    )
-                os.replace(mtmp, self.manifest_path(p))
-        return summary
+def _empty_summary() -> pd.DataFrame:
+    return pd.DataFrame(
+        {"part": pd.Series(dtype="int64"), "rows": pd.Series(dtype="int64"),
+         "content_md5": pd.Series(dtype="object")}
+    )
 
 
 # --- JSONL source/sink -------------------------------------------------------

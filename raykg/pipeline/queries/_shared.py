@@ -26,7 +26,6 @@ from ..tag import extract_mentions, tag_dataset
 from ..transcripts import TRANSCRIPTS_SQL, read_transcripts
 from ...core.ontology import clean_ontology
 from ...ops import dedup as dedup_ops
-from ...ops import multimodal as mm_ops
 from ...ops import similarity as sim_ops
 from ...ops import text as text_ops
 

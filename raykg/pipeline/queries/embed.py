@@ -23,7 +23,6 @@ from ..tag import extract_mentions, tag_dataset
 from ..transcripts import TRANSCRIPTS_SQL, read_transcripts
 from ...core.ontology import clean_ontology
 from ...ops import dedup as dedup_ops
-from ...ops import multimodal as mm_ops
 from ...ops import similarity as sim_ops
 from ...ops import text as text_ops
 from ._shared import (ONTOLOGY, ONTOLOGY_SQL_VALUES, _ONTO_CTE, _T_CTE, _OCC_CTE, _cfg, QUERIES, ORACLE_SQL)

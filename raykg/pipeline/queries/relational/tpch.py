@@ -1,333 +1,16 @@
-"""TPC-H analogue queries q1-q19 + RFM segmentation (split from the
-relational.py monolith; definitions verbatim)."""
+"""RFM segmentation and the correlated above-average-order count over
+the orders table (split from the relational.py monolith)."""
 
 from __future__ import annotations
-
-from typing import Callable, Dict
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count
 
-from ...config import PipelineConfig
-from ...graph import build_nodes, concept_scores, extract_triples, triples_to_edges
-from ...tag import extract_mentions, tag_dataset
-from ...transcripts import TRANSCRIPTS_SQL, read_transcripts
-from ....core.ontology import clean_ontology
-from ....ops import dedup as dedup_ops
-from ....ops import multimodal as mm_ops
-from ....ops import similarity as sim_ops
-from ....ops import text as text_ops
-from .._shared import (ONTOLOGY, ONTOLOGY_SQL_VALUES, _ONTO_CTE, _T_CTE, _OCC_CTE, _cfg, QUERIES, ORACLE_SQL)
-
-
-TPCH_Q1_CUTOFF = "2000-09-02"
-
-
-def q_tpch_q1(sf_dir: str):
-    """TPC-H Q1 pricing summary (public benchmark semantics) in exact
-    scaled integers: per (returnflag, linestatus), sums of quantity,
-    base price (cents), discounted price (cents x100) and charge
-    (cents x10^4), plus floor-integer averages — per-batch int64
-    partials, one bounded (<= 6 cell) combine, no float summation
-    anywhere, so the SQL mirror matches bit-for-bit at any scale."""
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_quantity", "l_extendedprice", "l_discount", "l_tax",
-                 "l_returnflag", "l_linestatus", "l_shipdate"],
-    )
-    cutoff = np.datetime64(TPCH_Q1_CUTOFF).astype("datetime64[us]")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ship = batch["l_shipdate"].to_numpy(zero_copy_only=False)
-        keep = ship <= cutoff
-        qty = np.rint(
-            batch["l_quantity"].to_numpy(zero_copy_only=False)[keep]
-        ).astype(np.int64)
-        ep = np.rint(
-            batch["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-            * 100
-        ).astype(np.int64)
-        d100 = np.rint(
-            batch["l_discount"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        t100 = np.rint(
-            batch["l_tax"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "l_returnflag": pd.array(
-                    batch["l_returnflag"].to_pylist()
-                )[keep],
-                "l_linestatus": pd.array(
-                    batch["l_linestatus"].to_pylist()
-                )[keep],
-                "qty": qty,
-                "base": ep,
-                "disc": ep * (100 - d100),
-                "charge": ep * (100 - d100) * (100 + t100),
-                "d100": d100,
-            }
-        )
-        g = df.groupby(["l_returnflag", "l_linestatus"], sort=False).agg(
-            n=("qty", "size"), sum_qty=("qty", "sum"),
-            sum_base=("base", "sum"), sum_disc=("disc", "sum"),
-            sum_charge=("charge", "sum"), sum_d100=("d100", "sum"),
-        )
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
-    cells = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .sum(["n", "sum_qty", "sum_base", "sum_disc", "sum_charge",
-              "sum_d100"])
-        .to_pandas()
-        .rename(columns=lambda c: c.replace("sum(", "").rstrip(")")
-                if c.startswith("sum(") else c)
-        .sort_values(["l_returnflag", "l_linestatus"])
-    )
-    n = cells["n"].to_numpy(np.int64)
-    return pa.table(
-        {
-            "l_returnflag": pa.array(cells["l_returnflag"],
-                                     type=pa.string()),
-            "l_linestatus": pa.array(cells["l_linestatus"],
-                                     type=pa.string()),
-            "sum_qty": pa.array(cells["sum_qty"], type=pa.int64()),
-            "sum_base_price_c": pa.array(cells["sum_base"],
-                                         type=pa.int64()),
-            "sum_disc_price_c2": pa.array(cells["sum_disc"],
-                                          type=pa.int64()),
-            "sum_charge_c4": pa.array(cells["sum_charge"],
-                                      type=pa.int64()),
-            "avg_qty_ppm": pa.array(
-                cells["sum_qty"].to_numpy(np.int64) * 1_000_000 // n,
-                type=pa.int64()),
-            "avg_price_c": pa.array(
-                cells["sum_base"].to_numpy(np.int64) // n,
-                type=pa.int64()),
-            "avg_disc_ppm": pa.array(
-                cells["sum_d100"].to_numpy(np.int64) * 10_000 // n,
-                type=pa.int64()),
-            "count_order": pa.array(n, type=pa.int64()),
-        }
-    )
-
-
-QUERIES["tpch_q1"] = q_tpch_q1
-ORACLE_SQL["tpch_q1"] = f"""
-    WITH s AS (SELECT l_returnflag, l_linestatus,
-                      CAST(ROUND(l_quantity) AS BIGINT) AS qty,
-                      CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS ep,
-                      CAST(ROUND(l_discount * 100) AS BIGINT) AS d100,
-                      CAST(ROUND(l_tax * 100) AS BIGINT) AS t100
-               FROM lineitem
-               WHERE l_shipdate <= TIMESTAMP '{TPCH_Q1_CUTOFF}')
-    SELECT l_returnflag, l_linestatus,
-           CAST(SUM(qty) AS BIGINT) AS sum_qty,
-           CAST(SUM(ep) AS BIGINT) AS sum_base_price_c,
-           CAST(SUM(ep * (100 - d100)) AS BIGINT) AS sum_disc_price_c2,
-           CAST(SUM(ep * (100 - d100) * (100 + t100)) AS BIGINT)
-               AS sum_charge_c4,
-           CAST(SUM(qty) * 1000000 // COUNT(*) AS BIGINT) AS avg_qty_ppm,
-           CAST(SUM(ep) // COUNT(*) AS BIGINT) AS avg_price_c,
-           CAST(SUM(d100) * 10000 // COUNT(*) AS BIGINT) AS avg_disc_ppm,
-           CAST(COUNT(*) AS BIGINT) AS count_order
-    FROM s GROUP BY 1, 2
-"""
-
-
-TPCH_Q3_DATE = "1998-03-15"
-TPCH_Q3_SEGMENT = "BUILDING"
-
-
-def q_tpch_q3(sf_dir: str):
-    """TPC-H Q3 shipping-priority top-10 (public benchmark semantics):
-    BUILDING-segment customers' orders placed before D with lineitems
-    shipping after D, ranked by open revenue.  Revenue is the exact
-    scaled integer sum(ep_c * (100 - d100)).  Plan: broadcast
-    semi-join orders against the filtered customer keys (small side by
-    the segment filter's contract), per-batch revenue pre-agg then a
-    sharded per-orderkey combine, ONE bucketed hash join back to order
-    attributes, and the no-global-sort `ops/topk.global_topk` for the
-    final 10 (unique orderkey tiebreak)."""
-    from ....ops.agg import sharded_groupby_apply
-    from ....ops.join import bucketed_hash_join, semi_join
-    from ....ops.topk import global_topk
-
-    d = np.datetime64(TPCH_Q3_DATE).astype("datetime64[us]")
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"],
-    ).filter(expr=f"c_mktsegment == '{TPCH_Q3_SEGMENT}'")
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_orderpriority"],
-    )
-
-    def before(batch: pa.Table) -> pa.Table:
-        od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(od < d))
-
-    orders = semi_join(
-        orders.map_batches(before, batch_format="pyarrow"),
-        cust, on="o_custkey", right_on="c_custkey",
-    )
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"],
-    )
-
-    def rev_partial(batch: pa.Table) -> pa.Table:
-        ship = batch["l_shipdate"].to_numpy(zero_copy_only=False)
-        keep = ship > d
-        ep = np.rint(
-            batch["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-            * 100
-        ).astype(np.int64)
-        d100 = np.rint(
-            batch["l_discount"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "l_orderkey": batch["l_orderkey"]
-                .to_numpy(zero_copy_only=False)[keep],
-                "rc2": ep * (100 - d100),
-            }
-        )
-        g = df.groupby("l_orderkey", sort=False)["rc2"].sum()
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
-    def rev_combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("l_orderkey", sort=False)["rc2"].sum().reset_index()
-        return out.rename(columns={"rc2": "revenue_c2"})
-
-    rev = sharded_groupby_apply(
-        li.map_batches(rev_partial, batch_format="pyarrow"),
-        ["l_orderkey"], rev_combine, num_shards=64,
-    )
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "l_orderkey": batch["o_orderkey"],
-                "o_orderdate": batch["o_orderdate"],
-                "o_orderpriority": batch["o_orderpriority"],
-            }
-        )
-
-    joined = bucketed_hash_join(
-        rev, orders.map_batches(keyed, batch_format="pyarrow"),
-        on="l_orderkey",
-    )
-    top = global_topk(joined, "revenue_c2", 10, descending=True,
-                      tiebreak=["o_orderdate", "l_orderkey"])
-
-    def typed(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "l_orderkey": pc.cast(batch["l_orderkey"], pa.int64()),
-                "revenue_c2": pc.cast(batch["revenue_c2"], pa.int64()),
-                "o_orderdate": batch["o_orderdate"],
-                "o_orderpriority": batch["o_orderpriority"],
-            }
-        )
-
-    return top.map_batches(typed, batch_format="pyarrow")
-
-
-QUERIES["tpch_q3"] = q_tpch_q3
-ORACLE_SQL["tpch_q3"] = f"""
-    WITH c AS (SELECT c_custkey FROM customer
-               WHERE c_mktsegment = '{TPCH_Q3_SEGMENT}'),
-    o AS (SELECT o_orderkey, o_orderdate, o_orderpriority FROM orders
-          WHERE o_orderdate < TIMESTAMP '{TPCH_Q3_DATE}'
-            AND o_custkey IN (SELECT c_custkey FROM c)),
-    l AS (SELECT l_orderkey,
-                 CAST(ROUND(l_extendedprice * 100) AS BIGINT)
-                     * (100 - CAST(ROUND(l_discount * 100) AS BIGINT))
-                     AS rc2
-          FROM lineitem
-          WHERE l_shipdate > TIMESTAMP '{TPCH_Q3_DATE}'),
-    r AS (SELECT l_orderkey, CAST(SUM(rc2) AS BIGINT) AS revenue_c2
-          FROM l GROUP BY 1)
-    SELECT r.l_orderkey, r.revenue_c2, o.o_orderdate, o.o_orderpriority
-    FROM r JOIN o ON o.o_orderkey = r.l_orderkey
-    ORDER BY revenue_c2 DESC, o_orderdate, l_orderkey LIMIT 10
-"""
-
-
-TPCH_Q6_DATE = "1997-01-01"
-
-
-def q_tpch_q6(sf_dir: str):
-    """TPC-H Q6 forecasting-revenue-change (public benchmark
-    semantics): one filtered scan, revenue = sum(ep_c * d100) in exact
-    scaled integers (cents x100), zero exchanges — per-batch int64
-    partials and a tiny sum."""
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_discount", "l_quantity",
-                 "l_shipdate"],
-    )
-    lo = np.datetime64(TPCH_Q6_DATE).astype("datetime64[us]")
-    hi = np.datetime64(TPCH_Q6_DATE).astype("datetime64[us]") + np.timedelta64(365, "D").astype("timedelta64[us]")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ship = batch["l_shipdate"].to_numpy(zero_copy_only=False)
-        d100 = np.rint(
-            batch["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
-        keep = (ship >= lo) & (ship < hi) & (d100 >= 5) & (d100 <= 7) \
-            & (qty < 24)
-        ep = np.rint(
-            batch["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-            * 100
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "rev": pa.array([int((ep * d100[keep]).sum())],
-                                type=pa.int64()),
-                "n": pa.array([int(keep.sum())], type=pa.int64()),
-            }
-        )
-
-    agg = li.map_batches(partial, batch_format="pyarrow").sum(["rev", "n"])
-    return pa.table(
-        {
-            "revenue_c2": pa.array([agg["sum(rev)"]], type=pa.int64()),
-            "n_rows": pa.array([agg["sum(n)"]], type=pa.int64()),
-        }
-    )
-
-
-QUERIES["tpch_q6"] = q_tpch_q6
-ORACLE_SQL["tpch_q6"] = f"""
-    WITH s AS (SELECT CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS ep,
-                      CAST(ROUND(l_discount * 100) AS BIGINT) AS d100
-               FROM lineitem
-               WHERE l_shipdate >= TIMESTAMP '{TPCH_Q6_DATE}'
-                 AND l_shipdate < TIMESTAMP '{TPCH_Q6_DATE}'
-                     + INTERVAL 365 DAY
-                 AND CAST(ROUND(l_discount * 100) AS BIGINT) BETWEEN 5 AND 7
-                 AND l_quantity < 24)
-    SELECT CAST(COALESCE(SUM(ep * d100), 0) AS BIGINT) AS revenue_c2,
-           CAST(COUNT(*) AS BIGINT) AS n_rows
-    FROM s
-"""
+from .._shared import QUERIES, ORACLE_SQL
 
 
 def _ntile_bucket(rank: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -474,1059 +157,6 @@ ORACLE_SQL["rfm_segments"] = """
 """
 
 
-TPCH_Q5_REGION = "ASIA"
-TPCH_Q5_DATE_LO = "1995-01-01"
-TPCH_Q5_DATE_HI = "2002-01-01"
-# Above this many qualifying (orderkey -> cust nation) pairs the broadcast
-# map is replaced by partitioned hash joins (ops/join.bucketed_hash_join).
-TPCH_Q5_BROADCAST_MAX = 2_000_000
-
-
-def q_tpch_q5(sf_dir: str):
-    """TPC-H Q5 local-supplier volume (public benchmark semantics): revenue
-    by supplier nation for orders whose customer is in TPCH_Q5_REGION and
-    shares the supplier's nation, over [DATE_LO, DATE_HI).  The date window
-    spans the full synthetic range (the c_nationkey = s_nationkey constraint
-    is already highly selective on random keys).
-
-    Plan, scale notes: region/nation are driver-tiny dims; supplier
-    (suppkey -> nationkey) is a broadcast dim (TPC-H keeps supplier 1/15th
-    of customer).  Customers in the region stream through a column-pruned
-    filter, then orders stream once to build the (o_orderkey ->
-    c_nationkey) map, which is bounded by region x date selectivity and
-    broadcast via ray.put.  If that map exceeds TPCH_Q5_BROADCAST_MAX the
-    plan switches to two partitioned hash joins (bucketed_hash_join on
-    c_custkey then l_orderkey) — same cells, shuffle instead of broadcast.
-    lineitem streams exactly once either way; revenue partials are exact
-    int64 cents x (100 - d100) with a <= 25-cell final reduce."""
-    import pyarrow.compute as pc
-
-    from ....ops.join import bucketed_hash_join
-
-    nat = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name", "n_regionkey"]
-    )
-    reg = pq.read_table(f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"])
-    rkey = reg.filter(pc.equal(reg["r_name"], TPCH_Q5_REGION))["r_regionkey"][0].as_py()
-    nat_in = nat.filter(pc.equal(nat["n_regionkey"], rkey))
-    region_nations = np.sort(nat_in["n_nationkey"].to_numpy())
-    nat_names = dict(
-        zip(nat_in["n_nationkey"].to_pylist(), nat_in["n_name"].to_pylist())
-    )
-
-    sup = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
-    sup_keys = sup["s_suppkey"].to_numpy()
-    sup_order = np.argsort(sup_keys, kind="stable")
-    sup_keys = sup_keys[sup_order]
-    sup_nats = sup["s_nationkey"].to_numpy()[sup_order]
-    sup_ref = ray.put((sup_keys, sup_nats))
-
-    lo = np.datetime64(TPCH_Q5_DATE_LO).astype("datetime64[us]")
-    hi = np.datetime64(TPCH_Q5_DATE_HI).astype("datetime64[us]")
-
-    def cust_filter(batch: pa.Table) -> pa.Table:
-        nk = batch["c_nationkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(region_nations, nk)
-        pos[pos >= len(region_nations)] = 0
-        keep = region_nations[pos] == nk
-        return batch.filter(pa.array(keep))
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    ).map_batches(cust_filter, batch_format="pyarrow")
-
-    def orders_filter(batch: pa.Table) -> pa.Table:
-        od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array((od >= lo) & (od < hi))).select(
-            ["o_orderkey", "o_custkey"]
-        )
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(orders_filter, batch_format="pyarrow")
-
-    _EMPTY_CELLS = pa.table(
-        {"nat": pa.array([], type=pa.int64()),
-         "revenue_c2": pa.array([], type=pa.int64())}
-    )
-
-    def _revenue_cells(batch: pa.Table, c_nat: np.ndarray,
-                       hit: np.ndarray) -> pa.Table:
-        """Shared tail of both plans: attach supplier nation from the
-        broadcast dim, keep matching-nation rows, fold exact int64 revenue
-        into per-nation cells (<= 25 rows out per batch)."""
-        sk, sn = ray.get(sup_ref)
-        spos = np.searchsorted(sk, batch["l_suppkey"].to_numpy(zero_copy_only=False))
-        spos[spos >= len(sk)] = 0
-        s_nat = sn[spos]
-        keep = hit & (s_nat == c_nat)
-        if not keep.any():
-            return _EMPTY_CELLS
-        ep = np.rint(
-            batch["l_extendedprice"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        d100 = np.rint(
-            batch["l_discount"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        rev = ep * (100 - d100)
-        nats = s_nat[keep].astype(np.int64)
-        uniq, inv = np.unique(nats, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, rev)
-        return pa.table(
-            {"nat": pa.array(uniq, type=pa.int64()),
-             "revenue_c2": pa.array(sums, type=pa.int64())}
-        )
-
-    def li_partial_factory(lookup_ref):
-        def li_partial(batch: pa.Table) -> pa.Table:
-            ok_keys, ok_nats = ray.get(lookup_ref)
-            lok = batch["l_orderkey"].to_numpy(zero_copy_only=False)
-            if len(ok_keys) == 0:
-                return _EMPTY_CELLS
-            pos = np.searchsorted(ok_keys, lok)
-            pos[pos >= len(ok_keys)] = 0
-            hit = ok_keys[pos] == lok
-            if not hit.any():
-                return _EMPTY_CELLS
-            return _revenue_cells(batch, ok_nats[pos], hit)
-
-        return li_partial
-
-    # (o_orderkey -> c_nationkey): broadcast map under the gate, else a
-    # partitioned hash join producing the same two columns.  One pass over
-    # customer either way: materialize the (2-col, region-filtered) stream,
-    # then count() reads block metadata.
-    cust = cust.materialize()
-    cust_tbl = pa.concat_tables(
-        [b for b in cust.iter_batches(batch_format="pyarrow")]
-        or [pa.table({"c_custkey": pa.array([], pa.int64()),
-                      "c_nationkey": pa.array([], pa.int64())})]
-    ) if cust.count() <= TPCH_Q5_BROADCAST_MAX else None
-    if cust_tbl is not None:
-        ck = cust_tbl["c_custkey"].to_numpy()
-        corder = np.argsort(ck, kind="stable")
-        ck, cn = ck[corder], cust_tbl["c_nationkey"].to_numpy()[corder]
-
-        def orders_attach(batch: pa.Table) -> pa.Table:
-            oc = batch["o_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(ck, oc)
-            pos[pos >= len(ck)] = 0
-            keep = (ck[pos] == oc) if len(ck) else np.zeros(len(oc), bool)
-            return pa.table(
-                {"o_orderkey": batch["o_orderkey"].filter(pa.array(keep)),
-                 "c_nationkey": pa.array(cn[pos][keep], type=pa.int64())}
-            )
-
-        om = pa.concat_tables(
-            [b for b in orders.map_batches(orders_attach, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow")]
-            or [pa.table({"o_orderkey": pa.array([], pa.int64()),
-                          "c_nationkey": pa.array([], pa.int64())})]
-        )
-        ok = om["o_orderkey"].to_numpy()
-        oorder = np.argsort(ok, kind="stable")
-        lookup_ref = ray.put((ok[oorder], om["c_nationkey"].to_numpy()[oorder]))
-        joined_li = ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-        ).map_batches(li_partial_factory(lookup_ref), batch_format="pyarrow")
-    else:
-        oc = orders.map_batches(
-            lambda b: b.rename_columns(["o_orderkey", "c_custkey"]),
-            batch_format="pyarrow",
-        )
-        om_ds = bucketed_hash_join(
-            oc, cust.map_batches(
-                lambda b: b.rename_columns(["c_custkey", "c_nationkey"]),
-                batch_format="pyarrow"),
-            on="c_custkey",
-        ).map_batches(
-            lambda b: b.select(["o_orderkey", "c_nationkey"]), batch_format="pyarrow"
-        )
-        li = ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-        ).map_batches(
-            lambda b: b.rename_columns(
-                ["o_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]),
-            batch_format="pyarrow",
-        )
-        big = bucketed_hash_join(li, om_ds, on="o_orderkey")
-
-        def big_partial(batch: pa.Table) -> pa.Table:
-            # the join already attached c_nationkey to every lineitem row
-            if batch.num_rows == 0:
-                return _EMPTY_CELLS
-            c_nat = batch["c_nationkey"].to_numpy(zero_copy_only=False)
-            return _revenue_cells(batch, c_nat, np.ones(len(c_nat), bool))
-
-        joined_li = big.map_batches(big_partial, batch_format="pyarrow")
-
-    cells = (
-        joined_li.groupby("nat").sum("revenue_c2").to_pandas()
-        .rename(columns={"sum(revenue_c2)": "revenue_c2"})
-    )
-    cells["n_name"] = cells["nat"].map(nat_names)
-    cells = cells.sort_values(
-        ["revenue_c2", "n_name"], ascending=[False, True]
-    )
-    return pa.table(
-        {"n_name": pa.array(cells["n_name"], type=pa.string()),
-         "revenue_c2": pa.array(cells["revenue_c2"], type=pa.int64())}
-    )
-
-
-QUERIES["tpch_q5"] = q_tpch_q5
-ORACLE_SQL["tpch_q5"] = f"""
-    SELECT n_name,
-           CAST(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)
-                    * (100 - CAST(ROUND(l_discount * 100) AS BIGINT)))
-                AS BIGINT) AS revenue_c2
-    FROM lineitem, orders, customer, supplier, nation, region
-    WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey
-      AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-      AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-      AND r_name = '{TPCH_Q5_REGION}'
-      AND o_orderdate >= TIMESTAMP '{TPCH_Q5_DATE_LO}'
-      AND o_orderdate < TIMESTAMP '{TPCH_Q5_DATE_HI}'
-    GROUP BY n_name
-"""
-
-
-TPCH_Q18_MIN_QTY = 250
-
-
-def q_tpch_q18(sf_dir: str):
-    """TPC-H Q18 large-volume customers (public benchmark semantics):
-    orders whose total line quantity exceeds TPCH_Q18_MIN_QTY, enriched
-    with customer names, top-100 by order value.
-
-    Plan, scale notes: the HAVING set is ~the top percentile of orders —
-    per-batch int64 quantity partials, ONE groupby(l_orderkey) exchange,
-    filter, and the survivors broadcast via ray.put.  orders then stream
-    once through the set filter into ops/topk.global_topk (per-block
-    top-100 + one O(100 x blocks) reduce — no global sort), and customer
-    streams once against the <= 100 surviving custkeys.  Driver state is
-    the having set + 100 rows, never a corpus-scale table."""
-    from ....ops.topk import global_topk
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
-    )
-
-    def qty_partial(batch: pa.Table) -> pa.Table:
-        ok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        q = np.rint(
-            batch["l_quantity"].to_numpy(zero_copy_only=False)
-        ).astype(np.int64)
-        uniq, inv = np.unique(ok, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, q)
-        return pa.table(
-            {"l_orderkey": pa.array(uniq, type=pa.int64()),
-             "sum_qty": pa.array(sums, type=pa.int64())}
-        )
-
-    # orderkeys are scattered across the fact table (the per-batch partial
-    # barely reduces), so the exchange must not be a per-distinct-key
-    # groupby: shard on hash(orderkey), sum + apply the HAVING filter
-    # INSIDE the shard, and only the ~top-percentile survivors leave it.
-    from ....ops.agg import sharded_groupby_apply
-
-    def shard_having(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("l_orderkey", sort=False)["sum_qty"].sum()
-        g = g[g > TPCH_Q18_MIN_QTY]
-        return pd.DataFrame(
-            {"l_orderkey": g.index.to_numpy(np.int64),
-             "sum_qty": g.to_numpy(np.int64)}
-        )
-
-    having = sharded_groupby_apply(
-        li.map_batches(qty_partial, batch_format="pyarrow"),
-        ["l_orderkey"], shard_having, num_shards=64,
-    )
-    hk, hq = [], []
-    for b in having.iter_batches(batch_format="pyarrow"):
-        hk.append(b["l_orderkey"].to_numpy())
-        hq.append(b["sum_qty"].to_numpy())
-    hk = np.concatenate(hk) if hk else np.array([], np.int64)
-    hq = np.concatenate(hq) if hq else np.array([], np.int64)
-    order = np.argsort(hk, kind="stable")
-    having_ref = ray.put((hk[order], hq[order]))
-
-    def orders_attach(batch: pa.Table) -> pa.Table:
-        keys, qtys = ray.get(having_ref)
-        ok = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-        if len(keys) == 0:
-            keep = np.zeros(len(ok), bool)
-            sq = np.array([], np.int64)
-        else:
-            pos = np.searchsorted(keys, ok)
-            pos[pos >= len(keys)] = 0
-            keep = keys[pos] == ok
-            sq = qtys[pos][keep]
-        tp = np.rint(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        return pa.table(
-            {"o_orderkey": batch["o_orderkey"].filter(pa.array(keep)),
-             "o_custkey": batch["o_custkey"].filter(pa.array(keep)),
-             "o_orderdate": batch["o_orderdate"].filter(pa.array(keep)),
-             "totalprice_c": pa.array(tp, type=pa.int64()),
-             "sum_qty": pa.array(sq, type=pa.int64())}
-        )
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-    ).map_batches(orders_attach, batch_format="pyarrow")
-    top = pa.concat_tables(
-        [b for b in global_topk(
-            orders, "totalprice_c", 100,
-            descending=True, tiebreak=["o_orderdate", "o_orderkey"],
-        ).iter_batches(batch_format="pyarrow")]
-    )
-
-    ckeys = np.sort(np.unique(top["o_custkey"].to_numpy()))
-    names = {}
-    if len(ckeys):
-        def cust_pick(batch: pa.Table) -> pa.Table:
-            ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(ckeys, ck)
-            pos[pos >= len(ckeys)] = 0
-            keep = ckeys[pos] == ck
-            return batch.filter(pa.array(keep))
-
-        picked = ray.data.read_parquet(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-        ).map_batches(cust_pick, batch_format="pyarrow")
-        for b in picked.iter_batches(batch_format="pyarrow"):
-            names.update(zip(b["c_custkey"].to_pylist(), b["c_name"].to_pylist()))
-
-    df = top.to_pandas().sort_values(
-        ["totalprice_c", "o_orderdate", "o_orderkey"],
-        ascending=[False, True, True], kind="stable",
-    )
-    return pa.table(
-        {"c_name": pa.array(
-             [names.get(k) for k in df["o_custkey"]], type=pa.string()),
-         "c_custkey": pa.array(df["o_custkey"].to_numpy(), type=pa.int64()),
-         "o_orderkey": pa.array(df["o_orderkey"].to_numpy(), type=pa.int64()),
-         "o_orderdate": pa.array(
-             df["o_orderdate"].to_numpy(), type=pa.timestamp("us")),
-         "totalprice_c": pa.array(df["totalprice_c"].to_numpy(), type=pa.int64()),
-         "sum_qty": pa.array(df["sum_qty"].to_numpy(), type=pa.int64())}
-    )
-
-
-QUERIES["tpch_q18"] = q_tpch_q18
-ORACLE_SQL["tpch_q18"] = f"""
-    WITH h AS (SELECT l_orderkey,
-                      CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT)
-                          AS sum_qty
-               FROM lineitem GROUP BY 1
-               HAVING SUM(CAST(ROUND(l_quantity) AS BIGINT))
-                      > {TPCH_Q18_MIN_QTY})
-    SELECT c_name, c_custkey, o_orderkey, o_orderdate,
-           CAST(ROUND(o_totalprice * 100) AS BIGINT) AS totalprice_c,
-           sum_qty
-    FROM h
-    JOIN orders ON o_orderkey = l_orderkey
-    JOIN customer ON c_custkey = o_custkey
-    ORDER BY totalprice_c DESC, o_orderdate, o_orderkey
-    LIMIT 100
-"""
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q14 promo-revenue analogue (public benchmark semantics; the synthetic
-# part table has p_type in {PROMO, ECONOMY, ...} instead of "PROMO%" types)
-# ---------------------------------------------------------------------------
-
-TPCH_Q14_DATE_LO = "1997-09-01"
-TPCH_Q14_DATE_HI = "1997-10-01"
-TPCH_PART_BROADCAST_MAX = 2_000_000
-
-
-def _part_attrs(sf_dir: str, columns):
-    """(sorted p_partkey, attr arrays in `columns` order, num_rows) for the
-    broadcast side of a lineitem->part attach; caller gates on num_rows."""
-    tbl = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", *columns])
-    keys = tbl["p_partkey"].to_numpy()
-    order = np.argsort(keys, kind="stable")
-    return keys[order], [tbl[c].to_numpy(zero_copy_only=False)[order] for c in columns]
-
-
-def q_tpch_q14(sf_dir: str):
-    """TPC-H Q14 promo revenue: over one shipdate month, exact int64
-    revenue cells for PROMO-typed vs all parts.
-
-    Plan, scale notes: lineitem streams once behind a column-pruned,
-    date-filtered scan; part is attached per batch from a broadcast
-    (sorted p_partkey -> is_promo) pair when the part table is under
-    TPCH_PART_BROADCAST_MAX rows (parquet metadata count — no data read),
-    else via a partitioned bucketed hash join.  Either way the per-batch
-    output is ONE 3-cell partial row (promo/total revenue in exact cents
-    x (100-d100), row count) and the final reduce is a tiny sum — no
-    groupby keys that scale with data."""
-    from ....ops.join import bucketed_hash_join
-
-    lo = np.datetime64(TPCH_Q14_DATE_LO).astype("datetime64[us]")
-    hi = np.datetime64(TPCH_Q14_DATE_HI).astype("datetime64[us]")
-
-    def li_filter(batch: pa.Table) -> pa.Table:
-        ship = batch["l_shipdate"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array((ship >= lo) & (ship < hi))).select(
-            ["l_partkey", "l_extendedprice", "l_discount"]
-        )
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-    ).map_batches(li_filter, batch_format="pyarrow")
-
-    def cells(ep: np.ndarray, d100: np.ndarray, promo: np.ndarray) -> pa.Table:
-        rev = ep * (100 - d100)
-        return pa.table(
-            {
-                "promo_rev_c2": pa.array([int(rev[promo].sum())], type=pa.int64()),
-                "total_rev_c2": pa.array([int(rev.sum())], type=pa.int64()),
-                "n_rows": pa.array([len(rev)], type=pa.int64()),
-            }
-        )
-
-    n_part = pq.ParquetFile(f"{sf_dir}/part.parquet").metadata.num_rows
-    if n_part <= TPCH_PART_BROADCAST_MAX:
-        keys, (ptype,) = _part_attrs(sf_dir, ["p_type"])
-        part_ref = ray.put((keys, ptype == "PROMO"))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            pk, promo_flag = ray.get(part_ref)
-            lpk = batch["l_partkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(pk, lpk)
-            pos[pos >= len(pk)] = 0
-            hit = pk[pos] == lpk  # inner-join semantics: drop dangling keys
-            ep = np.rint(
-                batch["l_extendedprice"].to_numpy(zero_copy_only=False)[hit] * 100
-            ).astype(np.int64)
-            d100 = np.rint(
-                batch["l_discount"].to_numpy(zero_copy_only=False)[hit] * 100
-            ).astype(np.int64)
-            return cells(ep, d100, promo_flag[pos[hit]])
-
-        joined = li.map_batches(partial, batch_format="pyarrow")
-    else:
-        part = ray.data.read_parquet(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-        ).map_batches(
-            lambda b: b.rename_columns(["l_partkey", "p_type"]),
-            batch_format="pyarrow",
-        )
-
-        def partial_joined(batch: pa.Table) -> pa.Table:
-            ep = np.rint(
-                batch["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            d100 = np.rint(
-                batch["l_discount"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            promo = (
-                batch["p_type"].to_numpy(zero_copy_only=False) == "PROMO"
-            )
-            return cells(ep, d100, promo)
-
-        joined = bucketed_hash_join(li, part, on="l_partkey").map_batches(
-            partial_joined, batch_format="pyarrow"
-        )
-
-    agg = joined.sum(["promo_rev_c2", "total_rev_c2", "n_rows"])
-    return pa.table(
-        {
-            "promo_rev_c2": pa.array([agg["sum(promo_rev_c2)"]], type=pa.int64()),
-            "total_rev_c2": pa.array([agg["sum(total_rev_c2)"]], type=pa.int64()),
-            "n_rows": pa.array([agg["sum(n_rows)"]], type=pa.int64()),
-        }
-    )
-
-
-QUERIES["tpch_q14"] = q_tpch_q14
-ORACLE_SQL["tpch_q14"] = f"""
-    SELECT
-      CAST(COALESCE(SUM(CASE WHEN p_type = 'PROMO'
-                 THEN CAST(ROUND(l_extendedprice * 100) AS BIGINT)
-                      * (100 - CAST(ROUND(l_discount * 100) AS BIGINT))
-                 ELSE 0 END), 0) AS BIGINT) AS promo_rev_c2,
-      CAST(COALESCE(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)
-                 * (100 - CAST(ROUND(l_discount * 100) AS BIGINT))), 0)
-           AS BIGINT) AS total_rev_c2,
-      COUNT(*) AS n_rows
-    FROM lineitem JOIN part ON p_partkey = l_partkey
-    WHERE l_shipdate >= TIMESTAMP '{TPCH_Q14_DATE_LO}'
-      AND l_shipdate <  TIMESTAMP '{TPCH_Q14_DATE_HI}'
-"""
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q19 discounted-revenue analogue: disjunctive (brand, size, quantity)
-# clauses — the "OR-of-ANDs" predicate shape that defeats naive pushdown
-# ---------------------------------------------------------------------------
-
-TPCH_Q19_CLAUSES = (
-    # (p_brand, size_lo, size_hi, qty_lo, qty_hi) — all bounds inclusive
-    ("Brand#12", 1, 5, 1, 11),
-    ("Brand#23", 1, 10, 10, 20),
-    ("Brand#3", 1, 15, 20, 30),
-)
-
-
-def q_tpch_q19(sf_dir: str):
-    """TPC-H Q19 discounted revenue (public benchmark semantics, adapted
-    to the synthetic columns: brand + size ranges x quantity ranges, OR of
-    three conjunctive clauses).
-
-    Plan, scale notes: only parts matching SOME clause's (brand, size)
-    can contribute, so the broadcast side is the clause-filtered part
-    subset — (sorted p_partkey, clause bitmask) — gated on the FILTERED
-    row count with a bucketed-join fallback.  lineitem streams once; per
-    batch the clause mask resolves vectorized (bitmask AND quantity
-    window) and the output is one exact int64 revenue cell."""
-    from ....ops.join import bucketed_hash_join
-
-    import pyarrow.compute as pc
-
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
-    )
-    brand = part["p_brand"].to_numpy(zero_copy_only=False)
-    size = part["p_size"].to_numpy(zero_copy_only=False)
-    mask = np.zeros(len(brand), dtype=np.uint8)
-    for i, (b, slo, shi, _, _) in enumerate(TPCH_Q19_CLAUSES):
-        mask |= ((brand == b) & (size >= slo) & (size <= shi)).astype(np.uint8) << i
-    keep = mask != 0
-    pkeys = part["p_partkey"].to_numpy()[keep]
-    pmask = mask[keep]
-    order = np.argsort(pkeys, kind="stable")
-    pkeys, pmask = pkeys[order], pmask[order]
-    qty_lo = np.array([c[3] for c in TPCH_Q19_CLAUSES], dtype=np.float64)
-    qty_hi = np.array([c[4] for c in TPCH_Q19_CLAUSES], dtype=np.float64)
-
-    def cells(batch: pa.Table, m: np.ndarray, hit: np.ndarray) -> pa.Table:
-        qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
-        ok = np.zeros(len(qty), dtype=bool)
-        for i in range(len(TPCH_Q19_CLAUSES)):
-            ok |= (
-                ((m >> i) & 1).astype(bool)
-                & (qty >= qty_lo[i])
-                & (qty <= qty_hi[i])
-            )
-        ok &= hit
-        ep = np.rint(
-            batch["l_extendedprice"].to_numpy(zero_copy_only=False)[ok] * 100
-        ).astype(np.int64)
-        d100 = np.rint(
-            batch["l_discount"].to_numpy(zero_copy_only=False)[ok] * 100
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "revenue_c2": pa.array([int((ep * (100 - d100)).sum())],
-                                       type=pa.int64()),
-                "n_rows": pa.array([int(ok.sum())], type=pa.int64()),
-            }
-        )
-
-    li_cols = ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
-    li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=li_cols)
-    if len(pkeys) <= TPCH_PART_BROADCAST_MAX:
-        part_ref = ray.put((pkeys, pmask))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            pk, pm = ray.get(part_ref)
-            lpk = batch["l_partkey"].to_numpy(zero_copy_only=False)
-            if len(pk) == 0:
-                return cells(batch, np.zeros(len(lpk), np.uint8),
-                             np.zeros(len(lpk), bool))
-            pos = np.searchsorted(pk, lpk)
-            pos[pos >= len(pk)] = 0
-            hit = pk[pos] == lpk
-            return cells(batch, pm[pos], hit)
-
-        scored = li.map_batches(partial, batch_format="pyarrow")
-    else:
-        psub = ray.data.from_arrow(
-            pa.table({"l_partkey": pa.array(pkeys, type=pa.int64()),
-                      "clause_mask": pa.array(pmask, type=pa.uint8())})
-        )
-
-        def partial_joined(batch: pa.Table) -> pa.Table:
-            m = batch["clause_mask"].to_numpy(zero_copy_only=False)
-            return cells(batch, m, np.ones(len(m), bool))
-
-        scored = bucketed_hash_join(li, psub, on="l_partkey").map_batches(
-            partial_joined, batch_format="pyarrow"
-        )
-
-    agg = scored.sum(["revenue_c2", "n_rows"])
-    return pa.table(
-        {
-            "revenue_c2": pa.array([agg["sum(revenue_c2)"]], type=pa.int64()),
-            "n_rows": pa.array([agg["sum(n_rows)"]], type=pa.int64()),
-        }
-    )
-
-
-QUERIES["tpch_q19"] = q_tpch_q19
-_Q19_PRED = " OR ".join(
-    f"(p_brand = '{b}' AND p_size BETWEEN {slo} AND {shi} "
-    f"AND l_quantity BETWEEN {qlo} AND {qhi})"
-    for b, slo, shi, qlo, qhi in TPCH_Q19_CLAUSES
-)
-ORACLE_SQL["tpch_q19"] = f"""
-    SELECT
-      CAST(COALESCE(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)
-                 * (100 - CAST(ROUND(l_discount * 100) AS BIGINT))), 0)
-           AS BIGINT) AS revenue_c2,
-      COUNT(*) AS n_rows
-    FROM lineitem JOIN part ON p_partkey = l_partkey
-    WHERE {_Q19_PRED}
-"""
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q10 returned-item reporting analogue: top-20 customers by revenue
-# from returned lineitems over a half-year order window
-# ---------------------------------------------------------------------------
-
-TPCH_Q10_DATE_LO = "1996-01-01"
-TPCH_Q10_DATE_HI = "1996-07-01"
-TPCH_Q10_BROADCAST_MAX = 2_000_000
-TPCH_Q10_K = 20
-
-
-def _orders_window(sf_dir: str, lo: str, hi: str, columns):
-    """Materialized date-filtered orders stream with just `columns` —
-    the small side of the order-window joins; count() then reads block
-    metadata so the broadcast gate costs no second scan."""
-    lo64 = np.datetime64(lo).astype("datetime64[us]")
-    hi64 = np.datetime64(hi).astype("datetime64[us]")
-
-    def f(batch: pa.Table) -> pa.Table:
-        od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array((od >= lo64) & (od < hi64))).select(columns)
-
-    return (
-        ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=sorted({*columns, "o_orderdate"}),
-        )
-        .map_batches(f, batch_format="pyarrow")
-        .materialize()
-    )
-
-
-def q_tpch_q10(sf_dir: str):
-    """TPC-H Q10 returned-item reporting (public benchmark semantics):
-    top-20 customers by exact revenue from l_returnflag='R' lineitems of
-    orders in [DATE_LO, DATE_HI), with name/acctbal/nation attached.
-
-    Plan, scale notes: the window-filtered orders map (o_orderkey ->
-    o_custkey) is bounded by date selectivity — broadcast via ray.put
-    under TPCH_Q10_BROADCAST_MAX, else a partitioned bucketed hash join.
-    R-flagged lineitems stream once and fold to per-batch per-custkey
-    int64 revenue cells; one hash(custkey) sharded combine then a
-    k-per-block partial top-k (no global sort).  Customer attributes
-    attach by streaming customer against the broadcast 20-key set;
-    nation is a driver-tiny dim."""
-    from ....ops.agg import sharded_groupby_apply
-    from ....ops.join import bucketed_hash_join
-    from ....ops.topk import global_topk
-
-    orders = _orders_window(
-        sf_dir, TPCH_Q10_DATE_LO, TPCH_Q10_DATE_HI, ["o_orderkey", "o_custkey"]
-    )
-
-    def li_filter(batch: pa.Table) -> pa.Table:
-        keep = pa.compute.equal(batch["l_returnflag"], "R")
-        return batch.filter(keep).select(
-            ["l_orderkey", "l_extendedprice", "l_discount"]
-        )
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
-    ).map_batches(li_filter, batch_format="pyarrow")
-
-    _EMPTY = pa.table(
-        {"c_custkey": pa.array([], type=pa.int64()),
-         "revenue_c2": pa.array([], type=pa.int64())}
-    )
-
-    def rev_cells(cust: np.ndarray, ep: np.ndarray, d100: np.ndarray) -> pa.Table:
-        if len(cust) == 0:
-            return _EMPTY
-        rev = ep * (100 - d100)
-        uniq, inv = np.unique(cust, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, rev)
-        return pa.table(
-            {"c_custkey": pa.array(uniq, type=pa.int64()),
-             "revenue_c2": pa.array(sums, type=pa.int64())}
-        )
-
-    if orders.count() <= TPCH_Q10_BROADCAST_MAX:
-        otbl = pa.concat_tables(orders.iter_batches(batch_format="pyarrow"))
-        okeys = otbl["o_orderkey"].to_numpy()
-        order = np.argsort(okeys, kind="stable")
-        omap_ref = ray.put((okeys[order], otbl["o_custkey"].to_numpy()[order]))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            ok, oc = ray.get(omap_ref)
-            lok = batch["l_orderkey"].to_numpy(zero_copy_only=False)
-            if len(ok) == 0:
-                return _EMPTY
-            pos = np.searchsorted(ok, lok)
-            pos[pos >= len(ok)] = 0
-            hit = ok[pos] == lok
-            ep = np.rint(
-                batch["l_extendedprice"].to_numpy(zero_copy_only=False)[hit] * 100
-            ).astype(np.int64)
-            d100 = np.rint(
-                batch["l_discount"].to_numpy(zero_copy_only=False)[hit] * 100
-            ).astype(np.int64)
-            return rev_cells(oc[pos[hit]].astype(np.int64), ep, d100)
-
-        cells = li.map_batches(partial, batch_format="pyarrow")
-    else:
-        li_k = li.map_batches(
-            lambda b: b.rename_columns(
-                ["o_orderkey", "l_extendedprice", "l_discount"]
-            ),
-            batch_format="pyarrow",
-        )
-
-        def partial_joined(batch: pa.Table) -> pa.Table:
-            ep = np.rint(
-                batch["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            d100 = np.rint(
-                batch["l_discount"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            cust = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return rev_cells(cust, ep, d100)
-
-        cells = bucketed_hash_join(li_k, orders, on="o_orderkey").map_batches(
-            partial_joined, batch_format="pyarrow"
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.groupby("c_custkey", as_index=False, sort=False)["revenue_c2"].sum()
-        )
-
-    per_cust = sharded_groupby_apply(cells, ["c_custkey"], combine)
-    top = global_topk(
-        per_cust, "revenue_c2", TPCH_Q10_K, tiebreak=["c_custkey"]
-    ).to_pandas()
-
-    key_set = set(top["c_custkey"].tolist())
-    attrs = {}
-    if key_set:
-        def pick(batch: pa.Table) -> pa.Table:
-            ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array([int(k) in key_set for k in ck]))
-
-        picked = ray.data.read_parquet(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
-        ).map_batches(pick, batch_format="pyarrow")
-        for b in picked.iter_batches(batch_format="pyarrow"):
-            for k, nm, ab, nk in zip(
-                b["c_custkey"].to_pylist(), b["c_name"].to_pylist(),
-                b["c_acctbal"].to_pylist(), b["c_nationkey"].to_pylist(),
-            ):
-                attrs[k] = (nm, int(round(ab * 100)), nk)
-
-    nat = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
-    nat_name = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    rows = top.sort_values(
-        ["revenue_c2", "c_custkey"], ascending=[False, True], kind="stable"
-    )
-    ck = rows["c_custkey"].tolist()
-    return pa.table(
-        {
-            "c_custkey": pa.array(ck, type=pa.int64()),
-            "c_name": pa.array([attrs[k][0] for k in ck], type=pa.string()),
-            "acctbal_c": pa.array([attrs[k][1] for k in ck], type=pa.int64()),
-            "n_name": pa.array(
-                [nat_name[attrs[k][2]] for k in ck], type=pa.string()
-            ),
-            "revenue_c2": pa.array(rows["revenue_c2"].to_numpy(), type=pa.int64()),
-        }
-    )
-
-
-QUERIES["tpch_q10"] = q_tpch_q10
-ORACLE_SQL["tpch_q10"] = f"""
-    SELECT c_custkey, c_name,
-           CAST(ROUND(c_acctbal * 100) AS BIGINT) AS acctbal_c,
-           n_name,
-           CAST(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)
-                    * (100 - CAST(ROUND(l_discount * 100) AS BIGINT)))
-                AS BIGINT) AS revenue_c2
-    FROM customer
-    JOIN orders ON o_custkey = c_custkey
-    JOIN lineitem ON l_orderkey = o_orderkey
-    JOIN nation ON n_nationkey = c_nationkey
-    WHERE o_orderdate >= TIMESTAMP '{TPCH_Q10_DATE_LO}'
-      AND o_orderdate <  TIMESTAMP '{TPCH_Q10_DATE_HI}'
-      AND l_returnflag = 'R'
-    GROUP BY c_custkey, c_name, acctbal_c, n_name
-    ORDER BY revenue_c2 DESC, c_custkey
-    LIMIT {TPCH_Q10_K}
-"""
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q4 order-priority analogue: per-priority counts of window orders
-# with at least one lineitem shipped > 60 days after the order date
-# ---------------------------------------------------------------------------
-
-TPCH_Q4_DATE_LO = "1996-01-01"
-TPCH_Q4_DATE_HI = "1996-07-01"
-TPCH_Q4_LATE_DAYS = 60
-TPCH_Q4_BROADCAST_MAX = 2_000_000
-
-
-def q_tpch_q4(sf_dir: str):
-    """TPC-H Q4 order-priority checking (public benchmark semantics; the
-    synthetic lineitem has no commit/receipt dates, so "late" is a
-    shipment > TPCH_Q4_LATE_DAYS after o_orderdate — the same EXISTS
-    shape).
-
-    Plan, scale notes: the window-filtered orders map (orderkey ->
-    orderdate + priority id) broadcasts under a gate, else a bucketed
-    hash join ships it; lineitem streams once, resolving lateness
-    vectorized and emitting per-batch UNIQUE late (orderkey, priority)
-    pairs.  The EXISTS dedup is one hash(orderkey) sharded combine whose
-    shards emit <= 5 priority cells each; the final groupby is over the
-    5-value priority domain."""
-    from ....ops.agg import sharded_groupby_apply
-    from ....ops.join import bucketed_hash_join
-
-    orders = _orders_window(
-        sf_dir, TPCH_Q4_DATE_LO, TPCH_Q4_DATE_HI,
-        ["o_orderkey", "o_orderdate", "o_orderpriority"],
-    )
-    late_us = np.timedelta64(TPCH_Q4_LATE_DAYS, "D").astype("timedelta64[us]")
-
-    _EMPTY = pa.table(
-        {"o_orderkey": pa.array([], type=pa.int64()),
-         "o_orderpriority": pa.array([], type=pa.string())}
-    )
-
-    def late_pairs(okey: np.ndarray, odate: np.ndarray, prio: np.ndarray,
-                   ship: np.ndarray) -> pa.Table:
-        late = ship > odate + late_us
-        if not late.any():
-            return _EMPTY
-        okey, prio = okey[late], prio[late]
-        uniq, idx = np.unique(okey, return_index=True)
-        return pa.table(
-            {"o_orderkey": pa.array(uniq, type=pa.int64()),
-             "o_orderpriority": pa.array(prio[idx], type=pa.string())}
-        )
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    )
-
-    if orders.count() <= TPCH_Q4_BROADCAST_MAX:
-        otbl = pa.concat_tables(orders.iter_batches(batch_format="pyarrow"))
-        okeys = otbl["o_orderkey"].to_numpy()
-        order = np.argsort(okeys, kind="stable")
-        omap_ref = ray.put(
-            (okeys[order],
-             otbl["o_orderdate"].to_numpy()[order],
-             np.asarray(otbl["o_orderpriority"].to_pylist(), dtype=object)[order])
-        )
-
-        def partial(batch: pa.Table) -> pa.Table:
-            ok, od, op = ray.get(omap_ref)
-            lok = batch["l_orderkey"].to_numpy(zero_copy_only=False)
-            if len(ok) == 0:
-                return _EMPTY
-            pos = np.searchsorted(ok, lok)
-            pos[pos >= len(ok)] = 0
-            hit = ok[pos] == lok
-            ship = batch["l_shipdate"].to_numpy(zero_copy_only=False)[hit]
-            p = pos[hit]
-            return late_pairs(lok[hit], od[p], op[p], ship)
-
-        pairs = li.map_batches(partial, batch_format="pyarrow")
-    else:
-        li_k = li.map_batches(
-            lambda b: b.rename_columns(["o_orderkey", "l_shipdate"]),
-            batch_format="pyarrow",
-        )
-
-        def partial_joined(batch: pa.Table) -> pa.Table:
-            return late_pairs(
-                batch["o_orderkey"].to_numpy(zero_copy_only=False),
-                batch["o_orderdate"].to_numpy(zero_copy_only=False),
-                np.asarray(batch["o_orderpriority"].to_pylist(), dtype=object),
-                batch["l_shipdate"].to_numpy(zero_copy_only=False),
-            )
-
-        pairs = bucketed_hash_join(li_k, orders, on="o_orderkey").map_batches(
-            partial_joined, batch_format="pyarrow"
-        )
-
-    def dedup_count(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.drop_duplicates("o_orderkey")
-        out = d.groupby("o_orderpriority", as_index=False, sort=False).size()
-        return out.rename(columns={"size": "n_late"})
-
-    shard_cells = sharded_groupby_apply(pairs, ["o_orderkey"], dedup_count)
-    final = (
-        shard_cells.groupby("o_orderpriority")
-        .sum("n_late")
-        .to_pandas()
-        .rename(columns={"sum(n_late)": "n_late"})
-        .sort_values("o_orderpriority")
-    )
-    return pa.table(
-        {
-            "o_orderpriority": pa.array(final["o_orderpriority"], type=pa.string()),
-            "n_late": pa.array(
-                final["n_late"].to_numpy().astype(np.int64), type=pa.int64()
-            ),
-        }
-    )
-
-
-QUERIES["tpch_q4"] = q_tpch_q4
-ORACLE_SQL["tpch_q4"] = f"""
-    SELECT o_orderpriority, COUNT(*) AS n_late
-    FROM orders
-    WHERE o_orderdate >= TIMESTAMP '{TPCH_Q4_DATE_LO}'
-      AND o_orderdate <  TIMESTAMP '{TPCH_Q4_DATE_HI}'
-      AND EXISTS (SELECT 1 FROM lineitem
-                  WHERE l_orderkey = o_orderkey
-                    AND l_shipdate > o_orderdate
-                        + INTERVAL {TPCH_Q4_LATE_DAYS} DAY)
-    GROUP BY o_orderpriority
-    ORDER BY o_orderpriority
-"""
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q17 small-quantity-order revenue analogue: a correlated aggregate
-# (per-part average) answered in ONE exchange by co-locating each part's
-# lineitems and resolving the comparison in-shard
-# ---------------------------------------------------------------------------
-
-TPCH_Q17_BRAND = "Brand#13"
-
-
-def q_tpch_q17(sf_dir: str):
-    """TPC-H Q17 small-quantity revenue (public benchmark semantics; no
-    container column, so the filter is brand-only): total extendedprice
-    and row count of lineitems whose quantity is strictly below 20% of
-    the average quantity over all lineitems of the same part, for parts
-    of TPCH_Q17_BRAND.
-
-    Plan, scale notes: the brand-filtered part keyset (1/25 of part)
-    broadcasts under the shared TPCH_PART_BROADCAST_MAX gate (bucketed
-    semi-join fallback); the qualifying lineitem subset then makes ONE
-    hash(partkey) exchange and the correlated comparison resolves
-    inside the shard — 5*q100*n < sum_q100 in exact int64, no float
-    average and no second corpus pass.  Shards emit 2-cell partials."""
-    from ....ops.agg import sharded_groupby_apply
-    from ....ops.join import bucketed_hash_join
-
-    import pyarrow.compute as pc
-
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
-    bkeys = np.sort(
-        part.filter(pc.equal(part["p_brand"], TPCH_Q17_BRAND))["p_partkey"]
-        .to_numpy()
-    )
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice"],
-    )
-
-    if len(bkeys) <= TPCH_PART_BROADCAST_MAX:
-        keys_ref = ray.put(bkeys)
-
-        def li_semi(batch: pa.Table) -> pa.Table:
-            bk = ray.get(keys_ref)
-            lpk = batch["l_partkey"].to_numpy(zero_copy_only=False)
-            if len(bk) == 0:
-                return batch.slice(0, 0)
-            pos = np.searchsorted(bk, lpk)
-            pos[pos >= len(bk)] = 0
-            return batch.filter(pa.array(bk[pos] == lpk))
-
-        sub = li.map_batches(li_semi, batch_format="pyarrow")
-    else:
-        psub = ray.data.from_arrow(
-            pa.table({"l_partkey": pa.array(bkeys, type=pa.int64()),
-                      "__brand_hit": pa.array(
-                          np.ones(len(bkeys), dtype=np.int8), type=pa.int8())})
-        )
-        sub = bucketed_hash_join(li, psub, on="l_partkey").map_batches(
-            lambda b: b.drop_columns(["__brand_hit"]), batch_format="pyarrow"
-        )
-
-    def in_shard(df: pd.DataFrame) -> pd.DataFrame:
-        q100 = np.rint(df["l_quantity"].to_numpy() * 100).astype(np.int64)
-        ep_c = np.rint(df["l_extendedprice"].to_numpy() * 100).astype(np.int64)
-        g = df.assign(__q100=q100).groupby("l_partkey", sort=False)["__q100"]
-        sum_q = g.transform("sum").to_numpy().astype(np.int64)
-        n = g.transform("size").to_numpy().astype(np.int64)
-        qual = 5 * q100 * n < sum_q
-        return pd.DataFrame(
-            {"revenue_c": [int(ep_c[qual].sum())], "n_qual": [int(qual.sum())]}
-        )
-
-    cells = sharded_groupby_apply(sub, ["l_partkey"], in_shard)
-    agg = cells.sum(["revenue_c", "n_qual"])
-    rev = 0 if agg is None else agg["sum(revenue_c)"]
-    n_q = 0 if agg is None else agg["sum(n_qual)"]
-    return pa.table(
-        {"revenue_c": pa.array([rev], type=pa.int64()),
-         "n_qual": pa.array([n_q], type=pa.int64())}
-    )
-
-
-QUERIES["tpch_q17"] = q_tpch_q17
-ORACLE_SQL["tpch_q17"] = f"""
-    WITH s AS (SELECT l_partkey,
-                      CAST(SUM(CAST(ROUND(l_quantity * 100) AS BIGINT))
-                           AS BIGINT) AS sum_q100,
-                      COUNT(*) AS n
-               FROM lineitem
-               JOIN part ON p_partkey = l_partkey
-               WHERE p_brand = '{TPCH_Q17_BRAND}'
-               GROUP BY l_partkey)
-    SELECT
-      CAST(COALESCE(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)), 0)
-           AS BIGINT) AS revenue_c,
-      COUNT(*) AS n_qual
-    FROM lineitem
-    JOIN s ON s.l_partkey = lineitem.l_partkey
-    WHERE 5 * CAST(ROUND(l_quantity * 100) AS BIGINT) * n < sum_q100
-"""
-
-
 # ---------------------------------------------------------------------------
 # Correlated-subquery pattern: orders strictly above their customer's
 # average order value, counted per order status
@@ -1600,5 +230,3 @@ ORACLE_SQL["orders_above_avg"] = """
     GROUP BY o_orderstatus
     ORDER BY o_orderstatus
 """
-
-

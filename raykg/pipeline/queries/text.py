@@ -496,22 +496,6 @@ def q_media_mp4v(sf_dir: str):
     return media.map_batches(mm_ops.decode_mp4_frame_sums, batch_format="pyarrow")
 
 
-def q_media_mp3(sf_dir: str):
-    """REAL MPEG-1 Layer III bitstream decode through the pipeline
-    (`ops/mp3.py`: frame sync, side info, BIT-RESERVOIR reassembly
-    across frames, Huffman big-values + sign bits, requantization,
-    alias reduction, IMDCT): digest-derived quantized spectra with
-    varying reservoir shifts decode back to exactly known integers,
-    mirrored in SQL with modular arithmetic.  The one remaining MP3
-    plug-point is the ISO Table 3-B.3 synthesis window (pure table
-    data, `ops/mp3.py:synthesize`)."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_mp3_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_mp3_spectrum_sums, batch_format="pyarrow")
-
-
 def q_media_mjpeg(sf_dir: str):
     """REAL MJPEG video decode through the pipeline
     (`ops/codecs.py split_mjpeg` marker-aware frame splitter +
@@ -857,7 +841,6 @@ QUERIES["media_gif"] = q_media_gif
 QUERIES["media_jpeg"] = q_media_jpeg
 QUERIES["media_wav"] = q_media_wav
 QUERIES["media_flac"] = q_media_flac
-QUERIES["media_mp3"] = q_media_mp3
 QUERIES["media_mp4"] = q_media_mp4
 QUERIES["media_mp4v"] = q_media_mp4v
 QUERIES["media_mjpeg"] = q_media_mjpeg
@@ -995,25 +978,6 @@ ORACLE_SQL["media_flac"] = f"""
            CAST(n AS BIGINT) AS n_samples,
            CAST(SUM(v) AS BIGINT) AS sum_amp
     FROM samp GROUP BY media_id, n
-"""
-ORACLE_SQL["media_mp3"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d0, d1, 64 + d2 % 57 AS n,
-                    2 * (1 + d5 % 2) AS ng,
-                    media_id % 2 AS stereo FROM d),
-    vals AS (SELECT media_id, ng, stereo,
-                    CASE WHEN c.ch = 0
-                         THEN ((d0 + 5 * j.j + 7 * g.g) % 3) - 1
-                         ELSE ((d1 + 11 * j.j + 3 * g.g) % 3) - 1 END AS v
-             FROM dims,
-                  UNNEST(generate_series(0, ng - 1)) g(g),
-                  UNNEST(generate_series(0, CAST(stereo AS INTEGER))) c(ch),
-                  UNNEST(generate_series(0, n - 1)) j(j))
-    SELECT media_id,
-           CAST(ng * (1 + stereo) AS INTEGER) AS n_granules,
-           CAST(SUM(v) AS BIGINT) AS spectrum_sum,
-           CAST(SUM(CASE WHEN v != 0 THEN 1 ELSE 0 END) AS BIGINT) AS n_nonzero
-    FROM vals GROUP BY media_id, ng, stereo
 """
 ORACLE_SQL["media_mp4"] = f"""
     WITH {_MD5_BYTES_CTE},

@@ -1,13 +1,12 @@
 """Property-based fuzz tests (hypothesis) for the pure-python kernels:
-codec round-trips over arbitrary payload shapes, MP3 spectrum recovery
-over arbitrary quantized spectra/layouts, MP4 chunk walks, tokenizer
+codec round-trips over arbitrary payload shapes, MP4 chunk walks, tokenizer
 character conservation, and normalization idempotence.  No Ray — these
 pin the kernels the distributed stages call per batch."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from raykg.ops import codecs, mp3, mp4
+from raykg.ops import codecs, mp4
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -55,51 +54,6 @@ def test_mp4_pcm_round_trip_any_chunking(n, spc, rate, seed):
         mp4.encode_mp4_audio(s, rate, samples_per_chunk=spc)
     )
     assert got_rate == rate and (out == s).all()
-
-
-@settings(**SETTINGS)
-@given(
-    n_gr=st.integers(1, 6),
-    n=st.integers(0, 576),
-    shift=st.integers(0, 60),
-    bt=st.sampled_from([0, 1, 2, 3]),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_mp3_spectrum_recovery_any_layout(n_gr, n, shift, bt, seed):
-    rng = np.random.default_rng(seed)
-    specs = [rng.integers(-1, 2, n).astype(np.int64) for _ in range(n_gr)]
-    payload = mp3.encode_mp3(
-        specs, bitrate_kbps=128, reservoir_shift=shift, block_type=bt
-    )
-    grs = mp3.decode_mp3_granules(payload)
-    for g, s in enumerate(specs):
-        want = np.zeros(576, dtype=np.int64)
-        want[: len(s)] = s
-        assert (grs[g]["is"] == want).all()
-    # padding granule of an odd count decodes to silence
-    if n_gr % 2:
-        assert (grs[n_gr]["is"] == 0).all()
-
-
-@settings(**SETTINGS)
-@given(
-    n=st.integers(0, 400),
-    shift=st.integers(0, 40),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_mp3_stereo_spectrum_recovery(n, shift, seed):
-    rng = np.random.default_rng(seed)
-    L = [rng.integers(-1, 2, n).astype(np.int64) for _ in range(2)]
-    R = [rng.integers(-1, 2, n).astype(np.int64) for _ in range(2)]
-    grs = mp3.decode_mp3_granules(
-        mp3.encode_mp3(L, bitrate_kbps=256, right_spectra=R,
-                       reservoir_shift=shift)
-    )
-    for g in range(2):
-        for ch, src in ((0, L), (1, R)):
-            want = np.zeros(576, dtype=np.int64)
-            want[:n] = src[g]
-            assert (grs[2 * g + ch]["is"] == want).all()
 
 
 @settings(**SETTINGS)

@@ -1,12 +1,9 @@
-"""BPE encode (merge application) and Procrustes alignment — the
-test-pinned, no-SQL-mirror-by-design ops (iterative / SVD floats)."""
-import numpy as np
+"""BPE encode (merge application) — a test-pinned, no-SQL-mirror-by-design
+op (iterative merges)."""
 import pandas as pd
-import pytest
 import ray.data
 
 from raykg.ops.bpe import bpe_encode, bpe_train
-from raykg.ops.procrustes import procrustes_apply, procrustes_fit
 
 
 def ref_encode(text, merges):
@@ -50,33 +47,3 @@ def test_bpe_encode_matches_reference_and_is_partition_invariant(ray_session):
             want = ref_encode(texts[int(row["doc_id"])], merges)
             assert row["tokens"].split() == want if want else row["tokens"] == ""
             assert row["n_tokens"] == len(want)
-
-
-def _random_orthogonal(d, rng):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)))
-    return q * np.sign(np.diag(r))
-
-
-def test_procrustes_recovers_planted_rotation(ray_session):
-    rng = np.random.default_rng(17)
-    d, n = 8, 400
-    a = rng.normal(size=(n, d))
-    r = _random_orthogonal(d, rng)
-    b = a @ r
-    df = pd.DataFrame({"a": list(map(list, a)), "b": list(map(list, b))})
-    for parts in (1, 5):
-        w = procrustes_fit(ray.data.from_pandas(df).repartition(parts))
-        assert np.abs(w - r).max() < 1e-8, parts
-    # apply: aligned A matches B
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"vec_id": range(n), "embedding": list(map(list, a))})
-    )
-    out = procrustes_apply(ds, w, "embedding").to_pandas()
-    got = np.asarray(out.sort_values("vec_id")["aligned"].tolist())
-    assert np.abs(got - b).max() < 1e-8
-
-
-def test_procrustes_empty_raises(ray_session):
-    ds = ray.data.from_pandas(pd.DataFrame({"a": [], "b": []}))
-    with pytest.raises(ValueError):
-        procrustes_fit(ds)

@@ -247,6 +247,41 @@ def test_job_resume_after_ontology_edit_recomputes(tmp_path):
     assert after == {t: n for t, n in before.items() if t != "Engine"}
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_job_rebuild_after_ontology_shrink_drops_stale_partitions(tmp_path):
+    """Every partition of every table gets a manifest, empty ones a
+    zero-row one.  So a rebuild with a smaller ontology empties the
+    partitions its rows no longer reach instead of reading back their old
+    rows, and an unchanged rerun skips the whole job."""
+    from raykg.job import build_graph
+
+    rows = [
+        {"conv_id": "c0", "turn_idx": 0, "role": "user", "text": "I use spark", "tool": None, "lang": "en"},
+        {"conv_id": "c1", "turn_idx": 0, "role": "user", "text": "I use flink", "tool": None, "lang": "en"},
+    ]
+    assert partition_of("c0", 64) != partition_of("c1", 64)
+    cfg = PipelineConfig(language="en", concurrency=1)
+    out = tmp_path / "kg"
+
+    def build(ontology):
+        return build_graph(ray.data.from_pandas(pd.DataFrame(rows)), ontology, cfg, str(out))
+
+    build([("A", "spark"), ("B", "flink")])
+    for table, parts in (("mentions", 64), ("edges", 64), ("nodes", 16), ("concept_scores", 1)):
+        assert len(list((out / table).glob("part=*/manifest.json"))) == parts, table
+
+    report = build([("A", "spark")])
+    assert report["tables"]["mentions"]["rows"] == 1
+    mentions = PartitionedWriter(str(out / "mentions"), 64).read().to_pandas()
+    assert mentions[["conv_id", "tag"]].values.tolist() == [["c0", "A"]]
+    scores = PartitionedWriter(str(out / "concept_scores"), 1).read().to_pandas()
+    assert scores["tag"].tolist() == ["A"]
+    assert len(list((out / "mentions").glob("part=*/data.parquet"))) == 1
+
+    rerun = build([("A", "spark")])
+    assert all(t["partitions"] == 0 for t in rerun["tables"].values())
+
+
 def test_job_pagerank_table(tmp_path):
     from raykg.job import build_graph
     from raykg.pipeline.config import PipelineConfig

@@ -1,0 +1,55 @@
+"""The KG job and API must not reach the scenario-query registry
+(``scripts/reach.py``'s static import walk)."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def reach():
+    spec = importlib.util.spec_from_file_location(
+        "reach", os.path.join(ROOT, "scripts", "reach.py")
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _job_modules(table):
+    return {m for m, r in table.items() if r["reach"] == "job"}
+
+
+def test_job_closure_excludes_query_registry(reach):
+    table = reach.reach()
+    job = _job_modules(table)
+    assert {"raykg.job", "raykg.pipeline.api", "raykg.pipeline.io"} <= job
+    assert table["raykg.pipeline.queries"]["reach"] == "registry"
+    leaked = sorted(m for m in job if m.startswith("raykg.pipeline.queries"))
+    assert not leaked, f"the job/api closure imports the query registry: {leaked}"
+
+
+def test_walk_follows_function_level_and_relative_imports(reach, tmp_path):
+    """A registry import buried in a function body of the job is still
+    found, through a relative ``from .. import`` and the package's
+    ``__init__``."""
+    files = {
+        "raykg/__init__.py": "",
+        "raykg/job.py": "def main():\n    from .pipeline import queries\n",
+        "raykg/pipeline/__init__.py": "",
+        "raykg/pipeline/api.py": "",
+        "raykg/pipeline/queries/__init__.py": "from ._shared import X\n",
+        "raykg/pipeline/queries/_shared.py": "X = 1\n",
+        "raykg/ops/__init__.py": "",
+        "raykg/ops/unused.py": "",
+    }
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    table = reach.reach(str(tmp_path))
+    assert {"raykg.pipeline.queries", "raykg.pipeline.queries._shared"} <= _job_modules(table)
+    assert table["raykg.ops.unused"]["reach"] == "none"
