@@ -225,20 +225,10 @@ def run_bench() -> dict:
     timed("basket_pairs")
     timed("basket_rules")
     timed("conv_splits")
-    # round-4 additions: model-depth lemmas, ja segmentation, real
-    # compressed-media decode across image/audio/video
+    # round-4 additions: model-depth lemmas, ja segmentation
     timed("tag_lemma_pl")
     timed("tag_lemma_ru")
     timed("tag_match_ja")
-    timed("media_png")
-    timed("media_gif")
-    timed("media_jpeg")
-    timed("media_mjpeg")
-    timed("media_wav")
-    timed("media_ulaw")
-    # round-5 additions: MP4 container demux
-    timed("media_mp4")
-    timed("media_mp4v")
     timed("order_date_ranks")
     # round-4 second-session additions: the statistical-test family,
     # contrastive hard negatives, EWMA streaming window, KM survival

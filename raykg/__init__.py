@@ -17,8 +17,7 @@ Parquet transcript tables, built on ``ray.data.Dataset`` pipelines:
                       partitioned+resumable parquet IO.
 - ``raykg.ops``       large-scale training-data operators: dedup (exact,
                       MinHash-LSH, SimHash, n-gram Jaccard), similarity
-                      search, text quality/language-id/token stats,
-                      multimodal column plumbing.
+                      search, text quality/language-id/token stats.
 """
 
 __version__ = "0.1.0"

@@ -38,10 +38,6 @@ _NUM_WORDS = {
 }
 
 
-def _categories(text: str) -> Set[str]:
-    return {unicodedata.category(c) for c in text}
-
-
 def is_space(text: str) -> bool:
     return bool(text) and all(
         c.isspace() or not c.isprintable() or unicodedata.category(c) in ("Cf", "Zs")

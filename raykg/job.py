@@ -30,6 +30,8 @@ import time
 # part of every tag-chain fingerprint: bump it when an output table's
 # layout changes, so a resume recomputes instead of mixing layouts
 _SCHEMA_VERSION = 1
+# the same for the prep chain's test-set-dependent tables (clean, packed)
+_PREP_SCHEMA_VERSION = 1
 
 
 def _ontology_rows(ontology, config):
@@ -84,9 +86,10 @@ def build_graph(
         triples_from_mentions,
         with_node_part_key,
     )
-    from .pipeline.io import PartitionedWriter
+    from .pipeline.io import PartitionedWriter, require_sort_shuffle
     from .pipeline.tag import extract_mentions
 
+    require_sort_shuffle(transcripts)
     onto_rows = _ontology_rows(ontology, config)
     fingerprint = _fingerprint(config, onto_rows)
     report: dict = {"out_dir": out_dir, "tables": {}}
@@ -228,8 +231,9 @@ def build_prep_corpus(
     from .ops.components import connected_components, dedup_survivors
     from .ops.hashing import bucket_column
     from .ops.pack import pack_bins
-    from .pipeline.io import PartitionedWriter
+    from .pipeline.io import PartitionedWriter, require_sort_shuffle
 
+    require_sort_shuffle(documents, testset)
     fingerprint = json.dumps(
         {
             "lang": lang,
@@ -240,12 +244,27 @@ def build_prep_corpus(
         },
         sort_keys=True,
     )
+    # clean and packed depend on the test set's content, not only on
+    # whether one was given: their fingerprint adds a digest of its
+    # distinct gram hashes (the broadcast side decontamination needs
+    # anyway), so a rerun with another test set recomputes them while
+    # kept and canonical, and the language-id pool, still resume
+    test_keys, digest = None, None
+    if testset is not None:
+        from .ops.decontam import drop_grams, gram_hash_set
+
+        test_keys = gram_hash_set(testset)
+        digest = hashlib.sha256(test_keys.tobytes()).hexdigest()
+    tail_fingerprint = json.dumps(
+        {"stages": fingerprint, "testset": digest, "schema": _PREP_SCHEMA_VERSION},
+        sort_keys=True,
+    )
     report: dict = {"out_dir": out_dir, "tables": {}}
 
-    def _rows(writer) -> int:
+    def _rows(writer, fp: str) -> int:
         return sum(
             json.load(open(writer.manifest_path(p))).get("rows", 0)
-            for p in writer.done_partitions(fingerprint=fingerprint)
+            for p in writer.done_partitions(fingerprint=fp)
         )
 
     # stage 1: filter — prune complete partitions BEFORE the actor pool
@@ -274,7 +293,7 @@ def build_prep_corpus(
             batch_format="pyarrow",
         )
         w_kept.write(kept, key_column="doc_id", resume=resume, fingerprint=fingerprint)
-    report["tables"]["kept"] = {"rows": _rows(w_kept)}
+    report["tables"]["kept"] = {"rows": _rows(w_kept, fingerprint)}
 
     # stage 2: near-dup dedup — stage-boundary checkpoint (skip entirely
     # when complete; the interior exchanges are not partition-resumable)
@@ -287,26 +306,24 @@ def build_prep_corpus(
         clusters = connected_components(pairs)
         canonical = dedup_survivors(kept_ds, clusters)
         w_can.write(canonical, key_column="doc_id", resume=resume, fingerprint=fingerprint)
-    report["tables"]["canonical"] = {"rows": _rows(w_can)}
+    report["tables"]["canonical"] = {"rows": _rows(w_can, fingerprint)}
     final = w_can
 
     # stage 3: decontamination (optional)
     if testset is not None:
         w_clean = PartitionedWriter(os.path.join(out_dir, "clean"), num_partitions)
-        if len(w_clean.done_partitions(fingerprint=fingerprint) if resume else set()) < num_partitions:
-            from .ops.decontam import decontaminate
-
-            cleaned = decontaminate(w_can.read(), testset)
-            w_clean.write(cleaned, key_column="doc_id", resume=resume, fingerprint=fingerprint)
-        report["tables"]["clean"] = {"rows": _rows(w_clean)}
+        if len(w_clean.done_partitions(fingerprint=tail_fingerprint) if resume else set()) < num_partitions:
+            cleaned = drop_grams(w_can.read(), test_keys)
+            w_clean.write(cleaned, key_column="doc_id", resume=resume, fingerprint=tail_fingerprint)
+        report["tables"]["clean"] = {"rows": _rows(w_clean, tail_fingerprint)}
         final = w_clean
 
     # stage 4: token packing
     w_pack = PartitionedWriter(os.path.join(out_dir, "packed"), num_partitions)
-    if len(w_pack.done_partitions(fingerprint=fingerprint) if resume else set()) < num_partitions:
+    if len(w_pack.done_partitions(fingerprint=tail_fingerprint) if resume else set()) < num_partitions:
         packed = pack_bins(final.read(), capacity=pack_capacity)
-        w_pack.write(packed, key_column="doc_id", resume=resume, fingerprint=fingerprint)
-    report["tables"]["packed"] = {"rows": _rows(w_pack)}
+        w_pack.write(packed, key_column="doc_id", resume=resume, fingerprint=tail_fingerprint)
+    report["tables"]["packed"] = {"rows": _rows(w_pack, tail_fingerprint)}
     return report
 
 
@@ -354,9 +371,10 @@ def update_graph(
         triples_from_mentions,
         with_node_part_key,
     )
-    from .pipeline.io import PartitionedWriter
+    from .pipeline.io import PartitionedWriter, require_sort_shuffle
     from .pipeline.tag import extract_mentions
 
+    require_sort_shuffle(transcripts)
     onto_rows = _ontology_rows(ontology, config)
     fingerprint = _fingerprint(config, onto_rows)
     parts = sorted(

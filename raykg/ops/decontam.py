@@ -27,11 +27,11 @@ import ray.data
 from .text import window_hashes
 
 
-def _collect_gram_hashes(
-    ds: "ray.data.Dataset", text_column: str, n: int
+def gram_hash_set(
+    ds: "ray.data.Dataset", text_column: str = "text", n: int = 13
 ) -> np.ndarray:
-    """Distinct window-hash array for the (small) test set: per-block
-    unique partials, deduped once on the driver."""
+    """Sorted distinct word-``n``-gram window hashes of the (small) test
+    set: per-block unique partials, deduped once in the calling process."""
 
     def partial(batch: pa.Table) -> pa.Table:
         parts = []
@@ -66,7 +66,18 @@ def decontaminate(
     """Return ``corpus`` minus every document sharing at least one word
     ``n``-gram with ``testset``.  Documents shorter than ``n`` words have
     no grams and always survive."""
-    keys_ref = ray.put(_collect_gram_hashes(testset, text_column, n))
+    return drop_grams(corpus, gram_hash_set(testset, text_column, n), text_column, n)
+
+
+def drop_grams(
+    corpus: "ray.data.Dataset",
+    keys: np.ndarray,
+    text_column: str = "text",
+    n: int = 13,
+) -> "ray.data.Dataset":
+    """Return ``corpus`` minus every document with a word-``n``-gram hash
+    in ``keys``, the sorted output of :func:`gram_hash_set`."""
+    keys_ref = ray.put(keys)
 
     def keep(batch: pa.Table) -> pa.Table:
         keys = ray.get(keys_ref)  # zero-copy view from the object store

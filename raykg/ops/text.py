@@ -487,9 +487,3 @@ def readability_batch(batch: pa.Table, text_column: str = "text") -> pa.Table:
         "flesch", pa.array(np.round(flesch, 6), type=pa.float64())
     )
     return out.filter(pa.array(keep))
-
-
-def add_readability(ds: "ray.data.Dataset", text_column: str = "text"):
-    return ds.map_batches(
-        lambda b: readability_batch(b, text_column), batch_format="pyarrow"
-    )

@@ -422,11 +422,14 @@ def concept_scores(
         combine_conv,
     )
 
-    def finalize(batch: pa.Table) -> pa.Table:
+    # not a no-op: sharded_groupby_apply emits pandas blocks, and an
+    # Arrow-format stage turns them into Arrow blocks, which keeps the
+    # pandas schema metadata (~1.2 kB) out of the concept_scores file
+    def as_arrow(batch: pa.Table) -> pa.Table:
         return batch
 
     scores = (
-        per_conv.map_batches(finalize, batch_format="pyarrow")
+        per_conv.map_batches(as_arrow, batch_format="pyarrow")
         .groupby("tag")
         .aggregate(
             Sum("n_mentions_conv", alias_name="n_mentions"),

@@ -38,7 +38,28 @@ import ray.data
 from ..ops.hashing import bucket_column, partition_of
 
 __all__ = ["partition_of", "add_partition_column", "PartitionedWriter",
-           "read_jsonl", "write_jsonl", "read_csv", "write_csv"]
+           "require_sort_shuffle"]
+
+
+def require_sort_shuffle(*datasets) -> None:
+    """Raise ``ValueError`` when the current ``DataContext``, or the
+    context any of ``datasets`` was created under, selects Ray Data's hash
+    shuffle.  Every exchange of the jobs is a ``groupby``; under
+    ``ShuffleStrategy.HASH_SHUFFLE`` Ray 2.49 sizes one aggregator actor
+    per partition for a large cluster (64 asked for 16 CPUs and 33 GiB on
+    a 4-CPU host), they never schedule, and the job waits with no error."""
+    from ray.data.context import DataContext, ShuffleStrategy
+
+    contexts = [DataContext.get_current()]
+    contexts += [ds.context for ds in datasets if ds is not None]
+    if any(c.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE for c in contexts):
+        raise ValueError(
+            "DataContext.shuffle_strategy is ShuffleStrategy.HASH_SHUFFLE, "
+            "whose aggregators a small cluster cannot schedule, so the job "
+            "would hang: set DataContext.get_current().shuffle_strategy = "
+            "ShuffleStrategy.SORT_SHUFFLE_PULL_BASED before creating the "
+            "input datasets"
+        )
 
 
 def add_partition_column(
@@ -283,114 +304,3 @@ def _empty_summary() -> pd.DataFrame:
         {"part": pd.Series(dtype="int64"), "rows": pd.Series(dtype="int64"),
          "content_md5": pd.Series(dtype="object")}
     )
-
-
-# --- JSONL source/sink -------------------------------------------------------
-#
-# The reference runs inside DSS's format-agnostic dataset abstraction; the
-# second wire format here is newline-delimited JSON (the lingua franca of
-# LLM training dumps).  Reads stream through Ray's native JSON reader (one
-# task per file, Arrow blocks out); writes stream block-by-block — one
-# shard file per block, so a writer task never holds more than one block.
-
-def read_jsonl(
-    paths, columns: Optional[list] = None, **kwargs
-) -> "ray.data.Dataset":
-    """Read newline-delimited JSON into Arrow blocks; ``columns`` prunes
-    immediately after parse (JSON has no column projection at the codec
-    level, so pruning happens at the first map — still before any exchange
-    or materialization)."""
-    ds = ray.data.read_json(paths, **kwargs)
-    if columns:
-        ds = ds.select_columns(list(columns))
-    return ds
-
-
-def _encode_jsonl(batch: pa.Table) -> bytes:
-    buf = "\n".join(
-        json.dumps(rec, ensure_ascii=False, sort_keys=True, default=str)
-        for rec in batch.to_pylist()
-    )
-    return (buf + "\n").encode("utf-8") if buf else b""
-
-
-def _write_shards(ds: "ray.data.Dataset", out_dir: str, ext: str,
-                  encode, max_in_flight: int = 64) -> int:
-    """Stream the dataset's blocks to ``shard-<ordinal>-<md5>.<ext>``
-    files via one Ray write task per block.
-
-    Shard names mix a DETERMINISTIC per-run block ordinal with the
-    content hash: the ordinal makes names unique even when two distinct
-    blocks hold byte-identical content (a pure content-addressed name
-    silently collapsed them — row count said N, disk held N-k), while
-    the hash keeps a retried task overwriting its own partial file (Ray
-    re-executes a failed write task with the same block and the driver
-    never re-issues an ordinal).  Blocks stream through
-    ``iter_internal_ref_bundles`` with ``max_in_flight`` write tasks
-    outstanding, so the pipeline keeps its backpressure and the driver
-    holds refs, never data."""
-    import ray as _ray
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    @_ray.remote
-    def write_block(block, ordinal: int) -> int:
-        tab = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-        data = encode(tab)
-        name = f"shard-{ordinal:06d}-{hashlib.md5(data).hexdigest()[:8]}"
-        tmp = os.path.join(out_dir, f".{name}.tmp")
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, os.path.join(out_dir, f"{name}.{ext}"))
-        return tab.num_rows
-
-    futures, rows, ordinal = [], 0, 0
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref in bundle.block_refs:
-            futures.append(write_block.remote(ref, ordinal))
-            ordinal += 1
-            if len(futures) >= max_in_flight:
-                # drain half the window per wait: one wait/get round-trip
-                # amortizes over many tasks (a 1-at-a-time drain would put
-                # ~1 ms of driver latency on EVERY block at 10^5+ blocks)
-                done, futures = _ray.wait(
-                    futures, num_returns=max_in_flight // 2
-                )
-                rows += sum(_ray.get(done))
-    rows += sum(_ray.get(futures))
-    return int(rows)
-
-
-def write_jsonl(ds: "ray.data.Dataset", out_dir: str) -> int:
-    """Write one ``shard-*.jsonl`` file per block; returns row count.
-    Naming/retry contract in :func:`_write_shards`."""
-    return _write_shards(ds, out_dir, "jsonl", _encode_jsonl)
-
-
-def read_csv(
-    paths, columns: Optional[list] = None, **kwargs
-) -> "ray.data.Dataset":
-    """Read CSV into Arrow blocks (header row expected).  ``columns``
-    projects right after parse — the Arrow CSV reader decodes whole rows,
-    so pruning happens at the first map, before any exchange."""
-    ds = ray.data.read_csv(paths, **kwargs)
-    if columns:
-        ds = ds.select_columns(list(columns))
-    return ds
-
-
-def _encode_csv(batch: pa.Table) -> bytes:
-    import io as _io
-
-    import pyarrow.csv as pacsv
-
-    sink = _io.BytesIO()
-    pacsv.write_csv(batch, sink)
-    return sink.getvalue()
-
-
-def write_csv(ds: "ray.data.Dataset", out_dir: str) -> int:
-    """Write one ``shard-*.csv`` file per block via Arrow's CSV writer
-    (vectorized, no per-row Python); naming/retry contract in
-    :func:`_write_shards`."""
-    return _write_shards(ds, out_dir, "csv", _encode_csv)

@@ -23,7 +23,6 @@ from ..tag import extract_mentions, tag_dataset
 from ..transcripts import TRANSCRIPTS_SQL, read_transcripts
 from ...core.ontology import clean_ontology
 from ...ops import dedup as dedup_ops
-from ...ops import multimodal as mm_ops
 from ...ops import similarity as sim_ops
 from ...ops import text as text_ops
 from ._shared import (ONTOLOGY, ONTOLOGY_SQL_VALUES, _ONTO_CTE, _T_CTE, _OCC_CTE, _cfg, QUERIES, ORACLE_SQL)
@@ -406,147 +405,6 @@ def q_bpe_pairs(sf_dir: str):
     return bpe_ops.pair_counts(docs)
 
 
-def q_media_features(sf_dir: str):
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_media, batch_format="pyarrow")
-    return mm_ops.extract_media_features(media, concurrency=(1, 4)).select_columns(
-        ["media_id", "media_type", "n_bytes", "width", "height", "duration_s"]
-    )
-
-
-def q_media_png(sf_dir: str):
-    """REAL PNG encode -> decode through the pipeline: digest-derived
-    gradient images (filter type rotates doc_id % 5, so all five PNG
-    scanline filters run), decoded back by the stdlib-zlib decoder
-    (`ops/codecs.py:decode_png`) into exact integer channel sums the SQL
-    oracle reproduces with pure modular arithmetic."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_png_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_image_sums, batch_format="pyarrow")
-
-
-def q_media_jpeg(sf_dir: str):
-    """REAL JPEG encode -> decode through the pipeline (baseline AND progressive payloads alternating by doc parity)
-    (`ops/jpeg.py`: Annex-K tables, Huffman entropy coding, 4:2:0
-    subsampling, restart markers): digest-derived 8x8-constant-tile gray
-    images round-trip the lossy codec byte-exactly (DC-only blocks,
-    quant step < 8), so the decoded channel sums are mirrored in SQL
-    with pure modular arithmetic."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_jpeg_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_image_sums, batch_format="pyarrow")
-
-
-def q_media_wav(sf_dir: str):
-    """REAL compressed-audio decode through the pipeline
-    (`ops/codecs.py` IMA ADPCM, format 0x11): digest-derived
-    per-block-constant payloads round-trip the 4-bit adaptive-delta
-    codec exactly (constant blocks encode as all-zero nibbles), so the
-    decoded sample sums are mirrored in SQL with integer arithmetic."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_adpcm_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_audio_sums, batch_format="pyarrow")
-
-
-def q_media_flac(sf_dir: str):
-    """REAL FLAC encode -> decode through the pipeline (`ops/flac.py`:
-    STREAMINFO + fixed-blocksize frames, CONSTANT/VERBATIM/FIXED/LPC
-    subframes, rice residuals, CRC-8/16 + audio-MD5 verified).  FLAC is
-    LOSSLESS, so arbitrary digest-derived int16 waveforms round-trip
-    bit-exactly and the SQL oracle mirrors decoded sample sums with pure
-    integer arithmetic — the strongest oracle in the media family."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_flac_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_audio_sums, batch_format="pyarrow")
-
-
-def q_media_mp4(sf_dir: str):
-    """REAL MP4 container demux through the pipeline (`ops/mp4.py`:
-    ISO-BMFF box tree + stsd/stts/stsc/stsz/stco sample walk with
-    digest-derived ragged chunking) over a lossless `sowt` PCM track —
-    decoded sample sums mirrored in SQL with pure integer arithmetic.
-    The container walk is fully real; compressed codecs (AAC) remain
-    the documented plug-point."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_mp4_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_audio_sums, batch_format="pyarrow")
-
-
-def q_media_mp4v(sf_dir: str):
-    """REAL MP4 VIDEO track demux + per-frame JPEG decode
-    (`ops/mp4.py` 'jpeg' sample entries -> `ops/jpeg.py`): DC-only
-    frames round-trip byte-exactly, so frame counts and pixel sums are
-    mirrored in SQL with modular arithmetic."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_mp4v_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_mp4_frame_sums, batch_format="pyarrow")
-
-
-def q_media_mjpeg(sf_dir: str):
-    """REAL MJPEG video decode through the pipeline
-    (`ops/codecs.py split_mjpeg` marker-aware frame splitter +
-    `ops/jpeg.py` per-frame decode): digest-derived DC-only frames
-    round-trip the lossy codec byte-exactly, so frame counts and
-    per-frame pixel sums are mirrored in SQL with modular arithmetic."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_mjpeg_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_mjpeg_frame_sums, batch_format="pyarrow")
-
-
-def q_media_ulaw(sf_dir: str):
-    """REAL G.711 mu-law audio decode through the pipeline
-    (`ops/codecs.py` format 0x07, the ITU-T telephony codec): payloads
-    are digest-derived code BYTES, decode is the exact 256-entry
-    expansion table, so decoded sample sums are mirrored in SQL by
-    reproducing the expansion formula in integer arithmetic."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_ulaw_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_audio_sums, batch_format="pyarrow")
-
-
-def q_media_alaw(sf_dir: str):
-    """REAL G.711 A-law audio decode through the pipeline
-    (`ops/codecs.py` format 0x06, the European telephony companding
-    variant): payloads are digest-derived code BYTES, decode is the
-    exact 256-entry expansion (XOR 0x55 + segment shift), so decoded
-    sample sums are mirrored in SQL by reproducing the expansion
-    formula in integer arithmetic."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_alaw_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_audio_sums, batch_format="pyarrow")
-
-
-def q_media_gif(sf_dir: str):
-    """REAL multi-frame GIF encode -> LZW decode through the pipeline
-    (`ops/codecs.py:decode_gif_frames`): digest-derived 16-gray gradient
-    frames, exact gray pixel sums mirrored in SQL."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    media = docs.map_batches(mm_ops.documents_to_gif_media, batch_format="pyarrow")
-    return media.map_batches(mm_ops.decode_gif_frame_sums, batch_format="pyarrow")
-
-
 DECONTAM_N = 4  # word-gram size: 13 in production pipelines; 4 keeps the
 DECONTAM_MOD = 13  # tiny-vocabulary sf corpora non-vacuous (test set = docs
 #                    with doc_id % 13 == 0, held out of the corpus side)
@@ -835,17 +693,6 @@ QUERIES["ngram_top"] = q_ngram_top
 QUERIES["simhash_pairs"] = q_simhash_pairs
 QUERIES["entity_resolve"] = q_entity_resolve
 QUERIES["bpe_pairs"] = q_bpe_pairs
-QUERIES["media_features"] = q_media_features
-QUERIES["media_png"] = q_media_png
-QUERIES["media_gif"] = q_media_gif
-QUERIES["media_jpeg"] = q_media_jpeg
-QUERIES["media_wav"] = q_media_wav
-QUERIES["media_flac"] = q_media_flac
-QUERIES["media_mp4"] = q_media_mp4
-QUERIES["media_mp4v"] = q_media_mp4v
-QUERIES["media_mjpeg"] = q_media_mjpeg
-QUERIES["media_ulaw"] = q_media_ulaw
-QUERIES["media_alaw"] = q_media_alaw
 QUERIES["decontam"] = q_decontam
 QUERIES["redact"] = q_redact
 QUERIES["repetition"] = q_repetition
@@ -902,172 +749,6 @@ ORACLE_SQL["lang_id"] = """
         SELECT doc_id, lang AS pred_lang FROM s
         QUALIFY row_number() OVER (PARTITION BY doc_id ORDER BY score DESC, prio) = 1
     """
-ORACLE_SQL["media_features"] = """
-        WITH d AS (SELECT doc_id AS media_id,
-            CASE doc_id % 3 WHEN 0 THEN 'image' WHEN 1 THEN 'audio' ELSE 'video' END AS media_type,
-            CAST(length(text) AS BIGINT) AS n_bytes,
-            CAST(concat('0x', substr(md5(text),1,2)) AS INTEGER) AS d0,
-            CAST(concat('0x', substr(md5(text),3,2)) AS INTEGER) AS d1,
-            CAST(concat('0x', substr(md5(text),5,2)) AS INTEGER) AS d2
-          FROM documents)
-        SELECT media_id, media_type, n_bytes,
-               CASE WHEN media_type = 'image' THEN CAST(1 + d0 % 64 AS INTEGER) END AS width,
-               CASE WHEN media_type = 'image' THEN CAST(1 + d1 % 64 AS INTEGER) END AS height,
-               CASE WHEN media_type IN ('audio','video') THEN round(d2 / 10.0, 1) END AS duration_s
-        FROM d
-    """
-# md5 digest bytes d0..d5 as integers, hex-sliced exactly like the Python
-# side's hashlib.md5(text).digest()[i]
-_MD5_BYTES_CTE = """
-    d AS (SELECT doc_id AS media_id,
-        CAST(concat('0x', substr(md5(COALESCE(text, '')), 1, 2)) AS INTEGER) AS d0,
-        CAST(concat('0x', substr(md5(COALESCE(text, '')), 3, 2)) AS INTEGER) AS d1,
-        CAST(concat('0x', substr(md5(COALESCE(text, '')), 5, 2)) AS INTEGER) AS d2,
-        CAST(concat('0x', substr(md5(COALESCE(text, '')), 7, 2)) AS INTEGER) AS d3,
-        CAST(concat('0x', substr(md5(COALESCE(text, '')), 9, 2)) AS INTEGER) AS d4,
-        CAST(concat('0x', substr(md5(COALESCE(text, '')), 11, 2)) AS INTEGER) AS d5
-      FROM documents)
-"""
-ORACLE_SQL["media_png"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d0, d1, d2,
-                    1 + d3 % 8 AS w, 1 + d4 % 8 AS h FROM d),
-    px AS (SELECT media_id, w, h, d0, d1, d2, xs.x, ys.y
-           FROM dims,
-                UNNEST(generate_series(0, w - 1)) xs(x),
-                UNNEST(generate_series(0, h - 1)) ys(y))
-    SELECT media_id, CAST(w AS INTEGER) AS width, CAST(h AS INTEGER) AS height,
-           CAST(SUM((d0 + 7 * x + 13 * y) % 256) AS BIGINT) AS sum_r,
-           CAST(SUM((d1 + 11 * x + 3 * y) % 256) AS BIGINT) AS sum_g,
-           CAST(SUM((d2 + 5 * x + 17 * y) % 256) AS BIGINT) AS sum_b
-    FROM px GROUP BY media_id, w, h
-"""
-ORACLE_SQL["media_jpeg"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d0,
-                    1 + d3 % 3 AS tw, 1 + d4 % 3 AS th FROM d),
-    tiles AS (SELECT media_id, tw, th, d0, xs.tx, ys.ty
-              FROM dims,
-                   UNNEST(generate_series(0, tw - 1)) xs(tx),
-                   UNNEST(generate_series(0, th - 1)) ys(ty)),
-    s AS (SELECT media_id, tw, th,
-                 CAST(64 * SUM((d0 + 11 * tx + 23 * ty) % 256) AS BIGINT) AS sum_c
-          FROM tiles GROUP BY media_id, tw, th)
-    SELECT media_id, CAST(8 * tw AS INTEGER) AS width,
-           CAST(8 * th AS INTEGER) AS height,
-           sum_c AS sum_r, sum_c AS sum_g, sum_c AS sum_b
-    FROM s
-"""
-ORACLE_SQL["media_wav"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d1, 1 + d5 % 4 AS nb FROM d),
-    blk AS (SELECT media_id, nb, d1, bs.b
-            FROM dims, UNNEST(generate_series(0, nb - 1)) bs(b))
-    SELECT media_id, CAST(8000 AS INTEGER) AS rate,
-           CAST(17 * nb AS BIGINT) AS n_samples,
-           CAST(SUM(17 * (((d1 + 37 * b) % 256) - 128) * 13) AS BIGINT) AS sum_amp
-    FROM blk GROUP BY media_id, nb
-"""
-ORACLE_SQL["media_flac"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d1, 1 + d4 % 9 AS g, 64 + d2 % 192 AS n FROM d),
-    samp AS (SELECT media_id, n,
-                    g * (((d1 + 13 * i.i) % 256) - 128) AS v
-             FROM dims, UNNEST(generate_series(0, n - 1)) i(i))
-    SELECT media_id, CAST(16000 AS INTEGER) AS rate,
-           CAST(n AS BIGINT) AS n_samples,
-           CAST(SUM(v) AS BIGINT) AS sum_amp
-    FROM samp GROUP BY media_id, n
-"""
-ORACLE_SQL["media_mp4"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d2, 1 + d3 % 7 AS g, 64 + d1 % 192 AS n FROM d),
-    samp AS (SELECT media_id, n,
-                    g * (((d2 + 17 * i.i) % 256) - 128) AS v
-             FROM dims, UNNEST(generate_series(0, n - 1)) i(i))
-    SELECT media_id, CAST(16000 AS INTEGER) AS rate,
-           CAST(n AS BIGINT) AS n_samples,
-           CAST(SUM(v) AS BIGINT) AS sum_amp
-    FROM samp GROUP BY media_id, n
-"""
-ORACLE_SQL["media_mp4v"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d0, 1 + d3 % 3 AS tw, 1 + d4 % 3 AS th,
-                    1 + d5 % 3 AS nf FROM d),
-    cells AS (SELECT media_id, nf, d0, xs.tx, ys.ty, fs.f
-              FROM dims,
-                   UNNEST(generate_series(0, tw - 1)) xs(tx),
-                   UNNEST(generate_series(0, th - 1)) ys(ty),
-                   UNNEST(generate_series(0, nf - 1)) fs(f))
-    SELECT media_id, CAST(nf AS INTEGER) AS n_frames,
-           CAST(64 * SUM((d0 + 11 * tx + 23 * ty + 29 * f) % 256) AS BIGINT)
-               AS sum_px
-    FROM cells GROUP BY media_id, nf
-"""
-ORACLE_SQL["media_mjpeg"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d0, 1 + d3 % 3 AS tw, 1 + d4 % 3 AS th,
-                    1 + d5 % 3 AS nf FROM d),
-    cells AS (SELECT media_id, nf, d0, xs.tx, ys.ty, fs.f
-              FROM dims,
-                   UNNEST(generate_series(0, tw - 1)) xs(tx),
-                   UNNEST(generate_series(0, th - 1)) ys(ty),
-                   UNNEST(generate_series(0, nf - 1)) fs(f))
-    SELECT media_id, CAST(nf AS INTEGER) AS n_frames,
-           CAST(64 * SUM((d0 + 11 * tx + 23 * ty + 31 * f) % 256) AS BIGINT)
-               AS sum_px
-    FROM cells GROUP BY media_id, nf
-"""
-ORACLE_SQL["media_ulaw"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d1, 16 + d2 % 32 AS n FROM d),
-    codes AS (SELECT media_id, n, 255 - (d1 + 13 * i.i) % 256 AS v
-              FROM dims, UNNEST(generate_series(0, n - 1)) i(i)),
-    -- ITU-T G.711 mu-law expansion in integer arithmetic:
-    -- t = ((mant<<3)+132) << exp; sample = sign ? 132-t : t-132
-    ex AS (SELECT media_id, n,
-                  ((v % 16) * 8 + 132) * (1 << (v // 16 % 8)) AS t,
-                  v >= 128 AS neg
-           FROM codes)
-    SELECT media_id, CAST(8000 AS INTEGER) AS rate,
-           CAST(n AS BIGINT) AS n_samples,
-           CAST(SUM(CASE WHEN neg THEN 132 - t ELSE t - 132 END) AS BIGINT)
-               AS sum_amp
-    FROM ex GROUP BY media_id, n
-"""
-ORACLE_SQL["media_alaw"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d3, 16 + d3 % 32 AS n FROM d),
-    codes AS (SELECT media_id, n, (d3 + 11 * i.i) % 256 AS c
-              FROM dims, UNNEST(generate_series(0, n - 1)) i(i)),
-    -- ITU-T G.711 A-law expansion in integer arithmetic:
-    -- v = c XOR 0x55; seg = (v>>4)&7; mant = (v&15)<<4
-    -- mag = seg=0 ? mant+8 : (mant+0x108) << (seg-1); sign bit = positive
-    ex AS (SELECT media_id, n, xor(c, 85) AS v FROM codes),
-    mg AS (SELECT media_id, n, v,
-                  CASE WHEN (v // 16) % 8 = 0 THEN (v % 16) * 16 + 8
-                       ELSE ((v % 16) * 16 + 264) * (1 << ((v // 16) % 8 - 1))
-                  END AS mag
-           FROM ex)
-    SELECT media_id, CAST(8000 AS INTEGER) AS rate,
-           CAST(n AS BIGINT) AS n_samples,
-           CAST(SUM(CASE WHEN v >= 128 THEN mag ELSE -mag END) AS BIGINT)
-               AS sum_amp
-    FROM mg GROUP BY media_id, n
-"""
-ORACLE_SQL["media_gif"] = f"""
-    WITH {_MD5_BYTES_CTE},
-    dims AS (SELECT media_id, d0, 1 + d3 % 8 AS w, 1 + d4 % 8 AS h,
-                    1 + d5 % 3 AS n FROM d),
-    px AS (SELECT media_id, n, d0, xs.x, ys.y, fs.f
-           FROM dims,
-                UNNEST(generate_series(0, w - 1)) xs(x),
-                UNNEST(generate_series(0, h - 1)) ys(y),
-                UNNEST(generate_series(0, n - 1)) fs(f))
-    SELECT media_id, CAST(n AS INTEGER) AS n_frames,
-           CAST(SUM((d0 + 3 * x + 5 * y + 7 * f) % 16 * 17) AS BIGINT) AS sum_px
-    FROM px GROUP BY media_id, n
-"""
 ORACLE_SQL["minhash_pairs"] = r"""
         WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS ws FROM documents),
         s AS (SELECT doc_id,

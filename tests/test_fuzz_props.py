@@ -1,59 +1,12 @@
 """Property-based fuzz tests (hypothesis) for the pure-python kernels:
-codec round-trips over arbitrary payload shapes, MP4 chunk walks, tokenizer
-character conservation, and normalization idempotence.  No Ray — these
-pin the kernels the distributed stages call per batch."""
+tokenizer character conservation, normalization idempotence and the
+winnowing / CDC / novelty gram-hash kernels.  No Ray — these pin the
+kernels the distributed stages call per batch."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from raykg.ops import codecs, mp4
-
 SETTINGS = dict(max_examples=30, deadline=None)
-
-
-@settings(**SETTINGS)
-@given(
-    h=st.integers(1, 24),
-    w=st.integers(1, 24),
-    ft=st.integers(0, 4),
-    interlace=st.booleans(),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_png_round_trip_any_shape(h, w, ft, interlace, seed):
-    img = np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
-    out = codecs.decode_png(codecs.encode_png(img, filter_type=ft, interlace=interlace))
-    assert (out == img).all()
-
-
-@settings(**SETTINGS)
-@given(
-    h=st.integers(1, 24),
-    w=st.integers(1, 24),
-    ncolors=st.integers(2, 64),
-    interlace=st.booleans(),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_gif_round_trip_any_shape(h, w, ncolors, interlace, seed):
-    rng = np.random.default_rng(seed)
-    pal = rng.integers(0, 256, (ncolors, 3), dtype=np.uint8)
-    img = pal[rng.integers(0, ncolors, (h, w))]
-    out = codecs.decode_gif_frames(codecs.encode_gif([img], interlace=interlace))
-    assert (out[0] == img).all()
-
-
-@settings(**SETTINGS)
-@given(
-    n=st.integers(1, 5000),
-    spc=st.integers(1, 999),
-    rate=st.sampled_from([8000, 16000, 44100]),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_mp4_pcm_round_trip_any_chunking(n, spc, rate, seed):
-    s = np.random.default_rng(seed).integers(-32768, 32767, n).astype(np.int16)
-    got_rate, out = mp4.decode_mp4_audio(
-        mp4.encode_mp4_audio(s, rate, samples_per_chunk=spc)
-    )
-    assert got_rate == rate and (out == s).all()
 
 
 @settings(**SETTINGS)

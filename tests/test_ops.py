@@ -1,4 +1,4 @@
-"""Training-data operator tests: dedup, similarity, text stats, multimodal."""
+"""Training-data operator tests: dedup, similarity, text stats."""
 
 import numpy as np
 import pandas as pd
@@ -17,7 +17,6 @@ from raykg.ops.dedup import (
     semantic_dedup,
     simhash_near_pairs,
 )
-from raykg.ops.multimodal import MediaFeatureActor, documents_to_media, extract_media_features
 from raykg.ops.similarity import IVFIndex, topk_cosine
 from raykg.ops.text import add_fingerprints, add_lang_id, add_quality, add_token_counts
 
@@ -674,70 +673,6 @@ class TestTextOps:
         out = add_lang_id(docs_ds(self.ROWS), concurrency=1).to_pandas()
         assert out["pred_lang"].tolist()[0] == "en"
         assert out["pred_lang"].tolist()[2] == "fr"
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestMultimodal:
-    def test_media_pipeline(self):
-        docs = ray.data.read_parquet(
-            f"{SF}/documents.parquet", columns=["doc_id", "text"]
-        )
-        media = docs.map_batches(documents_to_media, batch_format="pyarrow")
-        feats = extract_media_features(media, concurrency=1)
-        out = feats.take_batch(10, batch_format="pandas")
-        assert "payload" not in out.columns
-        assert len(out["features"][0]) == MediaFeatureActor.FEATURE_DIM
-        imgs = out[out["media_type"] == "image"]
-        assert imgs["width"].notna().all()
-
-    def test_real_decode_raises(self):
-        import pyarrow as pa
-
-        actor = MediaFeatureActor(fake=False)
-        batch = pa.Table.from_pydict(
-            {"media_id": [1], "media_type": ["image"], "payload": [b"xx"],
-             "mime": ["x"], "n_bytes": [2]}
-        )
-        with pytest.raises(NotImplementedError):
-            actor(batch)
-
-    def test_fake_features_deterministic(self):
-        a = MediaFeatureActor(fake=True)
-        import pyarrow as pa
-
-        batch = pa.Table.from_pydict(
-            {"media_id": [1], "media_type": ["image"], "payload": [b"hello"],
-             "mime": ["x"], "n_bytes": [5]}
-        )
-        f1 = a(batch)["features"].to_pylist()
-        f2 = MediaFeatureActor(fake=True)(batch)["features"].to_pylist()
-        assert f1 == f2
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestMultimodalStages:
-    def _media(self):
-        docs = ray.data.read_parquet(
-            f"{SF}/documents.parquet", columns=["doc_id", "text"]
-        ).limit(30)
-        return docs.map_batches(documents_to_media, batch_format="pyarrow")
-
-    def test_resize(self):
-        from raykg.ops.multimodal import resize_images
-
-        out = resize_images(self._media(), width=8, height=8, concurrency=1).to_pandas()
-        assert (out["width"] == 8).all()
-        assert out["payload"].map(len).eq(64).all()
-
-    def test_frame_sample_fanout(self):
-        from raykg.ops.multimodal import sample_frames
-
-        media = self._media()
-        n_videos = media.to_pandas()["media_type"].eq("video").sum()
-        out = sample_frames(media, n_frames=3, concurrency=1).to_pandas()
-        assert len(out) == 3 * n_videos
-        assert set(out["frame_idx"]) == {0, 1, 2}
-        assert out["frame"].map(len).eq(16).all()
 
 
 class TestWeightedBernoulli:

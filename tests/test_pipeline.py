@@ -269,6 +269,11 @@ def test_job_rebuild_after_ontology_shrink_drops_stale_partitions(tmp_path):
     build([("A", "spark"), ("B", "flink")])
     for table, parts in (("mentions", 64), ("edges", 64), ("nodes", 16), ("concept_scores", 1)):
         assert len(list((out / table).glob("part=*/manifest.json"))) == parts, table
+    # concept_scores is written from Arrow blocks: no pandas schema metadata
+    import pyarrow.parquet as pq
+
+    scores_file = next((out / "concept_scores").glob("part=*/data.parquet"))
+    assert pq.read_schema(scores_file).metadata is None
 
     report = build([("A", "spark")])
     assert report["tables"]["mentions"]["rows"] == 1
@@ -323,120 +328,6 @@ def test_job_entity_ids_table(tmp_path):
     assert sorted(ids["entity_id"]) == list(range(n_nodes))
     by_rank = ids.sort_values("entity_id")
     assert by_rank["node_id"].tolist() == sorted(ids["node_id"].tolist())
-
-
-class TestJsonlIO:
-    def test_jsonl_roundtrip(self, tmp_path, ray_session):
-        import pandas as pd
-
-        from raykg.pipeline.io import read_jsonl, write_jsonl
-
-        df = pd.DataFrame(
-            {
-                "doc_id": [3, 1, 2],
-                "text": ["héllo wörld", 'quote " and \\ backslash', ""],
-                "n": [1.5, None, -2.0],
-            }
-        )
-        ds = ray.data.from_pandas(df).repartition(2)
-        out = tmp_path / "jsonl"
-        assert write_jsonl(ds, str(out)) == 3
-        shards = sorted(out.glob("shard-*.jsonl"))
-        assert len(shards) >= 1 and not list(out.glob(".shard-*"))
-        back = (
-            read_jsonl([str(p) for p in shards])
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        want = df.sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(back[["doc_id", "text", "n"]], want, check_dtype=False)
-
-    def test_jsonl_column_prune(self, tmp_path, ray_session):
-        import pandas as pd
-
-        from raykg.pipeline.io import read_jsonl, write_jsonl
-
-        df = pd.DataFrame({"a": [1, 2], "b": ["x", "y"], "c": [0.1, 0.2]})
-        out = tmp_path / "jsonl2"
-        write_jsonl(ray.data.from_pandas(df), str(out))
-        back = read_jsonl(str(out), columns=["a", "b"]).to_pandas()
-        assert sorted(back.columns) == ["a", "b"]
-        assert len(back) == 2
-
-
-class TestCsvIO:
-    def test_csv_roundtrip(self, tmp_path, ray_session):
-        import pandas as pd
-
-        from raykg.pipeline.io import read_csv, write_csv
-
-        df = pd.DataFrame(
-            {
-                "doc_id": [3, 1, 2],
-                "text": ["héllo wörld", 'comma, and "quote"', "plain"],
-                "n": [1.5, 0.25, -2.0],
-            }
-        )
-        ds = ray.data.from_pandas(df).repartition(2)
-        out = tmp_path / "csv"
-        assert write_csv(ds, str(out)) == 3
-        shards = sorted(out.glob("shard-*.csv"))
-        assert len(shards) >= 1 and not list(out.glob(".shard-*"))
-        back = (
-            read_csv([str(p) for p in shards])
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        want = df.sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(
-            back[["doc_id", "text", "n"]], want, check_dtype=False
-        )
-
-    def test_csv_column_prune(self, tmp_path, ray_session):
-        import pandas as pd
-
-        from raykg.pipeline.io import read_csv, write_csv
-
-        df = pd.DataFrame({"a": [1, 2], "b": ["x", "y"], "c": [0.1, 0.2]})
-        out = tmp_path / "csv2"
-        write_csv(ray.data.from_pandas(df), str(out))
-        back = read_csv(str(out), columns=["a", "b"]).to_pandas()
-        assert sorted(back.columns) == ["a", "b"]
-
-
-class TestShardNameCollisions:
-    def test_identical_blocks_both_written(self, tmp_path, ray_session):
-        """Two byte-identical blocks must produce two shard files and the
-        full row count — a pure content-addressed shard name silently
-        collapsed them (round-2 advice)."""
-        import pandas as pd
-
-        from raykg.pipeline.io import read_jsonl, write_jsonl
-
-        df = pd.DataFrame({"doc_id": [1, 2], "text": ["same", "rows"]})
-        ds = ray.data.from_pandas(df).union(ray.data.from_pandas(df))
-        out = tmp_path / "dupblocks"
-        assert write_jsonl(ds, str(out)) == 4
-        shards = sorted(out.glob("shard-*.jsonl"))
-        assert len(shards) == 2
-        # ordinal prefix differs, content hash suffix identical
-        assert {p.name.split("-")[2] for p in shards} == {shards[0].name.split("-")[2]}
-        back = read_jsonl([str(p) for p in shards]).to_pandas()
-        assert len(back) == 4
-
-    def test_csv_identical_blocks_both_written(self, tmp_path, ray_session):
-        import pandas as pd
-
-        from raykg.pipeline.io import read_csv, write_csv
-
-        df = pd.DataFrame({"a": [1, 2], "b": ["x", "y"]})
-        ds = ray.data.from_pandas(df).union(ray.data.from_pandas(df))
-        out = tmp_path / "dupcsv"
-        assert write_csv(ds, str(out)) == 4
-        assert len(sorted(out.glob("shard-*.csv"))) == 2
-        assert len(read_csv(str(out)).to_pandas()) == 4
 
 
 def test_triples_from_mentions_pinned_to_extract_triples(ray_session):
@@ -635,6 +526,42 @@ def test_prep_corpus_job_resume_and_decontam(ray_session, tmp_path):
         assert r4["tables"]["packed"]["rows"] == r4["tables"]["clean"]["rows"]
 
 
+def test_prep_corpus_rerun_with_another_testset_recomputes_clean(ray_session, tmp_path):
+    """A rerun into the same directory with a different test set must
+    decontaminate against the new one: the clean and packed stages are
+    fingerprinted with the test set's content, not only with whether one
+    was given."""
+    import pyarrow as pa
+
+    from raykg.job import build_prep_corpus
+    from raykg.ops.decontam import decontaminate
+    from raykg.pipeline.io import PartitionedWriter
+    from raykg.pipeline.transcripts import read_documents_scaled
+
+    out = str(tmp_path / "prep")
+
+    def build(texts):
+        testset = ray.data.from_arrow(pa.table({"text": texts}))
+        docs = read_documents_scaled(SF, 1, salt_vocab=True)
+        return build_prep_corpus(docs, out, num_partitions=4, testset=testset)
+
+    def clean_ids():
+        return set(PartitionedWriter(out + "/clean", 4).read().to_pandas()["doc_id"])
+
+    first = build(["a test set no corpus document shares thirteen words with at all"])
+    assert first["tables"]["clean"]["rows"] == first["tables"]["canonical"]["rows"]
+    canonical = PartitionedWriter(out + "/canonical", 4).read()
+    doc = next(r for r in canonical.take(20) if len(r["text"].split()) >= 13)
+    assert doc["doc_id"] in clean_ids()
+
+    second = build([doc["text"]])
+    want = decontaminate(canonical, ray.data.from_arrow(pa.table({"text": [doc["text"]]})))
+    assert doc["doc_id"] not in clean_ids()
+    assert clean_ids() == set(want.to_pandas()["doc_id"])
+    assert second["tables"]["canonical"] == first["tables"]["canonical"]
+    assert second["tables"]["packed"]["rows"] == second["tables"]["clean"]["rows"]
+
+
 def test_salted_replicas_past_the_suffix_width_raise(ray_session):
     """The salt suffix has four digits: replica 10,000 would reuse replica
     0's vocabulary and break per-replica independence, so it is refused."""
@@ -796,3 +723,85 @@ def test_single_cpu_cluster_raises_instead_of_hanging(tmp_path):
         pytest.fail("extract_triples hung on a 1-CPU cluster")
     assert "VALUE_ERROR" in out and "num_cpus" in out, (out, err[-2000:])
     assert "ROWS 2" in out, (out, err[-2000:])  # utters + tagged_as
+
+
+def test_require_sort_shuffle_checks_the_input_datasets_context():
+    """A dataset created under HASH_SHUFFLE keeps that strategy in its own
+    context, so the check must look at the inputs too, not only at the
+    current context."""
+    from ray.data.context import DataContext, ShuffleStrategy
+
+    from raykg.pipeline.io import require_sort_shuffle
+
+    ctx = DataContext.get_current()
+    saved = ctx.shuffle_strategy
+    try:
+        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+        ds = ray.data.range(3)
+        with pytest.raises(ValueError, match="shuffle_strategy"):
+            require_sort_shuffle()
+        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+        require_sort_shuffle(None)
+        with pytest.raises(ValueError, match="shuffle_strategy"):
+            require_sort_shuffle(ray.data.range(3), ds)
+    finally:
+        ctx.shuffle_strategy = saved
+
+
+_HASH_SHUFFLE_SCRIPT = """
+import sys
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data
+from ray.data.context import DataContext, ShuffleStrategy
+
+from raykg.job import build_graph
+from raykg.pipeline.config import PipelineConfig
+
+ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+pq.write_table(
+    pa.table({"conv_id": ["c0", "c1"], "turn_idx": pa.array([0, 0], pa.int32()),
+              "role": ["user", "user"], "text": ["I use spark", "I use flink"],
+              "tool": pa.array([None, None], pa.string()), "lang": ["en", "en"]}),
+    sys.argv[1] + "/t.parquet",
+)
+ds = ray.data.read_parquet(sys.argv[1] + "/t.parquet")
+try:
+    build_graph(ds, [("Engine", "spark")], PipelineConfig(concurrency=1),
+                sys.argv[1] + "/kg")
+    print("NO_ERROR", flush=True)
+except ValueError as e:
+    print("VALUE_ERROR", e, flush=True)
+ray.shutdown()
+"""
+
+
+def test_hash_shuffle_raises_instead_of_hanging(tmp_path):
+    """Under ShuffleStrategy.HASH_SHUFFLE every groupby exchange of the job
+    waits on aggregator actors a small cluster cannot schedule: the job
+    must fail fast with an error naming the setting, not hang."""
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HASH_SHUFFLE_SCRIPT, str(tmp_path)],
+        cwd=root, env=env, text=True, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("build_graph hung under HASH_SHUFFLE")
+    assert "VALUE_ERROR" in out and "shuffle_strategy" in out, (out, err[-2000:])
+    assert "SORT_SHUFFLE" in out, (out, err[-2000:])

@@ -1,5 +1,6 @@
-"""The KG job and API must not reach the scenario-query registry
-(``scripts/reach.py``'s static import walk)."""
+"""The KG job and API must not reach the scenario-query registry, and
+every module must be reached by one of the two (``scripts/reach.py``'s
+static import walk)."""
 
 import importlib.util
 import os
@@ -30,6 +31,13 @@ def test_job_closure_excludes_query_registry(reach):
     assert table["raykg.pipeline.queries"]["reach"] == "registry"
     leaked = sorted(m for m in job if m.startswith("raykg.pipeline.queries"))
     assert not leaked, f"the job/api closure imports the query registry: {leaked}"
+
+
+def test_no_orphaned_modules(reach):
+    """A module that neither the job/api closure nor the query registry
+    imports is dead code; delete it with whatever stopped using it."""
+    orphans = sorted(m for m, r in reach.reach().items() if r["reach"] == "none")
+    assert not orphans, f"modules no entry point reaches: {orphans}"
 
 
 def test_walk_follows_function_level_and_relative_imports(reach, tmp_path):
