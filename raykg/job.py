@@ -15,8 +15,11 @@ with ``--derive-from-documents``), extracts mentions/triples, and writes:
 
 Every table goes through the resumable partitioned writer — a re-run after
 a failure skips complete partitions (checked via the atomic manifests).
-Only this entry point owns the Ray session (guarded init; the library never
-calls ray.init).
+``build_graph`` and ``update_graph`` (``--changed-convs``) run the same
+stages, ``_graph_tables``, over different partition sets: a build the
+partitions that are not done, an update those of the changed
+conversations.  Only this entry point owns the Ray session (guarded init;
+the library never calls ray.init).
 """
 
 from __future__ import annotations
@@ -66,6 +69,83 @@ def _fingerprint(config, onto_rows) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
+def _writers(out_dir: str, num_partitions: int) -> list:
+    """The graph tables' writers in stage order: mentions and edges hash
+    ``conv_id`` into ``num_partitions``, nodes route into a quarter as
+    many (the nodes_v2 layout, :func:`~.pipeline.graph.with_node_part_key`)
+    and concept_scores is one partition."""
+    import os
+
+    from .pipeline.io import PartitionedWriter
+
+    sizes = (("mentions", num_partitions), ("edges", num_partitions),
+             ("nodes", max(num_partitions // 4, 1)), ("concept_scores", 1))
+    return [PartitionedWriter(os.path.join(out_dir, t), n) for t, n in sizes]
+
+
+def _graph_tables(transcripts, ontology, config, out_dir: str,
+                  num_partitions: int, parts, n_parts) -> dict:
+    """The graph stages of :func:`build_graph` and :func:`update_graph`:
+    recompute the conv partitions ``parts`` of mentions and edges, the
+    node partitions ``n_parts``, and concept_scores.  Returns the report's
+    per-table rows and partitions.
+
+    - mentions: the matcher runs over the transcripts pruned to the
+      partitions of ``parts`` whose mentions are not done, so a resume
+      after a kill between the mentions and edges writes reuses them (a
+      caller whose input changed invalidates them first);
+    - edges: derived from the mentions read back plus a text-free
+      (conv_id, turn_idx, tool) projection of the transcripts, so the
+      matcher runs once per corpus;
+    - nodes: built from the edge rows whose nodes route into ``n_parts``;
+    - concept_scores aggregates across conversations, so it rebuilds from
+      the whole mentions table whenever ``parts`` is not empty or it is
+      not done.
+
+    A slice with no mentions is a valid table at every stage."""
+    from .pipeline.graph import (
+        TRIPLE_SCHEMA,
+        build_nodes,
+        concept_scores,
+        edge_node_part_key,
+        triples_from_mentions,
+        with_node_part_key,
+    )
+    from .pipeline.io import keep_partitions, require_sort_shuffle
+    from .pipeline.tag import MENTION_SCHEMA, extract_mentions
+
+    require_sort_shuffle(transcripts)
+    onto_rows = _ontology_rows(ontology, config)
+    fp = _fingerprint(config, onto_rows)
+    w_m, w_e, w_n, w_s = _writers(out_dir, num_partitions)
+    tables: dict = {}
+
+    def refresh(name, writer, ds, key, targets, fingerprint=fp, **kw) -> None:
+        s = writer.refresh(ds, key, targets, fingerprint=fingerprint, **kw)
+        tables[name] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
+
+    m_parts = set(parts) - w_m.done_partitions(fingerprint=fp)
+    matcher_input = keep_partitions(transcripts, "conv_id", num_partitions, m_parts)
+    refresh("mentions", w_m, extract_mentions(matcher_input, ontology, config),
+            "conv_id", m_parts)
+    # the edge writer prunes the structural rows to ``parts``; pruning the
+    # transcripts first would make triples_from_mentions' schema lookup
+    # run the input pipeline
+    triples = triples_from_mentions(w_m.read(parts, MENTION_SCHEMA), transcripts)
+    refresh("edges", w_e, triples, "conv_id", parts)
+    edges = keep_partitions(w_e.read(schema=TRIPLE_SCHEMA), edge_node_part_key,
+                            w_n.num_partitions, n_parts)
+    # the nodes_v2 tag keeps a resume over a pre-v2 output from mixing
+    # partition schemes
+    refresh("nodes", w_n, with_node_part_key(build_nodes(edges, onto_rows)),
+            "node_part_key", n_parts, fingerprint=fp + "|nodes_v2",
+            drop_key_column=True)
+    stale = parts or not w_s.done_partitions(fingerprint=fp)
+    refresh("concept_scores", w_s, concept_scores(w_m.read(schema=MENTION_SCHEMA)),
+            "tag", [0] if stale else [])
+    return tables
+
+
 def build_graph(
     transcripts,
     ontology,
@@ -77,90 +157,39 @@ def build_graph(
     compute_entity_ids: bool = False,
 ) -> dict:
     """The job body (importable for tests): transcripts + ontology ->
-    partitioned graph tables on disk; returns the run report."""
+    partitioned graph tables on disk; returns the run report.
+
+    A build is an update of every partition that is not done: the conv
+    partitions not done in mentions or in edges, and the node partitions
+    not done (:func:`_graph_tables`).  ``resume=False`` recomputes all of
+    them."""
     import os
 
-    from .pipeline.graph import (
-        build_nodes,
-        concept_scores,
-        triples_from_mentions,
-        with_node_part_key,
-    )
-    from .pipeline.io import PartitionedWriter, require_sort_shuffle
-    from .pipeline.tag import extract_mentions
+    from .pipeline.io import PartitionedWriter
 
-    require_sort_shuffle(transcripts)
-    onto_rows = _ontology_rows(ontology, config)
-    fingerprint = _fingerprint(config, onto_rows)
-    report: dict = {"out_dir": out_dir, "tables": {}}
-
-    # ONE matcher pass: mentions are extracted and persisted first, then
-    # edges derive from the written mentions table plus a text-free
-    # (conv_id, turn_idx, tool) projection — the dominant stage (string
-    # matching over every turn) never runs twice per corpus.
-    w_m = PartitionedWriter(os.path.join(out_dir, "mentions"), num_partitions)
-    matcher_input = transcripts
-    done_m = w_m.done_partitions(fingerprint=fingerprint) if resume else set()
-    if done_m and len(done_m) < num_partitions:
-        # resume: prune completed conversations BEFORE the matcher — the
-        # dominant stage runs only over the missing hash slice, not the
-        # whole corpus (partition key is conv_id for both the filter and
-        # the writer, so the pruned rows are exactly the skipped ones)
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        from .ops.hashing import bucket_column
-
-        done_arr = pa.array(sorted(done_m), type=pa.int32())
-
-        def drop_done_convs(batch: pa.Table) -> pa.Table:
-            pcol = bucket_column(batch["conv_id"], num_partitions, stable_str=True)
-            return batch.filter(pc.invert(pc.is_in(pcol, value_set=done_arr)))
-
-        matcher_input = transcripts.map_batches(
-            drop_done_convs, batch_format="pyarrow"
-        )
-    mentions = extract_mentions(matcher_input, ontology, config)
-    s = w_m.write(mentions, key_column="conv_id", resume=resume, fingerprint=fingerprint)
-    report["tables"]["mentions"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
-
-    triples = triples_from_mentions(w_m.read(), transcripts)
-    w_edges = PartitionedWriter(os.path.join(out_dir, "edges"), num_partitions)
-    s = w_edges.write(triples, key_column="conv_id", resume=resume, fingerprint=fingerprint)
-    report["tables"]["edges"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
-
-    # nodes route by SOURCE conversation (conv-prefixed node ids) with one
-    # shared global partition for tool/concept rows — the layout that lets
-    # update_graph refresh exactly the changed conversations' node rows.
-    # The fingerprint carries a layout tag so a resume over a pre-v2 output
-    # recomputes instead of silently mixing partition schemes.
-    nodes = with_node_part_key(build_nodes(w_edges.read(), onto_rows))
-    w_n = PartitionedWriter(os.path.join(out_dir, "nodes"), max(num_partitions // 4, 1))
-    s = w_n.write(
-        nodes,
-        key_column="node_part_key",
-        resume=resume,
-        fingerprint=fingerprint + "|nodes_v2",
-        drop_key_column=True,
-    )
-    report["tables"]["nodes"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
-
-    scores = concept_scores(w_m.read())
-    w_s = PartitionedWriter(os.path.join(out_dir, "concept_scores"), 1)
-    s = w_s.write(scores, key_column="tag", resume=resume, fingerprint=fingerprint)
-    report["tables"]["concept_scores"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
+    w_m, w_e, w_n, _ = _writers(out_dir, num_partitions)
+    fp = _fingerprint(config, _ontology_rows(ontology, config))
+    parts, n_parts = set(range(num_partitions)), set(range(w_n.num_partitions))
+    if resume:
+        parts -= w_m.done_partitions(fingerprint=fp) & w_e.done_partitions(fingerprint=fp)
+        n_parts -= w_n.done_partitions(fingerprint=fp + "|nodes_v2")
+    else:
+        w_m.invalidate(parts)  # _graph_tables reuses done mentions
+    report: dict = {"out_dir": out_dir, "tables": _graph_tables(
+        transcripts, ontology, config, out_dir, num_partitions, parts, n_parts
+    )}
 
     if compute_pagerank:
         from .ops.pagerank import pagerank
 
         ranks = pagerank(
-            w_edges.read(), src_column="subj", dst_column="obj", iters=5
+            w_e.read(), src_column="subj", dst_column="obj", iters=5
         )
         w_r = PartitionedWriter(
             os.path.join(out_dir, "node_ranks"), max(num_partitions // 4, 1)
         )
         s = w_r.write(
-            ranks, key_column="node", resume=resume, fingerprint=fingerprint
+            ranks, key_column="node", resume=resume, fingerprint=fp
         )
         report["tables"]["node_ranks"] = {
             "rows": int(s["rows"].sum()),
@@ -182,7 +211,7 @@ def build_graph(
         w_i = PartitionedWriter(
             os.path.join(out_dir, "entity_ids"), max(num_partitions // 4, 1)
         )
-        s = w_i.write(ids, key_column="node_id", resume=resume, fingerprint=fingerprint)
+        s = w_i.write(ids, key_column="node_id", resume=resume, fingerprint=fp)
         report["tables"]["entity_ids"] = {
             "rows": int(s["rows"].sum()),
             "partitions": len(s),
@@ -223,15 +252,13 @@ def build_prep_corpus(
     partitioned parquet, never the raw corpus twice."""
     import os
 
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     from .ops import dedup as dedup_ops
     from .ops import text as text_ops
     from .ops.components import connected_components, dedup_survivors
-    from .ops.hashing import bucket_column
     from .ops.pack import pack_bins
-    from .pipeline.io import PartitionedWriter, require_sort_shuffle
+    from .pipeline.io import PartitionedWriter, keep_partitions, require_sort_shuffle
 
     require_sort_shuffle(documents, testset)
     fingerprint = json.dumps(
@@ -270,15 +297,9 @@ def build_prep_corpus(
     # stage 1: filter — prune complete partitions BEFORE the actor pool
     w_kept = PartitionedWriter(os.path.join(out_dir, "kept"), num_partitions)
     done_k = w_kept.done_partitions(fingerprint=fingerprint) if resume else set()
-    stage_in = documents
-    if done_k and len(done_k) < num_partitions:
-        done_arr = pa.array(sorted(done_k), type=pa.int32())
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            pcol = bucket_column(batch["doc_id"], num_partitions, stable_str=True)
-            return batch.filter(pc.invert(pc.is_in(pcol, value_set=done_arr)))
-
-        stage_in = documents.map_batches(drop_done, batch_format="pyarrow")
+    stage_in = keep_partitions(
+        documents, "doc_id", num_partitions, set(range(num_partitions)) - done_k
+    )
     if len(done_k) < num_partitions:
         scored = text_ops.add_quality(
             text_ops.add_lang_id(stage_in, concurrency=(1, 8))
@@ -337,134 +358,38 @@ def update_graph(
 ) -> dict:
     """Incremental KG maintenance (the lineage manifests' payoff): given
     the CURRENT full transcripts table and the conv_ids whose turns were
-    added/changed/restated, recompute ONLY the hash partitions those
-    conversations live in.
+    added/changed/restated, recompute ONLY the partitions those
+    conversations live in — the same stages as :func:`build_graph`
+    (:func:`_graph_tables`) over other partition sets:
 
-    - ``mentions`` and ``edges`` are conv-partitioned, so the changed
-      convs map to an exact partition set; the input is pruned to those
-      partitions with a vectorized conv-hash mask BEFORE the matcher —
-      an update touching 0.1% of conversations runs the expensive stage
-      over ~0.1% of the corpus.
-    - ``nodes`` are conv-routed (nodes_v2 layout), so only the changed
-      conversations' node partitions plus the single global partition
-      (tool/concept rows) refresh — from output-sized edge-table scans,
-      never the corpus.
+    - ``mentions`` and ``edges``: the changed convs' hash partitions; the
+      matcher input is pruned to them with a vectorized conv-hash mask,
+      so an update touching 0.1% of conversations runs the expensive
+      stage over ~0.1% of the corpus.
+    - ``nodes``: the changed convs' node partitions plus the one global
+      partition (tool/concept rows), built from the edge rows that route
+      into them — an output-sized scan, never the corpus.
     - ``concept_scores`` aggregates ACROSS conversations, so it rebuilds
-      from the updated on-disk mentions table (one column-pruned read +
-      a concept-sized reduce).
+      from the updated on-disk mentions table.
 
     Deleted conversations: include their ids in ``changed_conv_ids``;
     their partitions recompute from the current table (which no longer
     holds them), so their rows vanish.
 
-    Returns the same report shape as :func:`build_graph`."""
-    import os
-
-    import ray
-
+    Returns the same report shape as :func:`build_graph`, plus
+    ``updated_partitions``."""
     from .ops.hashing import partition_of
-    from .pipeline.graph import (
-        NODE_GLOBAL_PART_KEY,
-        build_nodes,
-        concept_scores,
-        tool_nodes_from_edges,
-        triples_from_mentions,
-        with_node_part_key,
+    from .pipeline.graph import NODE_GLOBAL_PART_KEY
+
+    w_m, _, w_n, _ = _writers(out_dir, num_partitions)
+    parts = sorted({partition_of(str(c), num_partitions) for c in changed_conv_ids})
+    n_parts = {partition_of(str(c), w_n.num_partitions) for c in changed_conv_ids}
+    n_parts.add(partition_of(NODE_GLOBAL_PART_KEY, w_n.num_partitions))
+    w_m.invalidate(parts)  # their input changed: the matcher reruns there
+    tables = _graph_tables(
+        transcripts, ontology, config, out_dir, num_partitions, parts, n_parts
     )
-    from .pipeline.io import PartitionedWriter, require_sort_shuffle
-    from .pipeline.tag import extract_mentions
-
-    require_sort_shuffle(transcripts)
-    onto_rows = _ontology_rows(ontology, config)
-    fingerprint = _fingerprint(config, onto_rows)
-    parts = sorted(
-        {partition_of(str(c), num_partitions) for c in changed_conv_ids}
-    )
-    report: dict = {"out_dir": out_dir, "updated_partitions": parts, "tables": {}}
-
-    w_m = PartitionedWriter(os.path.join(out_dir, "mentions"), num_partitions)
-    w_edges = PartitionedWriter(os.path.join(out_dir, "edges"), num_partitions)
-
-    # prune to the affected conv-hash slice BEFORE the matcher
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .ops.hashing import bucket_column
-
-    want = pa.array(parts, type=pa.int32())
-
-    def keep(batch: pa.Table) -> pa.Table:
-        pcol = bucket_column(batch["conv_id"], num_partitions, stable_str=True)
-        return batch.filter(pc.is_in(pcol, value_set=want))
-
-    affected = transcripts.map_batches(keep, batch_format="pyarrow")
-
-    mentions = extract_mentions(affected, ontology, config)
-    s = w_m.refresh(mentions, "conv_id", parts, fingerprint=fingerprint)
-    report["tables"]["mentions"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
-
-    triples = triples_from_mentions(w_m.read(partitions=set(parts)), affected)
-    s = w_edges.refresh(triples, "conv_id", parts, fingerprint=fingerprint)
-    report["tables"]["edges"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
-
-    # nodes are conv-routed (build_graph's nodes_v2 layout), so the update
-    # touches exactly the changed conversations' node partitions plus the
-    # one global partition (tool/concept rows, tool set may shrink/grow):
-    #   - conv-local node rows rebuild from the edge table FILTERED to the
-    #     convs hashing into the affected node partitions (an output-sized
-    #     scan with an early vectorized mask — never the corpus/matcher)
-    #   - the global partition rebuilds from a 2-column pred-filtered scan
-    w_n = PartitionedWriter(os.path.join(out_dir, "nodes"), max(num_partitions // 4, 1))
-    n_fp = fingerprint + "|nodes_v2"
-    p_nodes = w_n.num_partitions
-    n_parts = sorted(
-        {partition_of(str(c), p_nodes) for c in changed_conv_ids}
-        | {partition_of(NODE_GLOBAL_PART_KEY, p_nodes)}
-    )
-    want_n = pa.array(n_parts, type=pa.int32())
-
-    def keep_node_convs(batch: pa.Table) -> pa.Table:
-        pcol = bucket_column(batch["conv_id"], p_nodes, stable_str=True)
-        return batch.filter(pc.is_in(pcol, value_set=want_n))
-
-    conv_nodes = build_nodes(
-        w_edges.read().map_batches(keep_node_convs, batch_format="pyarrow"),
-        None,  # concept rows belong to the global partition below
-    )
-
-    def drop_global_types(batch: pa.Table) -> pa.Table:
-        keep_mask = pc.invert(
-            pc.is_in(batch["node_type"], value_set=pa.array(["tool", "concept"]))
-        )
-        return batch.filter(keep_mask)
-
-    conv_nodes = conv_nodes.map_batches(drop_global_types, batch_format="pyarrow")
-    global_nodes = tool_nodes_from_edges(w_edges.read())
-    if onto_rows:
-        from .pipeline.graph import NODE_SCHEMA, _uniq_tags, concept_id
-
-        concept_rows = pa.Table.from_pydict(
-            {
-                "node_id": [concept_id(r.tag) for r in _uniq_tags(onto_rows)],
-                "node_type": ["concept"] * len(_uniq_tags(onto_rows)),
-                "label": [r.tag for r in _uniq_tags(onto_rows)],
-                "category": [r.category for r in _uniq_tags(onto_rows)],
-            },
-            schema=NODE_SCHEMA,
-        )
-        global_nodes = global_nodes.union(ray.data.from_arrow(concept_rows))
-    nodes = with_node_part_key(conv_nodes.union(global_nodes))
-    s = w_n.refresh(
-        nodes, "node_part_key", n_parts, fingerprint=n_fp, drop_key_column=True
-    )
-    report["tables"]["nodes"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
-
-    scores = concept_scores(w_m.read())
-    w_s = PartitionedWriter(os.path.join(out_dir, "concept_scores"), 1)
-    w_s.invalidate(range(1))
-    s = w_s.write(scores, key_column="tag", resume=False, fingerprint=fingerprint)
-    report["tables"]["concept_scores"] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
-    return report
+    return {"out_dir": out_dir, "updated_partitions": parts, "tables": tables}
 
 
 def main(argv=None) -> int:

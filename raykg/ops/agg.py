@@ -98,7 +98,7 @@ def sharded_groupby_apply(
             _SHARD_COL, pa.array(_shard_ids(batch, keys, num_shards), type=pa.int32())
         )
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
+    def run(g: pd.DataFrame):
         # deep: a string counts its bytes, not its 8-byte object pointer
         n, nbytes = len(g), int(g.memory_usage(deep=True).sum())
         if n > row_cap or nbytes > byte_cap:
@@ -116,7 +116,13 @@ def sharded_groupby_apply(
                 "sketch partials (ops/sketch.py) for quantiles, or "
                 "pre-aggregate per batch before the exchange."
             )
-        return apply(g.drop(columns=[_SHARD_COL]))
+        out = apply(g.drop(columns=[_SHARD_COL]))
+        if isinstance(out, pd.DataFrame):
+            # Arrow out: pandas blocks would carry pandas schema metadata
+            # into every table written straight from this exchange
+            out = pa.Table.from_pandas(out, preserve_index=False)
+            out = out.replace_schema_metadata(None)
+        return out
 
     return (
         ds.map_batches(add_shard, batch_format="pyarrow")

@@ -170,7 +170,7 @@ def boilerplate_trim(
 
     def reassemble(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values("cidx", kind="stable")
-        keep = ~g["isdup"].fillna(False).astype(bool)
+        keep = g["isdup"].isna()  # isdup is True or null after the left join
         return pa.table(
             {id_column: pa.array([g[id_column].iloc[0]]),
              "clean_text": pa.array(

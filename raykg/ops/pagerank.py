@@ -62,9 +62,9 @@ from .setops import distinct_rows
 
 
 def _arrow(ds: "ray.data.Dataset", schema) -> "ray.data.Dataset":
-    """Re-block as typed Arrow: the sharded aggregates emit pandas blocks,
-    whose numpy-dtype schema the bucketed join (which pads with typed
-    nulls) cannot consume."""
+    """Re-type as ``schema``: the sharded aggregates' column types are
+    inferred from pandas, and the bucketed join (which pads with typed
+    nulls) needs the declared ones."""
 
     def conv(df: pd.DataFrame) -> pa.Table:
         return pa.table(

@@ -103,17 +103,13 @@ class TripleActor(MentionActor):
     - one ``used_tool`` edge per turn with a non-null tool
     """
 
-    def __init__(self, *args, tool_column: str = "tool",
-                 include_structural: bool = True, **kwargs):
+    def __init__(self, *args, tool_column: str = "tool", **kwargs):
         super().__init__(*args, **kwargs)
         self.tool_column = tool_column
-        self.include_structural = include_structural
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         conv, turn, tid = _turn_keys(batch, self.conv_column, self.turn_column)
-        parts = []
-        if self.include_structural:
-            parts = _structural_triples(batch, self.tool_column, conv, turn, tid)
+        parts = _structural_triples(batch, self.tool_column, conv, turn, tid)
         hits = self._tag_keyword_counts(batch)
         if hits.num_rows:
             rows = hits["row"]
@@ -126,17 +122,15 @@ class TripleActor(MentionActor):
                     turn.take(rows),
                 )
             )
-        return pa.concat_tables(parts) if parts else TRIPLE_SCHEMA.empty_table()
+        return pa.concat_tables(parts)
 
 
 def extract_triples(
     transcripts: "ray.data.Dataset",
     ontology,
     config: PipelineConfig,
-    include_structural: bool = True,
 ) -> "ray.data.Dataset":
-    return map_stage(transcripts, TripleActor, ontology, config,
-                     include_structural=include_structural)
+    return map_stage(transcripts, TripleActor, ontology, config)
 
 
 def triples_to_edges(triples: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -192,11 +186,6 @@ def _batch_nodes(batch: pa.Table) -> pa.Table:
 def triples_from_mentions(
     mentions: "ray.data.Dataset",
     transcripts_meta: "ray.data.Dataset",
-    conv_column: str = "conv_id",
-    turn_column: str = "turn_idx",
-    tool_column: str = "tool",
-    include_structural: bool = True,
-    num_shards: int = 64,
 ) -> "ray.data.Dataset":
     """Triples derived from an EXISTING mentions table plus a text-free
     metadata pass — so the matcher (the job's dominant cost) runs once per
@@ -215,7 +204,7 @@ def triples_from_mentions(
     from ..ops.setops import distinct_rows
 
     def tag_kw_triples(batch: pa.Table) -> pa.Table:
-        conv, turn, tid = _turn_keys(batch, conv_column, turn_column)
+        conv, turn, tid = _turn_keys(batch, "conv_id", "turn_idx")
         return _triples(
             pc.binary_join_element_wise(tid, batch["keyword"], "#"),
             "tagged_as",
@@ -224,22 +213,18 @@ def triples_from_mentions(
             turn,
         )
 
+    keys = ["conv_id", "turn_idx", "tag", "keyword"]
     tagged = distinct_rows(
-        mentions.select_columns([conv_column, turn_column, "tag", "keyword"]),
-        [conv_column, turn_column, "tag", "keyword"],
-        num_shards=num_shards,
+        mentions.select_columns(keys), keys, num_shards=64
     ).map_batches(tag_kw_triples, batch_format="pyarrow")
 
-    if not include_structural:
-        return tagged
-
     def structural(batch: pa.Table) -> pa.Table:
-        keys = _turn_keys(batch, conv_column, turn_column)
-        return pa.concat_tables(_structural_triples(batch, tool_column, *keys))
+        keys = _turn_keys(batch, "conv_id", "turn_idx")
+        return pa.concat_tables(_structural_triples(batch, "tool", *keys))
 
-    cols = [conv_column, turn_column]
-    if tool_column in transcripts_meta.schema().names:
-        cols.append(tool_column)
+    cols = ["conv_id", "turn_idx"]
+    if "tool" in transcripts_meta.schema().names:
+        cols.append("tool")
     struct = transcripts_meta.select_columns(cols).map_batches(
         structural, batch_format="pyarrow"
     )
@@ -256,8 +241,8 @@ def with_node_part_key(nodes: "ray.data.Dataset") -> "ray.data.Dataset":
     route by their source conversation — a changed conv maps to an exact
     node-partition set; the cross-conversation node types (tool, concept)
     route to one shared ``__kg_global__`` partition that every update
-    rebuilds from a column-pruned scan (their cardinality is tool/ontology
-    sized, not corpus sized).
+    rebuilds from the ``used_tool`` edges and the ontology (their
+    cardinality is tool/ontology sized, not corpus sized).
 
     Assumes conv_ids do not contain ``#`` — the id separator the whole
     node-id scheme is built on (`_turn_keys`)."""
@@ -276,10 +261,23 @@ def with_node_part_key(nodes: "ray.data.Dataset") -> "ray.data.Dataset":
     return nodes.map_batches(add, batch_format="pyarrow")
 
 
+def edge_node_part_key(edges: pa.Table):
+    """The ``node_part_key`` of the node rows each edge row yields: a
+    ``used_tool`` edge yields only its tool node (the global partition),
+    every other edge only nodes of its own conversation."""
+    return pc.if_else(
+        pc.equal(edges["pred"], "used_tool"),
+        pa.scalar(NODE_GLOBAL_PART_KEY),
+        edges["conv_id"],
+    )
+
+
 def tool_nodes_from_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """The global tool-node rows from a column-pruned scan of the edge
     table: distinct ``obj`` of ``used_tool`` edges (tool cardinality —
-    tiny — is the exchange volume after per-batch dedup)."""
+    tiny — is the exchange volume after per-batch dedup).  The job builds
+    tool nodes through :func:`build_nodes`; perfbench's traced update
+    replay still calls this."""
     from ..ops.setops import distinct_rows
 
     def just_tools(batch: pa.Table) -> pa.Table:
@@ -422,15 +420,8 @@ def concept_scores(
         combine_conv,
     )
 
-    # not a no-op: sharded_groupby_apply emits pandas blocks, and an
-    # Arrow-format stage turns them into Arrow blocks, which keeps the
-    # pandas schema metadata (~1.2 kB) out of the concept_scores file
-    def as_arrow(batch: pa.Table) -> pa.Table:
-        return batch
-
     scores = (
-        per_conv.map_batches(as_arrow, batch_format="pyarrow")
-        .groupby("tag")
+        per_conv.groupby("tag")
         .aggregate(
             Sum("n_mentions_conv", alias_name="n_mentions"),
             Count(alias_name="n_convs"),

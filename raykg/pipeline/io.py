@@ -37,8 +37,8 @@ import ray.data
 
 from ..ops.hashing import bucket_column, partition_of
 
-__all__ = ["partition_of", "add_partition_column", "PartitionedWriter",
-           "require_sort_shuffle"]
+__all__ = ["partition_of", "add_partition_column", "keep_partitions",
+           "PartitionedWriter", "require_sort_shuffle"]
 
 
 def require_sort_shuffle(*datasets) -> None:
@@ -72,6 +72,29 @@ def add_partition_column(
         return batch.append_column("part", parts)
 
     return ds.map_batches(add, batch_format="pyarrow")
+
+
+def keep_partitions(
+    ds: "ray.data.Dataset", key, num_partitions: int, parts
+) -> "ray.data.Dataset":
+    """The rows of ``ds`` whose ``crc32(key) % num_partitions`` is in
+    ``parts`` — a vectorized mask, so callers prune before any costly
+    stage or exchange.  ``key`` names the key column, or maps a batch to
+    its key array.  ``ds`` itself, with no stage added, when ``parts``
+    covers every partition."""
+    parts = {int(p) for p in parts}
+    if parts >= set(range(num_partitions)):
+        return ds
+    want = pa.array(sorted(parts), type=pa.int32())
+
+    def keep(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        keys = key(batch) if callable(key) else batch[key]
+        pcol = bucket_column(keys, num_partitions, stable_str=True)
+        return batch.filter(pc.is_in(pcol, value_set=want))
+
+    return ds.map_batches(keep, batch_format="pyarrow")
 
 
 class PartitionedWriter:
@@ -151,16 +174,11 @@ class PartitionedWriter:
             # the input pipeline is never executed (a skip-all re-run of a
             # finished job costs manifest scans, not a corpus pass)
             return _empty_summary()
-        with_part = add_partition_column(ds, key_column, num_partitions)
-        if len(owned) < num_partitions:
-            owned_arr = pa.array(sorted(owned), type=pa.int32())
-
-            def keep_owned(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                return batch.filter(pc.is_in(batch["part"], value_set=owned_arr))
-
-            with_part = with_part.map_batches(keep_owned, batch_format="pyarrow")
+        with_part = add_partition_column(
+            keep_partitions(ds, key_column, num_partitions, owned),
+            key_column,
+            num_partitions,
+        )
 
         out_dir = self.out_dir
         part_dir_fmt = self._part_dir
@@ -248,11 +266,17 @@ class PartitionedWriter:
         if os.path.exists(data_path):
             os.remove(data_path)
 
-    def read(self, partitions: Optional[Set[int]] = None) -> "ray.data.Dataset":
+    def read(
+        self,
+        partitions: Optional[Set[int]] = None,
+        schema: Optional[pa.Schema] = None,
+    ) -> "ray.data.Dataset":
         """Read back every complete partition (or only ``partitions`` —
         partition pruning at the read, no post-filter).  Partitions whose
         manifest records zero rows (no input row hashed into them) have
-        no data file and are skipped."""
+        no data file and are skipped; when that leaves no file, the result
+        is an empty dataset of ``schema`` (a slice with no rows is a
+        valid table, e.g. a corpus the ontology never matches)."""
         done = self.done_partitions()
         if partitions is not None:
             done &= {int(p) for p in partitions}
@@ -262,6 +286,8 @@ class PartitionedWriter:
                 if json.load(f).get("rows", 0) == 0:
                     continue
             paths.append(os.path.join(self._part_dir(p), "data.parquet"))
+        if not paths and schema is not None:
+            return ray.data.from_arrow(schema.empty_table())
         # partitioning=None: the part=NNNNN directory name is writer
         # bookkeeping — hive inference would resurrect it as a column and
         # collide with the next stage's routing column

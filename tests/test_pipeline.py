@@ -402,6 +402,112 @@ def test_update_graph_incremental_equals_rebuild(tmp_path, ray_session):
         pd.testing.assert_frame_equal(a, b, obj=tab)
 
 
+GRAPH_TABLES = (("mentions", 8), ("edges", 8), ("nodes", 2), ("concept_scores", 1))
+
+
+def small_corpus(n_convs=8):
+    """Two turns per conversation, the second one calling a tool."""
+    return pd.DataFrame([
+        {"conv_id": f"c{i}", "turn_idx": t, "role": "user",
+         "text": f"I use spark and customer {i}" if t == 0 else "no match",
+         "tool": "search" if t else None, "lang": "en"}
+        for i in range(n_convs) for t in range(2)
+    ])
+
+
+def assert_same_graph(got, want):
+    """Every graph table under ``got`` row-set-equals the one under ``want``."""
+    for tab, parts in GRAPH_TABLES:
+        a = PartitionedWriter(str(got / tab), parts).read().to_pandas()
+        b = PartitionedWriter(str(want / tab), parts).read().to_pandas()
+        cols = sorted(a.columns)
+        a = a[cols].sort_values(cols).reset_index(drop=True)
+        b = b[cols].sort_values(cols).reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b, obj=tab)
+
+
+def test_build_graph_with_no_mention_writes_structure(tmp_path, ray_session):
+    """A corpus the ontology never matches is a valid input: the job writes
+    the utters/used_tool edges and their nodes, and zero-row mentions and
+    concept_scores, instead of failing to read back an empty table."""
+    from raykg.job import build_graph
+
+    out = tmp_path / "kg"
+    report = build_graph(ray.data.from_pandas(small_corpus()), [("Z", "zebra")],
+                         PipelineConfig(language="en", concurrency=1), str(out),
+                         num_partitions=8)
+    assert report["tables"]["mentions"]["rows"] == 0
+    assert report["tables"]["concept_scores"]["rows"] == 0
+    for tab, parts in GRAPH_TABLES:
+        w = PartitionedWriter(str(out / tab), parts)
+        assert w.done_partitions() == set(range(parts)), tab
+    edges = PartitionedWriter(str(out / "edges"), 8).read().to_pandas()
+    assert edges["pred"].value_counts().to_dict() == {"utters": 16, "used_tool": 8}
+    nodes = PartitionedWriter(str(out / "nodes"), 2).read().to_pandas()
+    assert nodes["node_type"].value_counts().to_dict() == {
+        "turn": 16, "conversation": 8, "tool": 1, "concept": 1}
+
+
+def test_update_graph_to_a_mention_free_partition(tmp_path, ray_session):
+    """Every conversation of one partition loses its mentions: the update
+    empties that partition's mentions, drops its tagged_as edges and
+    mention nodes and rescores, exactly like a rebuild of the new input."""
+    from raykg.job import build_graph, update_graph
+
+    cfg = PipelineConfig(language="en", concurrency=1)
+    onto = [("Engine", "spark"), ("Customer", "customer")]
+    base = small_corpus()
+    target = partition_of("c0", 8)
+    changed = [c for c in base["conv_id"].unique() if partition_of(c, 8) == target]
+    cur = base.copy()
+    cur.loc[cur["conv_id"].isin(changed), "text"] = "nothing to see"
+    build_graph(ray.data.from_pandas(base), onto, cfg, str(tmp_path / "inc"),
+                num_partitions=8)
+    update_graph(ray.data.from_pandas(cur), onto, cfg, str(tmp_path / "inc"),
+                 changed, num_partitions=8)
+    build_graph(ray.data.from_pandas(cur), onto, cfg, str(tmp_path / "full"),
+                num_partitions=8)
+    assert_same_graph(tmp_path / "inc", tmp_path / "full")
+    m = json.load(open(PartitionedWriter(str(tmp_path / "inc" / "mentions"), 8)
+                       .manifest_path(target)))
+    assert m["status"] == "complete" and m["rows"] == 0
+
+
+def test_build_graph_resumes_after_a_kill_past_mentions(tmp_path, ray_session):
+    """A run killed after the mentions write, with a few edge partitions and
+    no node or score partition complete, resumes to the same tables as a
+    fresh build and does not rewrite any mention partition."""
+    from raykg.job import build_graph
+
+    cfg = PipelineConfig(language="en", concurrency=1)
+    onto = [("Engine", "spark"), ("Customer", "customer")]
+    out = tmp_path / "kg"
+
+    def build(path):
+        return build_graph(ray.data.from_pandas(small_corpus()), onto, cfg,
+                           str(path), num_partitions=8)
+
+    build(out)
+    w_m = PartitionedWriter(str(out / "mentions"), 8)
+    w_e = PartitionedWriter(str(out / "edges"), 8)
+    lost = sorted({partition_of(f"c{i}", 8) for i in range(3)})
+
+    def mention_state():
+        return {p: (json.load(open(w_m.manifest_path(p)))["content_md5"],
+                    os.stat(w_m.manifest_path(p)).st_mtime_ns) for p in range(8)}
+
+    before = mention_state()
+    w_e.invalidate(lost)
+    PartitionedWriter(str(out / "nodes"), 2).invalidate(range(2))
+    PartitionedWriter(str(out / "concept_scores"), 1).invalidate(range(1))
+    report = build(out)
+    assert report["tables"]["mentions"]["partitions"] == 0
+    assert report["tables"]["edges"]["partitions"] == len(lost)
+    assert mention_state() == before
+    build(tmp_path / "fresh")
+    assert_same_graph(out, tmp_path / "fresh")
+
+
 def test_refresh_recomputes_only_target_partitions(tmp_path, ray_session):
     import glob
     import json as _json
