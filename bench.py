@@ -155,8 +155,6 @@ def run_bench() -> dict:
     timed("approx_distinct", consume=len)
     # graph + warehouse extras (round-2 session additions)
     timed("tri_counts")
-    timed("link_predict")
-    timed("cheap_paths")
     timed("orders_rollup")
     timed("orders_merge")
     timed("conv_text")
@@ -165,9 +163,6 @@ def run_bench() -> dict:
     timed("embed_cov")
     timed("hll_custkeys", consume=len)
     timed("lineitem_checksum", consume=len)
-    timed("part_kcore")
-    timed("kg_hits")
-    timed("part_walks")
     timed("part_rank")
     timed("embed_classify")
     timed("conv_json")
@@ -180,13 +175,10 @@ def run_bench() -> dict:
     # round-3 session additions
     timed("tag_lemma_nl")
     timed("hub_nodes")
-    timed("diameter_est", consume=len)
     timed("semdedup")
     timed("entity_resolve")
     timed("bpe_pairs")
     timed("concept_trends")
-    timed("communities")
-    timed("kg_negatives")
     timed("neighbor_mean")
     timed("quality_gate")
     timed("retention")
@@ -198,17 +190,13 @@ def run_bench() -> dict:
     timed("event_running")
     timed("max_concurrent", consume=len)
     timed("ppr_concepts")
-    timed("wl_colors")
     timed("mention_context")
-    timed("part_scc")
     timed("heavy_tokens")
     timed("bloom_join")
     timed("zorder_tiles")
     timed("user_first_event")
-    timed("kg_katz")
     timed("kg_butterflies", consume=len)
     timed("topic_shifts")
-    timed("scc_dag_depth", consume=len)
     timed("hll_by_type")
     timed("tool_stats", consume=len)
     timed("co_mentions_adj")
@@ -220,8 +208,6 @@ def run_bench() -> dict:
     timed("conv_features")
     timed("part_truss")
     timed("conv_dot")
-    timed("wl_classes")
-    timed("kg_eval", consume=len)
     timed("basket_pairs")
     timed("basket_rules")
     timed("conv_splits")
@@ -258,8 +244,6 @@ def run_bench() -> dict:
     timed("token_zipf", consume=len)
     timed("canonical_docs")
     timed("source_card", consume=len)
-    timed("kg_adamic")
-    timed("kg_betweenness", consume=len)
     timed("embed_silhouette")
     timed("rfm_segments")
     # round-4 fourth-session additions: CCNet boilerplate removal,
@@ -300,7 +284,6 @@ def run_bench() -> dict:
     timed("vocab_overlap", consume=len)
     timed("value_outliers")
     timed("turn_coherence")
-    timed("modularity", consume=len)
     timed("cohort_value", consume=len)
     timed("type_trend", consume=len)
     timed("type_theil_sen", consume=len)

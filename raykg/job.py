@@ -83,12 +83,18 @@ def _writers(out_dir: str, num_partitions: int) -> list:
     return [PartitionedWriter(os.path.join(out_dir, t), n) for t, n in sizes]
 
 
+def _table_report(summary) -> dict:
+    """A table's report entry from its writer summary: the rows written and
+    the partitions completed, zero-row ones included."""
+    return {"rows": int(summary["rows"].sum()), "partitions": len(summary)}
+
+
 def _graph_tables(transcripts, ontology, config, out_dir: str,
                   num_partitions: int, parts, n_parts) -> dict:
     """The graph stages of :func:`build_graph` and :func:`update_graph`:
     recompute the conv partitions ``parts`` of mentions and edges, the
     node partitions ``n_parts``, and concept_scores.  Returns the report's
-    per-table rows and partitions.
+    per-table entries (:func:`_table_report`).
 
     - mentions: the matcher runs over the transcripts pruned to the
       partitions of ``parts`` whose mentions are not done, so a resume
@@ -121,8 +127,8 @@ def _graph_tables(transcripts, ontology, config, out_dir: str,
     tables: dict = {}
 
     def refresh(name, writer, ds, key, targets, fingerprint=fp, **kw) -> None:
-        s = writer.refresh(ds, key, targets, fingerprint=fingerprint, **kw)
-        tables[name] = {"rows": int(s["rows"].sum()), "partitions": len(s)}
+        tables[name] = _table_report(
+            writer.refresh(ds, key, targets, fingerprint=fingerprint, **kw))
 
     m_parts = set(parts) - w_m.done_partitions(fingerprint=fp)
     matcher_input = keep_partitions(transcripts, "conv_id", num_partitions, m_parts)
@@ -191,10 +197,7 @@ def build_graph(
         s = w_r.write(
             ranks, key_column="node", resume=resume, fingerprint=fp
         )
-        report["tables"]["node_ranks"] = {
-            "rows": int(s["rows"].sum()),
-            "partitions": len(s),
-        }
+        report["tables"]["node_ranks"] = _table_report(s)
 
     if compute_entity_ids:
         # dense 0..N-1 entity numbering in node_id order — the handoff
@@ -212,10 +215,7 @@ def build_graph(
             os.path.join(out_dir, "entity_ids"), max(num_partitions // 4, 1)
         )
         s = w_i.write(ids, key_column="node_id", resume=resume, fingerprint=fp)
-        report["tables"]["entity_ids"] = {
-            "rows": int(s["rows"].sum()),
-            "partitions": len(s),
-        }
+        report["tables"]["entity_ids"] = _table_report(s)
     return report
 
 

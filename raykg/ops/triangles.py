@@ -122,14 +122,7 @@ def _degrees(canon: "ray.data.Dataset", num_shards: int) -> "ray.data.Dataset":
 
     def partial(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
-            [
-                pc.cast(batch["u"], batch["u"].type).combine_chunks()
-                if isinstance(batch["u"], pa.ChunkedArray)
-                else batch["u"],
-                batch["v"].combine_chunks()
-                if isinstance(batch["v"], pa.ChunkedArray)
-                else batch["v"],
-            ]
+            [batch["u"].combine_chunks(), batch["v"].combine_chunks()]
         )
         vc = both.value_counts()
         return pa.table(

@@ -10,11 +10,15 @@ Per the target data model (SURVEY.md §1.2, BASELINE.json north_star):
 - canonical node table (conversation / turn / concept / mention / tool),
 - per-concept mention/conversation counts.
 
-Shuffle design: triple/edge extraction is a pure streaming actor-pool stage
-(per-turn dedup happens inside the actor, so no cross-block dedup shuffle is
-ever needed); only the node canonicalization and score reduces shuffle, and
-both pre-aggregate inside ``map_batches`` first so the all-to-all exchange
-moves one row per (key, batch) instead of one per mention.  Hot-conversation
+Shuffle design: triple/edge extraction straight from transcripts
+(:func:`extract_triples`) is a pure streaming actor-pool stage, because
+per-turn dedup happens inside the actor.  The job's path,
+:func:`triples_from_mentions`, reads the mentions table back, where one
+turn's mentions may span blocks, so it dedups them with one 64-shard
+``distinct_rows`` exchange.  The node canonicalization and score reduces
+shuffle too; both pre-aggregate inside ``map_batches`` first so the
+all-to-all exchange moves one row per (key, batch) instead of one per
+mention.  Hot-conversation
 skew is absorbed by that same in-batch partial aggregation (the salt: a hot
 conv_id contributes at most one partial row per block, not one per turn).
 """

@@ -37,8 +37,8 @@ import ray.data
 
 from ..ops.hashing import bucket_column, partition_of
 
-__all__ = ["partition_of", "add_partition_column", "keep_partitions",
-           "PartitionedWriter", "require_sort_shuffle"]
+__all__ = ["partition_of", "keep_partitions", "PartitionedWriter",
+           "require_sort_shuffle"]
 
 
 def require_sort_shuffle(*datasets) -> None:
@@ -60,18 +60,6 @@ def require_sort_shuffle(*datasets) -> None:
             "ShuffleStrategy.SORT_SHUFFLE_PULL_BASED before creating the "
             "input datasets"
         )
-
-
-def add_partition_column(
-    ds: "ray.data.Dataset", key_column: str, num_partitions: int
-) -> "ray.data.Dataset":
-    def add(batch: pa.Table) -> pa.Table:
-        # vectorized crc32-on-vocab kernel; agrees with partition_of() so
-        # manifests written by older runs stay valid
-        parts = bucket_column(batch[key_column], num_partitions, stable_str=True)
-        return batch.append_column("part", parts)
-
-    return ds.map_batches(add, batch_format="pyarrow")
 
 
 def keep_partitions(
@@ -167,18 +155,34 @@ class PartitionedWriter:
         hash into them.  Every owned partition ends complete: one that
         receives no rows gets a zero-row manifest and loses any stale data
         file, so a rebuild over an old output cannot read back rows the
-        new input no longer produces."""
+        new input no longer produces.  The summary has one row per owned
+        partition, with ``rows`` 0 and a null ``content_md5`` for an
+        empty one."""
         num_partitions = self.num_partitions
         if not owned:
             # full resume: every partition complete — pure metadata check,
             # the input pipeline is never executed (a skip-all re-run of a
             # finished job costs manifest scans, not a corpus pass)
             return _empty_summary()
-        with_part = add_partition_column(
-            keep_partitions(ds, key_column, num_partitions, owned),
-            key_column,
-            num_partitions,
+        want = (
+            None
+            if set(owned) >= set(range(num_partitions))
+            else pa.array(sorted(owned), type=pa.int32())
         )
+
+        def add(batch: pa.Table) -> pa.Table:
+            # one vectorized crc32-on-vocab pass routes the rows and, on a
+            # partial write, drops those of partitions not owned; agrees
+            # with partition_of() so manifests of older runs stay valid
+            parts = bucket_column(batch[key_column], num_partitions, stable_str=True)
+            batch = batch.append_column("part", parts)
+            if want is None:
+                return batch
+            import pyarrow.compute as pc
+
+            return batch.filter(pc.is_in(parts, value_set=want))
+
+        with_part = ds.map_batches(add, batch_format="pyarrow")
 
         out_dir = self.out_dir
         part_dir_fmt = self._part_dir
@@ -238,14 +242,17 @@ class PartitionedWriter:
         )
         result = summary.to_pandas()  # tiny: one row per written partition
         written = set(result["part"]) if len(result) else set()
-        for p in sorted(set(owned) - written):
+        empty = sorted(set(owned) - written)
+        for p in empty:
             self._write_empty(p, fingerprint)
-        if result.empty:
-            return _empty_summary()
+        if not written:
+            return _empty_summary(empty)
         schema_path = os.path.join(out_dir, "_schema.json")
-        if not os.path.exists(schema_path) and len(result):
+        if not os.path.exists(schema_path):
             with open(schema_path, "w") as f:
                 json.dump({"num_partitions": num_partitions, "key_column": key_column}, f)
+        if empty:
+            result = pd.concat([result, _empty_summary(empty)], ignore_index=True)
         return result.sort_values("part").reset_index(drop=True)
 
     def _write_empty(self, part: int, fingerprint: str) -> None:
@@ -325,8 +332,11 @@ class PartitionedWriter:
         return self._write(ds, key_column, parts, fingerprint, drop_key_column)
 
 
-def _empty_summary() -> pd.DataFrame:
+def _empty_summary(parts=()) -> pd.DataFrame:
+    """The summary rows of ``parts`` completed with zero rows."""
+    n = len(parts)
     return pd.DataFrame(
-        {"part": pd.Series(dtype="int64"), "rows": pd.Series(dtype="int64"),
-         "content_md5": pd.Series(dtype="object")}
+        {"part": pd.Series(list(parts), dtype="int64"),
+         "rows": pd.Series([0] * n, dtype="int64"),
+         "content_md5": pd.Series([None] * n, dtype="object")}
     )

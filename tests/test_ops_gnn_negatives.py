@@ -1,7 +1,4 @@
-"""Unit tests: corrupt-tail negative sampling, GNN neighbor aggregation,
-and the per-group quantile gate."""
-
-import hashlib
+"""Unit tests: GNN neighbor aggregation and the per-group quantile gate."""
 
 import pandas as pd
 import pyarrow as pa
@@ -10,56 +7,7 @@ import pytest
 import ray.data
 
 from raykg.ops.gnn import neighbor_feature_mean, symmetrize
-from raykg.ops.negatives import corrupt_tail_negatives
 from raykg.ops.sample import group_quantile_filter
-
-
-def _mentions(rows):
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "conv_id": pa.array([r[0] for r in rows], type=pa.string()),
-                "turn_idx": pa.array([r[1] for r in rows], type=pa.int32()),
-                "tag": pa.array([r[2] for r in rows], type=pa.string()),
-                "keyword": pa.array([r[3] for r in rows], type=pa.string()),
-            }
-        )
-    )
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_negatives_match_md5_contract_and_filter():
-    vocab = ["Alpha", "Beta", "Gamma"]
-    ds = _mentions([("c1", 0, "Alpha", "alpha kw"), ("c2", 5, "Gamma", "g")])
-    out = corrupt_tail_negatives(ds, vocab, k=6).to_pandas()
-
-    objs = sorted(f"concept:{t}" for t in vocab)
-    for subj, pos in [("c1#0#alpha kw", "concept:Alpha"), ("c2#5#g", "concept:Gamma")]:
-        got = out[out.subj == subj]
-        expect = []
-        for j in range(6):
-            r = int(
-                hashlib.md5(f"{subj}|{j}".encode()).hexdigest()[:15], 16
-            ) % len(objs)
-            if objs[r] != pos:
-                expect.append((j, objs[r]))
-        assert list(zip(got.j, got.neg_obj)) == expect
-        assert (got.pos_obj == pos).all()
-        assert (got.pred == "tagged_as").all()
-        # filtered contract: no emitted negative equals the positive
-        assert (got.neg_obj != pos).all()
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_negatives_deterministic_across_runs():
-    ds = _mentions([("c1", 1, "A", "x"), ("c1", 2, "B", "y"), ("c9", 3, "A", "x")])
-    a = corrupt_tail_negatives(ds, ["A", "B", "C", "D"], k=3).to_pandas()
-    b = corrupt_tail_negatives(ds, ["A", "B", "C", "D"], k=3).to_pandas()
-    key = ["subj", "j"]
-    pd.testing.assert_frame_equal(
-        a.sort_values(key).reset_index(drop=True),
-        b.sort_values(key).reset_index(drop=True),
-    )
 
 
 def _edges(pairs):

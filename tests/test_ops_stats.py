@@ -637,70 +637,6 @@ def test_silhouette_by_label_matches_brute_force():
     assert got["silhouette"].mean() > 0.3
 
 
-def brute_brandes(edges, sources, max_depth):
-    import hashlib
-    from collections import defaultdict, deque
-
-    adj = defaultdict(set)
-    for a, b in edges:
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    bc = defaultdict(float)
-    for s in sources:
-        dist = {s: 0}
-        sig = {s: 1.0}
-        layers = [[s]]
-        while layers[-1] and len(layers) - 1 < max_depth:
-            nxt = []
-            for v in layers[-1]:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = len(layers)
-                        sig[w] = 0.0
-                        nxt.append(w)
-                    if dist[w] == dist[v] + 1:
-                        sig[w] += sig[v]
-            layers.append(sorted(set(nxt)))
-        delta = defaultdict(float)
-        for lvl in range(len(layers) - 2, -1, -1):
-            for v in layers[lvl]:
-                acc = 0.0
-                for w in adj[v]:
-                    if dist.get(w) == lvl + 1:
-                        acc += (1.0 + delta[w]) / sig[w]
-                delta[v] = sig[v] * acc
-        for v, d in delta.items():
-            if v != s:
-                bc[v] += d
-    return {v: d for v, d in bc.items() if d > 0}
-
-
-def test_betweenness_matches_brute_force():
-    import hashlib
-    from raykg.ops.betweenness import betweenness_ksources
-
-    rng = np.random.default_rng(47)
-    nodes = [f"n{i}" for i in range(30)]
-    edges = set()
-    for _ in range(60):
-        a, b = rng.choice(30, 2, replace=False)
-        edges.add((nodes[min(a, b)], nodes[max(a, b)]))
-    edges = sorted(edges)
-    t = pa.table({"u": [e[0] for e in edges], "v": [e[1] for e in edges]})
-    got = betweenness_ksources(
-        ray.data.from_arrow(t).repartition(4), k_sources=6, max_depth=3
-    ).to_pandas().set_index("node")["bc"]
-    present = sorted({x for e in edges for x in e})
-    sources = sorted(
-        present, key=lambda x: (hashlib.md5(x.encode()).hexdigest(), x)
-    )[:6]
-    expect = brute_brandes(edges, sources, max_depth=3)
-    assert set(got.index) == set(expect)
-    for v, d in expect.items():
-        assert got[v] == round(d, 6)
-
-
 def test_ntile_bucket_matches_sql_ntile():
     import duckdb
     from raykg.pipeline.queries.relational.tpch import _ntile_bucket

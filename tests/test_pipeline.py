@@ -448,6 +448,27 @@ def test_build_graph_with_no_mention_writes_structure(tmp_path, ray_session):
         "turn": 16, "conversation": 8, "tool": 1, "concept": 1}
 
 
+def test_job_report_counts_empty_partitions(tmp_path, ray_session):
+    """The report's ``partitions`` counts every partition a run completes,
+    zero-row ones included: a build the ontology never matches writes 8
+    zero-row mention manifests and reports 8, and an unchanged rerun,
+    which writes nothing, reports 0."""
+    from raykg.job import build_graph
+
+    def build():
+        return build_graph(ray.data.from_pandas(small_corpus()), [("Z", "zebra")],
+                           PipelineConfig(language="en", concurrency=1),
+                           str(tmp_path / "kg"), num_partitions=8)
+
+    report = build()
+    assert report["tables"]["mentions"] == {"rows": 0, "partitions": 8}
+    assert report["tables"]["concept_scores"] == {"rows": 0, "partitions": 1}
+    for tab, parts in GRAPH_TABLES[1:3]:
+        assert report["tables"][tab]["partitions"] == parts, tab
+    rerun = build()
+    assert all(t["partitions"] == 0 for t in rerun["tables"].values())
+
+
 def test_update_graph_to_a_mention_free_partition(tmp_path, ray_session):
     """Every conversation of one partition loses its mentions: the update
     empties that partition's mentions, drops its tagged_as edges and

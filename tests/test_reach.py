@@ -1,9 +1,10 @@
 """The KG job and API must not reach the scenario-query registry, and
 every module must be reached by one of the two (``scripts/reach.py``'s
-static import walk)."""
+static import walk); bench.py and README must agree with the registry."""
 
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -61,3 +62,30 @@ def test_walk_follows_function_level_and_relative_imports(reach, tmp_path):
     table = reach.reach(str(tmp_path))
     assert {"raykg.pipeline.queries", "raykg.pipeline.queries._shared"} <= _job_modules(table)
     assert table["raykg.ops.unused"]["reach"] == "none"
+
+
+def _registered_queries():
+    """The names the ``QUERIES["<name>"] = ...`` lines under the query
+    package register, read as text (nothing is imported)."""
+    names = set()
+    for d, _, files in os.walk(os.path.join(ROOT, "raykg", "pipeline", "queries")):
+        for f in files:
+            if f.endswith(".py"):
+                with open(os.path.join(d, f)) as fh:
+                    names.update(re.findall(r'^QUERIES\["([^"]+)"\] =', fh.read(), re.M))
+    return names
+
+
+def test_bench_and_readme_match_the_query_registry():
+    """Every ``timed("<name>")`` in bench.py names a registered query, and
+    README's "All N driver queries" is the registry's size, so a scope cut
+    cannot leave a stale bench line or count behind."""
+    queries = _registered_queries()
+    with open(os.path.join(ROOT, "bench.py")) as f:
+        timed = re.findall(r'\btimed\(\s*"([^"]+)"', f.read())
+    assert timed
+    stale = sorted(set(timed) - queries)
+    assert not stale, f"bench.py times unregistered queries: {stale}"
+    with open(os.path.join(ROOT, "README.md")) as f:
+        counts = re.findall(r"All (\d+) driver queries", f.read())
+    assert counts == [str(len(queries))]
