@@ -216,30 +216,12 @@ def run_bench() -> dict:
     timed("tag_lemma_ru")
     timed("tag_match_ja")
     timed("order_date_ranks")
-    # round-4 second-session additions: the statistical-test family,
-    # contrastive hard negatives, EWMA streaming window, KM survival
-    timed("lineitem_spearman", consume=len)
-    timed("order_ranksum", consume=len)
-    timed("order_gini")
+    # round-4 second-session additions: entropy, contrastive hard negatives
     timed("type_entropy")
-    timed("order_chi2", consume=len)
-    timed("price_benford", consume=len)
-    timed("cust_kendall", consume=len)
-    timed("price_regression", consume=len)
     timed("hard_negatives", consume=len)
-    timed("value_ewma")
-    timed("user_survival", consume=len)
-    # round-4 third-session additions: distribution tests, drift,
-    # sequences, readability/zipf, graph centrality, RFM
-    timed("value_ks", consume=len)
-    timed("value_cusum")
-    timed("event_markov", consume=len)
-    timed("type_dow_mi", consume=len)
-    timed("value_anova", consume=len)
-    timed("value_autocorr", consume=len)
-    timed("value_psi", consume=len)
+    # round-4 third-session additions: sequences, readability/zipf,
+    # silhouette, RFM
     timed("event_trigrams", consume=len)
-    timed("user_burstiness")
     timed("readability")
     timed("token_zipf", consume=len)
     timed("canonical_docs")
@@ -263,7 +245,6 @@ def run_bench() -> dict:
     timed("conv_latency")
     timed("xalign_mutual")
     timed("ccnet_buckets")
-    timed("value_trimmed")
     timed("kg_cardinality", consume=len)
     timed("onto_coverage", consume=len)
     # round-4 fifth-session additions
@@ -271,25 +252,15 @@ def run_bench() -> dict:
     timed("hll_setops", consume=len)
     timed("props_extract", consume=len)
     timed("concept_decay", consume=len)
-    timed("fk_audit", consume=len)
     timed("rolling_dau", consume=len)
     timed("hapax_rate", consume=len)
     timed("tool_transitions", consume=len)
-    timed("skew_report", consume=len)
     timed("embed_pair_dot", consume=len)
     # round-4 sixth-session additions
-    timed("value_ttest", consume=len)
-    timed("daily_trend", consume=len)
-    timed("value_slope", consume=len)
     timed("vocab_overlap", consume=len)
-    timed("value_outliers")
     timed("turn_coherence")
     timed("cohort_value", consume=len)
-    timed("type_trend", consume=len)
-    timed("type_theil_sen", consume=len)
     timed("conv_lang_entropy")
-    timed("revenue_lorenz", consume=len)
-    timed("order_gaps")
 
     headline = timings["triples_scaled"]
     result = {

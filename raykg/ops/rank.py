@@ -19,10 +19,10 @@ range-partitioned sort as the only exchange:
 
 This replaces the distinct-count + prefix-scan + bucketed-join-back
 plan (three exchanges, two of them over near-row-cardinality rank
-tables for continuous columns) with a single sort; ``ops/spearman.py``
-and ``ops/ranktest.py`` build on it.  Like ``zip_with_index`` this is a
-documented raw-``ray.remote`` exception: no batch knows its block's
-global rank.  Null sort keys fail loudly (a null has no rank).
+tables for continuous columns) with a single sort; ``ops/zipf.py``
+builds on it.  Like ``zip_with_index`` this is a documented
+raw-``ray.remote`` exception: no batch knows its block's global rank.
+Null sort keys fail loudly (a null has no rank).
 """
 from __future__ import annotations
 

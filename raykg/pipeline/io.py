@@ -6,7 +6,6 @@ metrics"):
     out_dir/
       part=00017/data.parquet      # one directory per hash partition
       part=00017/manifest.json     # written AFTER the data, atomically
-      _schema.json                 # output schema + column descriptions
 
 A partition is complete iff its manifest exists and says ``complete``; both
 data file and manifest are written to temp names and renamed, so a killed
@@ -184,7 +183,6 @@ class PartitionedWriter:
 
         with_part = ds.map_batches(add, batch_format="pyarrow")
 
-        out_dir = self.out_dir
         part_dir_fmt = self._part_dir
 
         manifest_path_fmt = self.manifest_path
@@ -247,10 +245,6 @@ class PartitionedWriter:
             self._write_empty(p, fingerprint)
         if not written:
             return _empty_summary(empty)
-        schema_path = os.path.join(out_dir, "_schema.json")
-        if not os.path.exists(schema_path):
-            with open(schema_path, "w") as f:
-                json.dump({"num_partitions": num_partitions, "key_column": key_column}, f)
         if empty:
             result = pd.concat([result, _empty_summary(empty)], ignore_index=True)
         return result.sort_values("part").reset_index(drop=True)

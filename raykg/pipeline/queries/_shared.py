@@ -10,24 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-import numpy as np
-import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
-
-import ray
-import ray.data
-from ray.data.aggregate import Count
-
 from ..config import PipelineConfig
 from ..default_ontology import ONTOLOGY
-from ..graph import build_nodes, concept_scores, extract_triples, triples_to_edges
-from ..tag import extract_mentions, tag_dataset
-from ..transcripts import TRANSCRIPTS_SQL, read_transcripts
-from ...core.ontology import clean_ontology
-from ...ops import dedup as dedup_ops
-from ...ops import similarity as sim_ops
-from ...ops import text as text_ops
+from ..transcripts import TRANSCRIPTS_SQL
 
 
 ONTOLOGY_SQL_VALUES = ", ".join(

@@ -6,28 +6,15 @@ verbatim.  Registers its queries/oracles into the shared registry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count
 
-from ..config import PipelineConfig
-from ..graph import build_nodes, concept_scores, extract_triples, triples_to_edges
-from ..tag import extract_mentions, tag_dataset
-from ..transcripts import TRANSCRIPTS_SQL, read_transcripts
-from ...core.ontology import clean_ontology
-from ...ops import dedup as dedup_ops
-from ...ops import similarity as sim_ops
-from ...ops import text as text_ops
-from ._shared import (ONTOLOGY, ONTOLOGY_SQL_VALUES, _ONTO_CTE, _T_CTE, _OCC_CTE, _cfg, QUERIES, ORACLE_SQL)
+from ._shared import QUERIES, ORACLE_SQL
 from .relational import EVENT_TYPES
-
 
 
 def q_asof_clicks(sf_dir: str):
@@ -192,53 +179,6 @@ def q_event_funnel(sf_dir: str):
         )
 
     return out.map_batches(typed, batch_format="pandas")
-
-
-def q_value_mad(sf_dir: str):
-    """Median absolute deviation per event type (robust dispersion):
-    two exact discrete-quantile passes — per-key medians broadcast
-    between them (`ops/events.key_quantiles` composed with itself).
-    Discrete quantiles pick actual data values, so both engines agree
-    bit-for-bit with no rounding."""
-    from ...ops.events import key_quantiles
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-    med = key_quantiles(ev, quantiles=(0.5,), num_shards=8).to_pandas()
-    med_map = dict(zip(med["event_type"], med["p50"]))
-    ref = ray.put(med_map)
-
-    def dev(df):
-        import pandas as pd
-
-        m = ray.get(ref)
-        return pd.DataFrame(
-            {
-                "event_type": df["event_type"],
-                "value": (df["value"] - df["event_type"].map(m)).abs(),
-            }
-        )
-
-    mad = key_quantiles(
-        ev.map_batches(dev, batch_format="pandas"),
-        quantiles=(0.5,),
-        num_shards=8,
-    )
-
-    def typed(df):
-        m = ray.get(ref)
-        return pa.table(
-            {
-                "event_type": pa.array(df["event_type"], type=pa.string()),
-                "med": pa.array(
-                    df["event_type"].map(m), type=pa.float64()
-                ),
-                "mad": pa.array(df["p50"], type=pa.float64()),
-            }
-        )
-
-    return mad.map_batches(typed, batch_format="pandas")
 
 
 def q_event_share(sf_dir: str):
@@ -561,7 +501,6 @@ QUERIES["distinct_users_by_type"] = q_distinct_users_by_type
 QUERIES["user_top_event"] = q_user_top_event
 QUERIES["event_deltas"] = q_event_deltas
 QUERIES["event_share"] = q_event_share
-QUERIES["value_mad"] = q_value_mad
 QUERIES["event_funnel"] = q_event_funnel
 QUERIES["event_ohlc"] = q_event_ohlc
 QUERIES["asof_clicks"] = q_asof_clicks
@@ -701,15 +640,6 @@ ORACLE_SQL["event_funnel"] = """
     UNION ALL SELECT 3, CAST(COUNT(*) AS BIGINT) FROM s3
 """
 
-ORACLE_SQL["value_mad"] = """
-    WITH m AS (SELECT event_type, quantile_disc(value, 0.5) AS med
-               FROM events GROUP BY event_type),
-    d AS (SELECT e.event_type, abs(e.value - m.med) AS dev
-          FROM events e JOIN m USING (event_type)),
-    md AS (SELECT event_type, quantile_disc(dev, 0.5) AS mad
-           FROM d GROUP BY event_type)
-    SELECT m.event_type, m.med, md.mad FROM m JOIN md USING (event_type)
-"""
 
 ORACLE_SQL["event_share"] = """
     WITH h AS (SELECT event_type, date_trunc('hour', ts) AS window_start,
@@ -776,7 +706,6 @@ ORACLE_SQL["retention"] = """
     FROM uw JOIN first USING (user_id)
     GROUP BY 1, 2
 """
-
 
 from ...ops.sketch import histogram_quantiles_sql as _hq_sql  # noqa: E402
 
@@ -881,397 +810,6 @@ ORACLE_SQL["type_entropy"] = """
 """
 
 
-def q_value_ewma(sf_dir: str):
-    """Per-user EWMA (alpha = 0.3, adjust=False recurrence;
-    0.3 is deliberately NOT binary-exact — a dyadic alpha like 0.25
-    produces values landing exactly on 6-digit rounding boundaries,
-    where numpy half-even and SQL half-away disagree) of event
-    value in (ts, event_id) order — one hash exchange, the recurrence
-    runs on pandas' C grouped ewm inside the shard (`ops/ewma.py`);
-    state never crosses shards."""
-    from ...ops.ewma import ewma_by
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "value"],
-    )
-    return ewma_by(
-        ev, "user_id", ["ts", "event_id"], "value", 0.3,
-        id_cols=["event_id"],
-    )
-
-
-QUERIES["value_ewma"] = q_value_ewma
-# No SQL mirror by design (the logistic_fit precedent): the recurrence
-# y_t = 0.3 x_t + 0.7 y_{t-1} and the closed-form POWER sum are different
-# float paths — measured 2/10k rows landing within ~1e-10 of a 6-digit
-# rounding boundary and flipping. Driver records the rows-only check;
-# exactness is pinned in test_ops_stats vs a pure-Python recurrence.
-
-
-def q_user_survival(sf_dir: str):
-    """Kaplan-Meier survival over inter-event gaps (time-to-next-event
-    per user, integer-hour durations; the gap after a user's last event
-    is right-censored at the observed span end).  One sharded exchange
-    for the grouped shift, bounded (duration, observed) count partials,
-    exp(cumsum(log(1 - d/n))) in the SAME op order as the SQL window
-    mirror (`ops/survival.py`)."""
-    from ...ops.survival import km_gap_curve
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
-    return km_gap_curve(ev, "user_id", "ts")
-
-
-QUERIES["user_survival"] = q_user_survival
-ORACLE_SQL["user_survival"] = """
-    WITH sp AS (SELECT epoch_us(MAX(ts)) AS mx FROM events),
-    g AS (SELECT user_id, epoch_us(ts) AS t,
-                 LEAD(epoch_us(ts)) OVER (PARTITION BY user_id
-                                          ORDER BY ts) AS nxt
-          FROM events),
-    e AS (SELECT CASE WHEN nxt IS NULL
-                      THEN ((SELECT mx FROM sp) - t) // 3600000000
-                      ELSE (nxt - t) // 3600000000 END AS duration_h,
-                 nxt IS NOT NULL AS observed
-          FROM g),
-    c AS (SELECT duration_h, COUNT(*) AS exits,
-                 SUM(CASE WHEN observed THEN 1 ELSE 0 END) AS deaths
-          FROM e GROUP BY duration_h),
-    k AS (SELECT duration_h, deaths,
-                 (SELECT COUNT(*) FROM e)
-                     - COALESCE(SUM(exits) OVER (ORDER BY duration_h
-                                ROWS BETWEEN UNBOUNDED PRECEDING
-                                AND 1 PRECEDING), 0) AS n_risk
-          FROM c),
-    s AS (SELECT duration_h, n_risk, deaths,
-                 EXP(SUM(CASE WHEN deaths >= n_risk THEN -1e30
-                              ELSE LN(1.0 - deaths * 1.0 / n_risk) END)
-                     OVER (ORDER BY duration_h)) AS sv
-          FROM k)
-    SELECT duration_h, CAST(n_risk AS BIGINT) AS n_risk,
-           CAST(deaths AS BIGINT) AS deaths, ROUND(sv, 6) AS survival
-    FROM s WHERE deaths > 0
-"""
-
-
-def q_value_ks(sf_dir: str):
-    """Two-sample Kolmogorov-Smirnov test: does `value` come from the
-    same distribution for 'click' vs 'purchase' events?  Integer-exact
-    D numerator at tie-run ends of the pooled sorted sample — ONE
-    range-partitioned sort, block-local cumsums with a driver prefix
-    over O(blocks) metadata (`ops/ks.py`); D is reported in ppm via
-    exact integer round-half-up so no float rounding path exists."""
-    from ...ops.ks import ks_2sample
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-    return ks_2sample(ev, "value", "event_type", "click", "purchase")
-
-
-QUERIES["value_ks"] = q_value_ks
-ORACLE_SQL["value_ks"] = """
-    WITH s AS (SELECT value AS v,
-                      CASE WHEN event_type = 'click' THEN 1 ELSE 0 END AS a,
-                      CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END AS b
-               FROM events
-               WHERE value IS NOT NULL
-                 AND event_type IN ('click', 'purchase')),
-    c AS (SELECT v,
-                 SUM(a) OVER (ORDER BY v ROWS UNBOUNDED PRECEDING) AS ca,
-                 SUM(b) OVER (ORDER BY v ROWS UNBOUNDED PRECEDING) AS cb,
-                 LEAD(v) OVER (ORDER BY v) AS nxt
-          FROM s),
-    tot AS (SELECT SUM(a) AS n_a, SUM(b) AS n_b FROM s),
-    d AS (SELECT v, ABS(tot.n_b * ca - tot.n_a * cb) AS dev
-          FROM c, tot WHERE nxt IS NULL OR nxt <> v),
-    mx AS (SELECT MAX(dev) AS d_num FROM d)
-    SELECT CAST(tot.n_a AS BIGINT) AS n_a,
-           CAST(tot.n_b AS BIGINT) AS n_b,
-           CAST(mx.d_num AS BIGINT) AS d_num,
-           CAST((mx.d_num * 2000000 + tot.n_a * tot.n_b)
-                // (2 * tot.n_a * tot.n_b) AS BIGINT) AS d_ppm,
-           (SELECT MIN(v) FROM d WHERE d.dev = mx.d_num) AS d_loc
-    FROM tot, mx
-"""
-
-
-def q_value_cusum(sf_dir: str):
-    """Per-user CUSUM changepoint over the time-ordered event values:
-    the split k maximizing |n*S_k - k*S_n| in integer cents — exact
-    int64 arithmetic end-to-end (no float path), one hash exchange via
-    the sharded-groupby combinator, C grouped cumsums per shard
-    (`ops/cusum.py`); ties break toward the smallest k."""
-    from ...ops.cusum import cusum_by
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "value"],
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "ts": batch["ts"],
-                "event_id": batch["event_id"],
-                "v": pa.array(np.rint(v * 100).astype(np.int64),
-                              type=pa.int64()),
-            }
-        )
-
-    ev = ev.map_batches(cents, batch_format="pyarrow")
-    return cusum_by(ev, "user_id", ["ts", "event_id"], "v")
-
-
-QUERIES["value_cusum"] = q_value_cusum
-ORACLE_SQL["value_cusum"] = """
-    WITH o AS (SELECT user_id,
-                      ROW_NUMBER() OVER w AS k,
-                      COUNT(*) OVER (PARTITION BY user_id) AS n,
-                      SUM(CAST(ROUND(value * 100) AS BIGINT))
-                          OVER (w ROWS UNBOUNDED PRECEDING) AS s,
-                      SUM(CAST(ROUND(value * 100) AS BIGINT))
-                          OVER (PARTITION BY user_id) AS st
-               FROM events
-               WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
-    d AS (SELECT user_id, n, k, ABS(n * s - k * st) AS dev
-          FROM o WHERE k < n)
-    SELECT user_id, CAST(n AS BIGINT) AS n, CAST(k AS BIGINT) AS change_k,
-           CAST(dev AS BIGINT) AS dev
-    FROM d
-    QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id
-                               ORDER BY dev DESC, k) = 1
-"""
-
-
-def q_event_markov(sf_dir: str):
-    """First-order Markov transition matrix of event types along each
-    user's time-ordered sequence (session-modeling prior): one hash
-    exchange by user, grouped C shift per shard, per-shard pair-count
-    partials, then a bounded |types|^2 combine; probabilities are exact
-    integer ppm (`ops/markov.py`)."""
-    from ...ops.markov import transition_counts
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
-    return transition_counts(ev, "user_id", ["ts", "event_id"], "event_type")
-
-
-QUERIES["event_markov"] = q_event_markov
-ORACLE_SQL["event_markov"] = """
-    WITH o AS (SELECT user_id, event_type,
-                      LEAD(event_type) OVER (PARTITION BY user_id
-                                             ORDER BY ts, event_id) AS nxt
-               FROM events),
-    c AS (SELECT event_type AS prev_state, nxt AS next_state,
-                 COUNT(*) AS c
-          FROM o WHERE nxt IS NOT NULL GROUP BY 1, 2),
-    t AS (SELECT prev_state, SUM(c) AS total FROM c GROUP BY 1)
-    SELECT c.prev_state, c.next_state, CAST(c.c AS BIGINT) AS c,
-           CAST(t.total AS BIGINT) AS total,
-           CAST((c.c * 2000000 + t.total) // (2 * t.total) AS BIGINT)
-               AS p_ppm
-    FROM c JOIN t USING (prev_state)
-"""
-
-
-def q_type_dow_mi(sf_dir: str):
-    """Mutual information (nats) and Cramér's V between event type and
-    day-of-week — the feature-selection dependence scan over two
-    categoricals.  Observed-cell partials per batch folded over a
-    bounded |types|x7 table (`ops/contingency.mutual_info`); zero cells
-    contribute nothing to MI by definition, so no dense grid exists."""
-    from ...ops.contingency import mutual_info
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-    )
-
-    def dow(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # 1970-01-01 is a Thursday; (days + 4) % 7 -> 0 = Sunday,
-        # matching DuckDB's dayofweek()
-        us = pc.cast(batch["ts"], pa.int64())
-        days = pc.divide(us, pa.scalar(86_400_000_000, type=pa.int64()))
-        d = pc.add(days, pa.scalar(4, type=pa.int64()))
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "dow": pc.subtract(
-                    d, pc.multiply(pc.divide(d, pa.scalar(7, type=pa.int64())),
-                                   pa.scalar(7, type=pa.int64()))
-                ),
-            }
-        )
-
-    return mutual_info(ev.map_batches(dow, batch_format="pyarrow"),
-                       "event_type", "dow")
-
-
-QUERIES["type_dow_mi"] = q_type_dow_mi
-ORACLE_SQL["type_dow_mi"] = """
-    WITH x AS (SELECT event_type AS a, CAST(dayofweek(ts) AS BIGINT) AS b
-               FROM events),
-    c AS (SELECT a, b, COUNT(*) AS o FROM x GROUP BY 1, 2),
-    ta AS (SELECT a, SUM(o) AS ra FROM c GROUP BY 1),
-    tb AS (SELECT b, SUM(o) AS cb FROM c GROUP BY 1),
-    nn AS (SELECT SUM(o) * 1.0 AS n FROM c),
-    agg AS (SELECT SUM((o / nn.n) * LN(o * nn.n / (ra * cb))) AS mi,
-                   SUM(o * o * nn.n / (ra * cb)) - nn.n AS chi2,
-                   nn.n AS n
-            FROM c JOIN ta USING (a) JOIN tb USING (b), nn
-            GROUP BY nn.n)
-    SELECT ROUND(agg.mi, 6) AS mi_nats,
-           ROUND(SQRT(agg.chi2 / (agg.n *
-                 (LEAST((SELECT COUNT(*) FROM ta),
-                        (SELECT COUNT(*) FROM tb)) - 1))), 6) AS cramers_v,
-           CAST(agg.n AS BIGINT) AS n,
-           (SELECT COUNT(*) FROM ta) AS r,
-           (SELECT COUNT(*) FROM tb) AS s
-    FROM agg
-"""
-
-
-def q_value_anova(sf_dir: str):
-    """One-way ANOVA F: does mean event value differ across event
-    types?  Integer-cent moments (exact below 2^53 on both engines),
-    per-batch additive partials, bounded |types| combine; only
-    O(1)-scale ratios (F, eta-squared) are emitted rounded
-    (`ops/anova.py` — raw sums of squares cannot hold a 1e-6 absolute
-    contract across two engines' summation orders)."""
-    from ...ops.anova import anova_f
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "v": pa.array(np.rint(v * 100).astype(np.int64),
-                              type=pa.int64()),
-            }
-        )
-
-    return anova_f(ev.map_batches(cents, batch_format="pyarrow"),
-                   "event_type", "v")
-
-
-QUERIES["value_anova"] = q_value_anova
-ORACLE_SQL["value_anova"] = """
-    WITH g AS (SELECT event_type,
-                      COUNT(*) * 1.0 AS n,
-                      SUM(CAST(ROUND(value * 100) AS BIGINT)) * 1.0 AS s,
-                      SUM(CAST(ROUND(value * 100) AS BIGINT)
-                          * CAST(ROUND(value * 100) AS BIGINT)) * 1.0 AS ss
-               FROM events GROUP BY 1),
-    t AS (SELECT SUM(n) AS n, SUM(s) AS s, SUM(ss) AS ss,
-                 COUNT(*) AS k, SUM(s * s / n) AS sg
-          FROM g)
-    SELECT CAST(t.k AS BIGINT) AS k, CAST(t.n AS BIGINT) AS n,
-           ROUND(((t.sg - t.s * t.s / t.n) / (t.k - 1))
-                 / ((t.ss - t.sg) / (t.n - t.k)), 6) AS f_stat,
-           ROUND((t.sg - t.s * t.s / t.n)
-                 / ((t.sg - t.s * t.s / t.n) + (t.ss - t.sg)), 6) AS eta_sq
-    FROM t
-"""
-
-
-def q_value_autocorr(sf_dir: str):
-    """Pooled lag-1 autocorrelation of event value within each user's
-    time-ordered sequence (panel-data serial dependence): integer-cent
-    moments (exact below 2^53 on both engines), one hash exchange, a C
-    grouped shift per shard, O(shards) moment rows out
-    (`ops/autocorr.py`)."""
-    from ...ops.autocorr import lag_corr
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "value"],
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "ts": batch["ts"],
-                "event_id": batch["event_id"],
-                "v": pa.array(np.rint(v * 100).astype(np.int64),
-                              type=pa.int64()),
-            }
-        )
-
-    return lag_corr(ev.map_batches(cents, batch_format="pyarrow"),
-                    "user_id", ["ts", "event_id"], "v", lag=1)
-
-
-QUERIES["value_autocorr"] = q_value_autocorr
-ORACLE_SQL["value_autocorr"] = """
-    WITH o AS (SELECT user_id,
-                      CAST(ROUND(value * 100) AS BIGINT) AS v,
-                      LAG(CAST(ROUND(value * 100) AS BIGINT))
-                          OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id) AS pv
-               FROM events),
-    p AS (SELECT pv * 1.0 AS x, v * 1.0 AS y FROM o WHERE pv IS NOT NULL),
-    m AS (SELECT COUNT(*) * 1.0 AS n, SUM(x) AS sx, SUM(y) AS sy,
-                 SUM(x * x) AS sxx, SUM(y * y) AS syy, SUM(x * y) AS sxy
-          FROM p)
-    SELECT CAST(m.n AS BIGINT) AS n_pairs,
-           ROUND((m.n * m.sxy - m.sx * m.sy)
-                 / SQRT((m.n * m.sxx - m.sx * m.sx)
-                        * (m.n * m.syy - m.sy * m.sy)), 6) AS autocorr
-    FROM m
-"""
-
-
-def q_value_psi(sf_dir: str):
-    """Population Stability Index of the event-value distribution
-    between the first and second half of the observed time span — the
-    standard drift monitor (fixed 50-unit bins capped at 10, split at
-    the exact integer midpoint of min/max event time).  Tiny min/max
-    pass, then bounded (bucket, half) cell partials
-    (`ops/psi.py`)."""
-    from ...ops.psi import psi_time_split
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "value"]
-    )
-    return psi_time_split(ev, "ts", "value", width=50.0, nbuckets=10)
-
-
-QUERIES["value_psi"] = q_value_psi
-ORACLE_SQL["value_psi"] = """
-    WITH b AS (SELECT epoch_us(ts) AS t,
-                      LEAST(CAST(FLOOR(value / 50) AS BIGINT), 9) AS bucket
-               FROM events),
-    m AS (SELECT (MIN(t) + MAX(t)) // 2 AS mid FROM b),
-    c AS (SELECT bucket, CASE WHEN t > m.mid THEN 1 ELSE 0 END AS half,
-                 COUNT(*) AS n
-          FROM b, m GROUP BY 1, 2),
-    g AS (SELECT bucket,
-                 COALESCE(SUM(n) FILTER (half = 0), 0) AS na,
-                 COALESCE(SUM(n) FILTER (half = 1), 0) AS nb
-          FROM c GROUP BY bucket),
-    t AS (SELECT SUM(na) * 1.0 AS ta, SUM(nb) * 1.0 AS tb FROM g)
-    SELECT ROUND(SUM((g.na / t.ta - g.nb / t.tb)
-                     * LN((g.na / t.ta) / (g.nb / t.tb))), 6) AS psi,
-           CAST(t.ta AS BIGINT) AS n_a, CAST(t.tb AS BIGINT) AS n_b
-    FROM g, t WHERE g.na > 0 AND g.nb > 0
-    GROUP BY t.ta, t.tb
-"""
-
-
 def q_event_trigrams(sf_dir: str):
     """Top-25 event-type trigrams across users' time-ordered sequences
     (sequential pattern mining at sequence level): one hash exchange by
@@ -1327,144 +865,6 @@ ORACLE_SQL["event_trigrams"] = """
     FROM o WHERE t2 IS NOT NULL AND t3 IS NOT NULL
     GROUP BY 1, 2, 3
     ORDER BY n DESC, t1, t2, t3 LIMIT 25
-"""
-
-
-def q_user_burstiness(sf_dir: str):
-    """Per-user Fano factor (variance-to-mean ratio) of inter-event
-    gaps in integer seconds — burstiness vs Poisson regularity.  One
-    hash exchange, grouped C shift per shard, exact integer gap moments
-    (sums below 2^53 on both engines), one fixed float tree for the
-    ratio; users with < 2 gaps are dropped."""
-    from ...ops.agg import sharded_groupby_apply
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
-
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(["user_id", "ts"], kind="stable").copy()
-        d["t"] = d["ts"].astype("int64") // 1_000_000
-        pv = d.groupby("user_id", sort=False)["t"].shift(1)
-        gap = (d["t"] - pv).to_numpy(dtype=np.float64)
-        m = ~np.isnan(gap)
-        out = pd.DataFrame({"user_id": d["user_id"].to_numpy()[m],
-                            "g": gap[m]})
-        agg = out.groupby("user_id", sort=False)["g"].agg(
-            n="size", s="sum", ss=lambda x: float((x.to_numpy() ** 2).sum())
-        ).reset_index()
-        agg = agg[agg["n"] >= 2]
-        mean = agg["s"] / agg["n"]
-        var = agg["ss"] / agg["n"] - mean * mean
-        res = pd.DataFrame(
-            {
-                "user_id": agg["user_id"],
-                "n_gaps": agg["n"].astype(np.int64),
-                "fano": np.round(var / mean, 6),
-            }
-        )
-        return res
-
-    return sharded_groupby_apply(ev, ["user_id"], apply, num_shards=64)
-
-
-QUERIES["user_burstiness"] = q_user_burstiness
-ORACLE_SQL["user_burstiness"] = """
-    WITH o AS (SELECT user_id, epoch_us(ts) // 1000000 AS t,
-                      LAG(epoch_us(ts) // 1000000)
-                          OVER (PARTITION BY user_id ORDER BY ts) AS pt
-               FROM events),
-    g AS (SELECT user_id, (t - pt) * 1.0 AS g FROM o WHERE pt IS NOT NULL),
-    m AS (SELECT user_id, COUNT(*) * 1.0 AS n, SUM(g) AS s,
-                 SUM(g * g) AS ss
-          FROM g GROUP BY user_id HAVING COUNT(*) >= 2)
-    SELECT user_id, CAST(n AS BIGINT) AS n_gaps,
-           ROUND((ss / n - (s / n) * (s / n)) / (s / n), 6) AS fano
-    FROM m
-"""
-
-
-TRIM_FRAC_PCT = 10
-
-
-def q_value_trimmed(sf_dir: str):
-    """10%-trimmed mean of event value per type (the classic robust
-    location estimator): drop the lowest and highest floor(n/10) values
-    by (value, event_id) order inside each type, integer-cent mean of the
-    rest.  One hash(event_type)-sharded exchange (every value of a type
-    lands in one shard — the `key_quantiles` shape), exact int64 cents so
-    the window-SQL mirror matches bit-for-bit."""
-    from ...ops.agg import sharded_groupby_apply
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
-    )
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        c = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        return pa.table(
-            {"event_type": batch["event_type"],
-             "event_id": batch["event_id"],
-             "cents": pa.array(c, type=pa.int64())}
-        )
-
-    def shard_trim(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for k, g in df.groupby("event_type", sort=False):
-            v = g.sort_values(["cents", "event_id"], kind="stable")[
-                "cents"
-            ].to_numpy(np.int64)
-            n = len(v)
-            t = n // TRIM_FRAC_PCT
-            core = v[t : n - t] if n - 2 * t > 0 else v[0:0]
-            if len(core) == 0:
-                continue
-            rows.append(
-                {"event_type": k, "n": n, "n_trimmed": 2 * t,
-                 "trimmed_mean_c": int(core.sum()) // len(core)}
-            )
-        return pd.DataFrame(
-            rows, columns=["event_type", "n", "n_trimmed", "trimmed_mean_c"]
-        )
-
-    out = sharded_groupby_apply(
-        ev.map_batches(to_cents, batch_format="pyarrow"),
-        ["event_type"], shard_trim, num_shards=64,
-    )
-
-    def typed(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {"event_type": pc.cast(batch["event_type"], pa.string()),
-             "n": pc.cast(batch["n"], pa.int64()),
-             "n_trimmed": pc.cast(batch["n_trimmed"], pa.int64()),
-             "trimmed_mean_c": pc.cast(batch["trimmed_mean_c"], pa.int64())}
-        )
-
-    return out.map_batches(typed, batch_format="pyarrow")
-
-
-QUERIES["value_trimmed"] = q_value_trimmed
-ORACLE_SQL["value_trimmed"] = f"""
-    WITH c AS (SELECT event_type, event_id,
-                      CAST(ROUND(value * 100) AS BIGINT) AS cents
-               FROM events),
-    r AS (SELECT event_type, cents,
-                 ROW_NUMBER() OVER (PARTITION BY event_type
-                                    ORDER BY cents, event_id) AS rn,
-                 COUNT(*) OVER (PARTITION BY event_type) AS n
-          FROM c),
-    core AS (SELECT event_type, cents, n, n // {TRIM_FRAC_PCT} AS t
-             FROM r
-             WHERE rn > n // {TRIM_FRAC_PCT}
-               AND rn <= n - n // {TRIM_FRAC_PCT})
-    SELECT event_type, CAST(ANY_VALUE(n) AS BIGINT) AS n,
-           CAST(2 * ANY_VALUE(t) AS BIGINT) AS n_trimmed,
-           CAST(SUM(cents) // COUNT(*) AS BIGINT) AS trimmed_mean_c
-    FROM core GROUP BY event_type
 """
 
 
@@ -1735,235 +1135,6 @@ ORACLE_SQL["rolling_dau"] = f"""
 
 
 # ---------------------------------------------------------------------------
-# Welch's t-test and Mann–Kendall trend — moment-/integer-exact inference
-# ---------------------------------------------------------------------------
-
-TTEST_LEVEL_A = "purchase"
-TTEST_LEVEL_B = "error"
-
-
-def q_value_ttest(sf_dir: str):
-    """Welch's unequal-variance t-test of mean event value between the
-    purchase and error event types: integer-cent moments (exact below
-    2^53 on both engines), per-batch additive partials, one 2-key
-    combine; only the O(1)-scale outputs (t, Welch dof, mean diff) are
-    emitted 6-digit-rounded (`ops/ttest.py` — same contract as
-    value_anova)."""
-    from ...ops.ttest import welch_ttest
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "value": pa.array(
-                    np.rint(v * 100).astype(np.int64), type=pa.int64()
-                ),
-            }
-        )
-
-    return welch_ttest(
-        ev.map_batches(cents, batch_format="pyarrow"),
-        "event_type", "value", TTEST_LEVEL_A, TTEST_LEVEL_B,
-    )
-
-
-QUERIES["value_ttest"] = q_value_ttest
-ORACLE_SQL["value_ttest"] = f"""
-    WITH g AS (SELECT event_type,
-                      COUNT(*) * 1.0 AS n,
-                      SUM(CAST(ROUND(value * 100) AS BIGINT)) * 1.0 AS s,
-                      SUM(CAST(ROUND(value * 100) AS BIGINT)
-                          * CAST(ROUND(value * 100) AS BIGINT)) * 1.0 AS ss
-               FROM events
-               WHERE event_type IN ('{TTEST_LEVEL_A}', '{TTEST_LEVEL_B}')
-               GROUP BY 1),
-    m AS (SELECT
-            (SELECT n FROM g WHERE event_type = '{TTEST_LEVEL_A}') AS n1,
-            (SELECT s FROM g WHERE event_type = '{TTEST_LEVEL_A}') AS s1,
-            (SELECT ss FROM g WHERE event_type = '{TTEST_LEVEL_A}') AS ss1,
-            (SELECT n FROM g WHERE event_type = '{TTEST_LEVEL_B}') AS n2,
-            (SELECT s FROM g WHERE event_type = '{TTEST_LEVEL_B}') AS s2,
-            (SELECT ss FROM g WHERE event_type = '{TTEST_LEVEL_B}') AS ss2),
-    v AS (SELECT n1, n2, s1 / n1 AS m1, s2 / n2 AS m2,
-                 ((ss1 - s1 * s1 / n1) / (n1 - 1.0)) / n1 AS a,
-                 ((ss2 - s2 * s2 / n2) / (n2 - 1.0)) / n2 AS b
-          FROM m)
-    SELECT CAST(n1 AS BIGINT) AS n_a, CAST(n2 AS BIGINT) AS n_b,
-           ROUND(100.0 * (m1 - m2), 6) AS mean_diff_x100,
-           ROUND((m1 - m2) / SQRT(a + b), 6) AS t_stat,
-           ROUND((a + b) * (a + b)
-                 / (a * a / (n1 - 1.0) + b * b / (n2 - 1.0)), 6) AS dof
-    FROM v
-"""
-
-
-def q_daily_trend(sf_dir: str):
-    """Mann–Kendall monotonic-trend test over the per-day event counts:
-    S = Σ sign differences is EXACT INTEGER, the bucketing is per-batch
-    day partials + one calendar-bounded groupby, and the O(days²)
-    pairwise fold runs on the driver over a few-thousand-element vector
-    (`ops/trend.py`).  Tie-corrected normal Z emitted 6-digit-rounded."""
-    from ...ops.trend import daily_count_trend
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-    return daily_count_trend(ev, "ts")
-
-
-QUERIES["daily_trend"] = q_daily_trend
-ORACLE_SQL["daily_trend"] = """
-    WITH d AS (SELECT CAST(ts AS DATE) AS day, COUNT(*) AS n
-               FROM events GROUP BY 1),
-    s AS (SELECT CAST(SUM(SIGN(b.n - a.n)) AS BIGINT) AS s_stat
-          FROM d a JOIN d b ON b.day > a.day),
-    ties AS (SELECT n AS val, COUNT(*) * 1.0 AS t FROM d GROUP BY n),
-    var AS (SELECT ((SELECT COUNT(*) * 1.0 FROM d)
-                    * ((SELECT COUNT(*) * 1.0 FROM d) - 1)
-                    * (2 * (SELECT COUNT(*) * 1.0 FROM d) + 5)
-                    - SUM(t * (t - 1) * (2 * t + 5))) / 18.0 AS v
-            FROM ties)
-    SELECT (SELECT COUNT(*) FROM d) AS n_buckets,
-           (SELECT CAST(SUM(n) AS BIGINT) FROM d) AS n_rows,
-           s.s_stat,
-           ROUND(CASE WHEN var.v <= 0 THEN 0.0
-                      WHEN s.s_stat > 0 THEN (s.s_stat - 1) / SQRT(var.v)
-                      WHEN s.s_stat < 0 THEN (s.s_stat + 1) / SQRT(var.v)
-                      ELSE 0.0 END, 6) AS z_stat
-    FROM s, var
-"""
-
-
-# ---------------------------------------------------------------------------
-# Per-type value trend: grouped OLS of cents on days-since-reference
-# ---------------------------------------------------------------------------
-
-SLOPE_REF_DATE = "2024-01-01"
-
-
-def q_value_slope(sf_dir: str):
-    """Per-event-type OLS trend of value over time: y = integer cents,
-    x = whole days since SLOPE_REF_DATE — both exact ints below 2^53, so
-    the six additive moments match the oracle bit-for-bit and only the
-    rounded slope/intercept/r2 ratios are float (`ops/regress.py`;
-    zero exchanges — per-batch grouped partials, driver combine over the
-    bounded type domain)."""
-    from ...ops.regress import linreg_by
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    )
-    ref = np.datetime64(SLOPE_REF_DATE, "D")
-
-    def xy(batch: pa.Table) -> pa.Table:
-        tsv = batch["ts"].to_numpy(zero_copy_only=False)
-        days = (tsv.astype("datetime64[D]") - ref).astype(np.int64)
-        cents = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "x": pa.array(days, type=pa.int64()),
-                "y": pa.array(cents, type=pa.int64()),
-            }
-        )
-
-    out = linreg_by(
-        ev.map_batches(xy, batch_format="pyarrow"), ["event_type"], "x", "y"
-    )
-    return out.sort_by("event_type")
-
-
-QUERIES["value_slope"] = q_value_slope
-ORACLE_SQL["value_slope"] = f"""
-    WITH m AS (SELECT event_type,
-                      CAST(COUNT(*) AS DOUBLE) AS n,
-                      SUM(CAST(DATEDIFF('day', DATE '{SLOPE_REF_DATE}',
-                                        CAST(ts AS DATE)) AS DOUBLE)) AS sx,
-                      SUM(CAST(CAST(ROUND(value * 100) AS BIGINT) AS DOUBLE))
-                          AS sy,
-                      SUM(CAST(DATEDIFF('day', DATE '{SLOPE_REF_DATE}',
-                                        CAST(ts AS DATE)) AS DOUBLE)
-                          * CAST(DATEDIFF('day', DATE '{SLOPE_REF_DATE}',
-                                          CAST(ts AS DATE)) AS DOUBLE)) AS sxx,
-                      SUM(CAST(CAST(ROUND(value * 100) AS BIGINT) AS DOUBLE)
-                          * CAST(CAST(ROUND(value * 100) AS BIGINT) AS DOUBLE))
-                          AS syy,
-                      SUM(CAST(DATEDIFF('day', DATE '{SLOPE_REF_DATE}',
-                                        CAST(ts AS DATE)) AS DOUBLE)
-                          * CAST(CAST(ROUND(value * 100) AS BIGINT) AS DOUBLE))
-                          AS sxy
-               FROM events GROUP BY event_type)
-    SELECT event_type, CAST(n AS BIGINT) AS n,
-           ROUND((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS slope,
-           ROUND((sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx) / n, 6)
-               AS intercept,
-           ROUND((n * sxy - sx * sy) * (n * sxy - sx * sy)
-                 / ((n * sxx - sx * sx) * (n * syy - sy * sy)), 6) AS r2
-    FROM m
-    ORDER BY event_type
-"""
-
-
-def q_value_outliers(sf_dir: str):
-    """Robust per-type outlier scan: events whose value fails the
-    modified-z test against their type's exact median/MAD.  Order stats
-    come from a bounded (type x cent-domain) histogram — one small
-    exchange — and the threshold 0.6745|x-med|/MAD > 3.5 is the pure
-    integer predicate 6745|x-med| > 35000 MAD on both engines
-    (`ops/robust.py`); the second pass streams and filters vectorized
-    with the per-type stats broadcast once."""
-    from ...ops.robust import mad_outliers
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "event_type": batch["event_type"],
-                "v": pa.array(
-                    np.rint(
-                        batch["value"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64),
-                    type=pa.int64(),
-                ),
-            }
-        )
-
-    return mad_outliers(
-        ev.map_batches(cents, batch_format="pyarrow"),
-        "event_type", "v", ["event_id", "event_type"],
-    )
-
-
-QUERIES["value_outliers"] = q_value_outliers
-ORACLE_SQL["value_outliers"] = """
-    WITH c AS (SELECT event_id, event_type,
-                      CAST(ROUND(value * 100) AS BIGINT) AS v
-               FROM events),
-    m AS (SELECT event_type, quantile_disc(v, 0.5) AS med
-          FROM c GROUP BY 1),
-    d AS (SELECT c.event_id, c.event_type, c.v,
-                 ABS(c.v - m.med) AS dev
-          FROM c, m WHERE c.event_type = m.event_type),
-    md AS (SELECT event_type, quantile_disc(dev, 0.5) AS mad
-           FROM d GROUP BY 1)
-    SELECT d.event_id, d.event_type, d.v AS value_c,
-           CAST(d.dev AS BIGINT) AS dev_c
-    FROM d, md
-    WHERE d.event_type = md.event_type AND 6745 * d.dev > 35000 * md.mad
-    ORDER BY d.event_id
-"""
-
-
-# ---------------------------------------------------------------------------
 # Cohort LTV: cumulative value by signup-week cohort x weeks-since
 # ---------------------------------------------------------------------------
 
@@ -2099,92 +1270,4 @@ ORACLE_SQL["cohort_value"] = f"""
     FROM e
     GROUP BY cohort_week, age_weeks
     ORDER BY cohort_week, age_weeks
-"""
-
-
-def q_type_trend(sf_dir: str):
-    """Per-event-type Mann–Kendall daily-count trend: the bounded
-    (type x day) table folds through one calendar-bounded groupby and
-    each type's exact-integer S plus tie-corrected Z computes on the
-    driver (`ops/trend.grouped_daily_trend`)."""
-    from ...ops.trend import grouped_daily_trend
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-    )
-    return grouped_daily_trend(ev, "event_type", "ts")
-
-
-QUERIES["type_trend"] = q_type_trend
-ORACLE_SQL["type_trend"] = """
-    WITH d AS (SELECT event_type, CAST(ts AS DATE) AS day, COUNT(*) AS n
-               FROM events GROUP BY 1, 2),
-    s AS (SELECT a.event_type,
-                 CAST(SUM(SIGN(b.n - a.n)) AS BIGINT) AS s_stat
-          FROM d a JOIN d b ON a.event_type = b.event_type AND b.day > a.day
-          GROUP BY 1),
-    sz AS (SELECT event_type, COUNT(*) * 1.0 AS nb,
-                  CAST(SUM(n) AS BIGINT) AS n_rows
-           FROM d GROUP BY 1),
-    ties AS (SELECT event_type, n AS val, COUNT(*) * 1.0 AS t
-             FROM d GROUP BY 1, 2),
-    var AS (SELECT sz.event_type,
-                   (sz.nb * (sz.nb - 1) * (2 * sz.nb + 5)
-                    - SUM(ties.t * (ties.t - 1) * (2 * ties.t + 5))) / 18.0
-                       AS v
-            FROM sz JOIN ties ON ties.event_type = sz.event_type
-            GROUP BY sz.event_type, sz.nb)
-    SELECT sz.event_type,
-           CAST(sz.nb AS BIGINT) AS n_buckets,
-           sz.n_rows,
-           s.s_stat,
-           ROUND(CASE WHEN var.v <= 0 THEN 0.0
-                      WHEN s.s_stat > 0 THEN (s.s_stat - 1) / SQRT(var.v)
-                      WHEN s.s_stat < 0 THEN (s.s_stat + 1) / SQRT(var.v)
-                      ELSE 0.0 END, 6) AS z_stat
-    FROM sz JOIN s ON s.event_type = sz.event_type
-            JOIN var ON var.event_type = sz.event_type
-    ORDER BY sz.event_type
-"""
-
-
-# ---------------------------------------------------------------------------
-# Per-type Theil–Sen robust daily-count trend
-# ---------------------------------------------------------------------------
-
-
-def q_type_theil_sen(sf_dir: str):
-    """Per-event-type Theil–Sen robust slope/intercept of the daily
-    count series — median of pairwise slopes (up to ~29% outlier days
-    cannot move it, unlike value_slope's OLS).  Per-batch day partials,
-    one calendar-bounded groupby, driver-side O(days²) fold per type
-    (`ops/trend.grouped_theil_sen`)."""
-    from ...ops.trend import grouped_theil_sen
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-    )
-    return grouped_theil_sen(ev, "event_type", "ts")
-
-
-QUERIES["type_theil_sen"] = q_type_theil_sen
-ORACLE_SQL["type_theil_sen"] = """
-    WITH d AS (SELECT event_type,
-                      CAST(CAST(ts AS DATE) - DATE '1970-01-01' AS BIGINT)
-                          AS x,
-                      CAST(COUNT(*) AS BIGINT) AS y
-               FROM events GROUP BY event_type, CAST(ts AS DATE)),
-    sl AS (SELECT a.event_type,
-                  MEDIAN((b.y - a.y) * 1.0 / (b.x - a.x)) AS slope
-           FROM d a JOIN d b ON a.event_type = b.event_type AND b.x > a.x
-           GROUP BY a.event_type),
-    ic AS (SELECT d.event_type,
-                  MEDIAN(d.y - sl.slope * d.x) AS icept
-           FROM d JOIN sl USING (event_type) GROUP BY d.event_type),
-    nb AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_buckets
-           FROM d GROUP BY event_type)
-    SELECT nb.event_type, nb.n_buckets,
-           ROUND(sl.slope, 6) AS slope,
-           ROUND(ic.icept, 6) AS intercept
-    FROM nb JOIN sl USING (event_type) JOIN ic USING (event_type)
 """

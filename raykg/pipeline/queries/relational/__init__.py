@@ -1,10 +1,9 @@
-"""Relational query family — a package (was the 3.6k-line relational.py).
-
-Import surface is unchanged: every q_* callable imports from
-raykg.pipeline.queries.relational exactly as before; submodules register
-their queries/oracles into the shared registry on import.
+"""Relational query family over the TPC-H-ish tables: warehouse joins,
+sketches, rollups and windows (``orders``) and RFM / above-average
+orders (``tpch``).  Every q_* callable imports from
+raykg.pipeline.queries.relational; submodules register their
+queries/oracles into the shared registry on import.
 """
 
 from .orders import *  # noqa: F401,F403
-from .stats import *  # noqa: F401,F403
 from .tpch import *  # noqa: F401,F403

@@ -6,27 +6,16 @@ verbatim.  Registers its queries/oracles into the shared registry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count
 
-from ..config import PipelineConfig
-from ..graph import build_nodes, concept_scores, extract_triples, triples_to_edges
-from ..tag import extract_mentions, tag_dataset
-from ..transcripts import TRANSCRIPTS_SQL, read_transcripts
-from ...core.ontology import clean_ontology
 from ...ops import dedup as dedup_ops
-from ...ops import similarity as sim_ops
 from ...ops import text as text_ops
-from ._shared import (ONTOLOGY, ONTOLOGY_SQL_VALUES, _ONTO_CTE, _T_CTE, _OCC_CTE, _cfg, QUERIES, ORACLE_SQL)
-
+from ._shared import QUERIES, ORACLE_SQL
 
 
 def q_profile(sf_dir: str):

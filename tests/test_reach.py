@@ -89,3 +89,15 @@ def test_bench_and_readme_match_the_query_registry():
     with open(os.path.join(ROOT, "README.md")) as f:
         counts = re.findall(r"All (\d+) driver queries", f.read())
     assert counts == [str(len(queries))]
+
+
+def test_coverage_reachability_table_is_current(reach, capsys):
+    """COVERAGE.md's reachability table is the output of
+    ``scripts/reach.py --markdown``, so a cut that deletes modules
+    must regenerate it."""
+    with open(os.path.join(ROOT, "COVERAGE.md")) as f:
+        text = f.read()
+    section = text.split("## Reachability from the KG job", 1)[1].split("\n## ", 1)[0]
+    committed = section[section.index("| module | lines | reached by |"):].strip()
+    assert reach.main(["--markdown"]) == 0
+    assert committed == capsys.readouterr().out.strip()
