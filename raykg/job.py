@@ -27,14 +27,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
 # part of every tag-chain fingerprint: bump it when an output table's
 # layout changes, so a resume recomputes instead of mixing layouts
 _SCHEMA_VERSION = 1
-# the same for the prep chain's test-set-dependent tables (clean, packed)
-_PREP_SCHEMA_VERSION = 1
+# the tables build_graph derives on request from the whole edge or node
+# set: one recomputed graph partition makes every partition of them stale
+_WHOLE_GRAPH_TABLES = ("node_ranks", "entity_ids")
 
 
 def _ontology_rows(ontology, config):
@@ -74,8 +76,6 @@ def _writers(out_dir: str, num_partitions: int) -> list:
     ``conv_id`` into ``num_partitions``, nodes route into a quarter as
     many (the nodes_v2 layout, :func:`~.pipeline.graph.with_node_part_key`)
     and concept_scores is one partition."""
-    import os
-
     from .pipeline.io import PartitionedWriter
 
     sizes = (("mentions", num_partitions), ("edges", num_partitions),
@@ -106,7 +106,10 @@ def _graph_tables(transcripts, ontology, config, out_dir: str,
     - nodes: built from the edge rows whose nodes route into ``n_parts``;
     - concept_scores aggregates across conversations, so it rebuilds from
       the whole mentions table whenever ``parts`` is not empty or it is
-      not done.
+      not done;
+    - the whole-graph tables (``_WHOLE_GRAPH_TABLES``) lose every
+      manifest when ``parts`` or ``n_parts`` is not empty, so the next
+      :func:`build_graph` that asks for them derives them again.
 
     A slice with no mentions is a valid table at every stage."""
     from .pipeline.graph import (
@@ -117,7 +120,7 @@ def _graph_tables(transcripts, ontology, config, out_dir: str,
         triples_from_mentions,
         with_node_part_key,
     )
-    from .pipeline.io import keep_partitions, require_sort_shuffle
+    from .pipeline.io import PartitionedWriter, keep_partitions, require_sort_shuffle
     from .pipeline.tag import MENTION_SCHEMA, extract_mentions
 
     require_sort_shuffle(transcripts)
@@ -125,6 +128,11 @@ def _graph_tables(transcripts, ontology, config, out_dir: str,
     fp = _fingerprint(config, onto_rows)
     w_m, w_e, w_n, w_s = _writers(out_dir, num_partitions)
     tables: dict = {}
+    if parts or n_parts:
+        for name in _WHOLE_GRAPH_TABLES:
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):
+                PartitionedWriter(path, w_n.num_partitions).invalidate(range(w_n.num_partitions))
 
     def refresh(name, writer, ds, key, targets, fingerprint=fp, **kw) -> None:
         tables[name] = _table_report(
@@ -168,9 +176,10 @@ def build_graph(
     A build is an update of every partition that is not done: the conv
     partitions not done in mentions or in edges, and the node partitions
     not done (:func:`_graph_tables`).  ``resume=False`` recomputes all of
-    them."""
-    import os
-
+    them.  ``compute_pagerank`` and ``compute_entity_ids`` also derive
+    the whole-graph tables ``node_ranks`` and ``entity_ids`` from the
+    finished edges and nodes."""
+    from .pipeline.graph import TRIPLE_SCHEMA
     from .pipeline.io import PartitionedWriter
 
     w_m, w_e, w_n, _ = _writers(out_dir, num_partitions)
@@ -185,20 +194,23 @@ def build_graph(
         transcripts, ontology, config, out_dir, num_partitions, parts, n_parts
     )}
 
+    def whole_graph_table(name, key_column, make) -> None:
+        # all-or-nothing: the table is derived again only when one of its
+        # partitions is not done (_graph_tables invalidates all of them
+        # whenever it recomputes a graph partition)
+        w = PartitionedWriter(os.path.join(out_dir, name), w_n.num_partitions)
+        if resume and len(w.done_partitions(fingerprint=fp)) == w.num_partitions:
+            report["tables"][name] = {"rows": 0, "partitions": 0}
+            return
+        s = w.write(make(), key_column=key_column, resume=False, fingerprint=fp)
+        report["tables"][name] = _table_report(s)
+
     if compute_pagerank:
         from .ops.pagerank import pagerank
 
-        ranks = pagerank(
-            w_e.read(), src_column="subj", dst_column="obj", iters=5
-        )
-        w_r = PartitionedWriter(
-            os.path.join(out_dir, "node_ranks"), max(num_partitions // 4, 1)
-        )
-        s = w_r.write(
-            ranks, key_column="node", resume=resume, fingerprint=fp
-        )
-        report["tables"]["node_ranks"] = _table_report(s)
-
+        whole_graph_table("node_ranks", "node", lambda: pagerank(
+            w_e.read(schema=TRIPLE_SCHEMA), src_column="subj", dst_column="obj",
+            iters=5))
     if compute_entity_ids:
         # dense 0..N-1 entity numbering in node_id order — the handoff
         # table KG-embedding trainers consume (ops/index.py); the
@@ -206,145 +218,9 @@ def build_graph(
         # reproduce it bit-for-bit from the same node set
         from .ops.index import zip_with_index
 
-        ids = zip_with_index(
+        whole_graph_table("entity_ids", "node_id", lambda: zip_with_index(
             w_n.read().select_columns(["node_id", "node_type"]),
-            sort_key="node_id",
-            id_col="entity_id",
-        )
-        w_i = PartitionedWriter(
-            os.path.join(out_dir, "entity_ids"), max(num_partitions // 4, 1)
-        )
-        s = w_i.write(ids, key_column="node_id", resume=resume, fingerprint=fp)
-        report["tables"]["entity_ids"] = _table_report(s)
-    return report
-
-
-def build_prep_corpus(
-    documents,
-    out_dir: str,
-    num_partitions: int = 64,
-    resume: bool = True,
-    lang: str = "en",
-    min_quality: int = 40,
-    jaccard_threshold: float = 0.2,
-    testset=None,
-    pack_capacity: int = 2048,
-) -> dict:
-    """The LLM training-data prep chain as a RESUMABLE job: language
-    filter -> quality filter -> near-dup dedup (exact n-gram Jaccard +
-    connected components) -> optional decontamination against a test
-    set -> token packing.  Each stage persists through the partitioned
-    writer (per-partition atomic manifests), so a killed run resumes:
-
-        out/kept/part=NNNNN/...       (doc_id, text)  hash(doc_id)
-        out/canonical/part=NNNNN/...  (doc_id, text)  cluster survivors
-        out/clean/part=NNNNN/...      (doc_id, text)  only with testset
-        out/packed/part=NNNNN/...     (doc_id, shard, bin, n_tok)
-
-    Resume semantics per stage: ``kept`` prunes already-complete
-    doc-hash partitions BEFORE the lang-id actor pool (the expensive
-    stage reruns only over the missing slice); the shuffle stages
-    (dedup, pack) are skipped ENTIRELY when their output is complete
-    and otherwise recompute from the previous stage's on-disk table —
-    their interior exchanges are not partition-resumable, the stage
-    boundary is the checkpoint.  At 100 TB this chain, not the tag
-    chain, is the long pole; every stage reads its predecessor's
-    partitioned parquet, never the raw corpus twice."""
-    import os
-
-    import pyarrow.compute as pc
-
-    from .ops import dedup as dedup_ops
-    from .ops import text as text_ops
-    from .ops.components import connected_components, dedup_survivors
-    from .ops.pack import pack_bins
-    from .pipeline.io import PartitionedWriter, keep_partitions, require_sort_shuffle
-
-    require_sort_shuffle(documents, testset)
-    fingerprint = json.dumps(
-        {
-            "lang": lang,
-            "min_quality": min_quality,
-            "jaccard_threshold": jaccard_threshold,
-            "decontam": testset is not None,
-            "pack_capacity": pack_capacity,
-        },
-        sort_keys=True,
-    )
-    # clean and packed depend on the test set's content, not only on
-    # whether one was given: their fingerprint adds a digest of its
-    # distinct gram hashes (the broadcast side decontamination needs
-    # anyway), so a rerun with another test set recomputes them while
-    # kept and canonical, and the language-id pool, still resume
-    test_keys, digest = None, None
-    if testset is not None:
-        from .ops.decontam import drop_grams, gram_hash_set
-
-        test_keys = gram_hash_set(testset)
-        digest = hashlib.sha256(test_keys.tobytes()).hexdigest()
-    tail_fingerprint = json.dumps(
-        {"stages": fingerprint, "testset": digest, "schema": _PREP_SCHEMA_VERSION},
-        sort_keys=True,
-    )
-    report: dict = {"out_dir": out_dir, "tables": {}}
-
-    def _rows(writer, fp: str) -> int:
-        return sum(
-            json.load(open(writer.manifest_path(p))).get("rows", 0)
-            for p in writer.done_partitions(fingerprint=fp)
-        )
-
-    # stage 1: filter — prune complete partitions BEFORE the actor pool
-    w_kept = PartitionedWriter(os.path.join(out_dir, "kept"), num_partitions)
-    done_k = w_kept.done_partitions(fingerprint=fingerprint) if resume else set()
-    stage_in = keep_partitions(
-        documents, "doc_id", num_partitions, set(range(num_partitions)) - done_k
-    )
-    if len(done_k) < num_partitions:
-        scored = text_ops.add_quality(
-            text_ops.add_lang_id(stage_in, concurrency=(1, 8))
-        )
-        kept = scored.map_batches(
-            lambda b: b.filter(
-                pc.and_(
-                    pc.equal(b["pred_lang"], lang),
-                    pc.greater_equal(b["quality_score"], min_quality),
-                )
-            ).select(["doc_id", "text"]),
-            batch_format="pyarrow",
-        )
-        w_kept.write(kept, key_column="doc_id", resume=resume, fingerprint=fingerprint)
-    report["tables"]["kept"] = {"rows": _rows(w_kept, fingerprint)}
-
-    # stage 2: near-dup dedup — stage-boundary checkpoint (skip entirely
-    # when complete; the interior exchanges are not partition-resumable)
-    w_can = PartitionedWriter(os.path.join(out_dir, "canonical"), num_partitions)
-    if len(w_can.done_partitions(fingerprint=fingerprint) if resume else set()) < num_partitions:
-        kept_ds = w_kept.read()
-        pairs = dedup_ops.ngram_jaccard_pairs(
-            kept_ds, threshold=jaccard_threshold
-        )
-        clusters = connected_components(pairs)
-        canonical = dedup_survivors(kept_ds, clusters)
-        w_can.write(canonical, key_column="doc_id", resume=resume, fingerprint=fingerprint)
-    report["tables"]["canonical"] = {"rows": _rows(w_can, fingerprint)}
-    final = w_can
-
-    # stage 3: decontamination (optional)
-    if testset is not None:
-        w_clean = PartitionedWriter(os.path.join(out_dir, "clean"), num_partitions)
-        if len(w_clean.done_partitions(fingerprint=tail_fingerprint) if resume else set()) < num_partitions:
-            cleaned = drop_grams(w_can.read(), test_keys)
-            w_clean.write(cleaned, key_column="doc_id", resume=resume, fingerprint=tail_fingerprint)
-        report["tables"]["clean"] = {"rows": _rows(w_clean, tail_fingerprint)}
-        final = w_clean
-
-    # stage 4: token packing
-    w_pack = PartitionedWriter(os.path.join(out_dir, "packed"), num_partitions)
-    if len(w_pack.done_partitions(fingerprint=tail_fingerprint) if resume else set()) < num_partitions:
-        packed = pack_bins(final.read(), capacity=pack_capacity)
-        w_pack.write(packed, key_column="doc_id", resume=resume, fingerprint=tail_fingerprint)
-    report["tables"]["packed"] = {"rows": _rows(w_pack, tail_fingerprint)}
+            sort_key="node_id", id_col="entity_id"))
     return report
 
 
@@ -362,15 +238,21 @@ def update_graph(
     conversations live in — the same stages as :func:`build_graph`
     (:func:`_graph_tables`) over other partition sets:
 
-    - ``mentions`` and ``edges``: the changed convs' hash partitions; the
-      matcher input is pruned to them with a vectorized conv-hash mask,
-      so an update touching 0.1% of conversations runs the expensive
-      stage over ~0.1% of the corpus.
+    - ``mentions`` and ``edges``: the changed convs' hash partitions.
+      The matcher runs over their turns only, but the input is read in
+      full and pruned after the read (a vectorized conv-hash mask), and
+      the edges' structural rows come from the whole input, pruned at
+      the edge writer.
     - ``nodes``: the changed convs' node partitions plus the one global
-      partition (tool/concept rows), built from the edge rows that route
-      into them — an output-sized scan, never the corpus.
+      partition (tool/concept rows).  The global partition needs every
+      ``used_tool`` edge, so every edge partition is read.
     - ``concept_scores`` aggregates ACROSS conversations, so it rebuilds
-      from the updated on-disk mentions table.
+      from the whole on-disk mentions table.
+    - ``node_ranks`` and ``entity_ids`` lose every manifest; the next
+      :func:`build_graph` that asks for them derives them again.
+
+    So the matcher's work follows the change, but the reads do not: the
+    full input, every edge partition and the whole mentions table.
 
     Deleted conversations: include their ids in ``changed_conv_ids``;
     their partitions recompute from the current table (which no longer
@@ -410,16 +292,6 @@ def main(argv=None) -> int:
                    help="path to a text file of conv_ids (one per line): "
                         "incrementally refresh ONLY their hash partitions "
                         "of an existing --out graph (update_graph)")
-    p.add_argument("--prep", action="store_true",
-                   help="run the LLM prep-corpus chain (filter -> dedup "
-                        "-> decontam -> pack) instead of the KG chain; "
-                        "--input must be a documents parquet")
-    p.add_argument("--min-quality", type=int, default=40)
-    p.add_argument("--jaccard-threshold", type=float, default=0.2)
-    p.add_argument("--pack-capacity", type=int, default=2048)
-    p.add_argument("--decontam", default=None,
-                   help="test-set parquet (text column) to decontaminate "
-                        "against (13-gram overlap removal)")
     p.add_argument("--pagerank", action="store_true",
                    help="also materialize node PageRank (out/node_ranks)")
     p.add_argument("--entity-ids", action="store_true",
@@ -487,24 +359,6 @@ def main(argv=None) -> int:
             transcripts = ray.data.read_parquet(args.input)
 
         t0 = time.perf_counter()
-        if args.prep:
-            docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
-            testset = (
-                ray.data.read_parquet(args.decontam) if args.decontam else None
-            )
-            report = build_prep_corpus(
-                docs,
-                args.out,
-                num_partitions=args.num_partitions,
-                resume=not args.no_resume,
-                min_quality=args.min_quality,
-                jaccard_threshold=args.jaccard_threshold,
-                testset=testset,
-                pack_capacity=args.pack_capacity,
-            )
-            report["seconds"] = round(time.perf_counter() - t0, 2)
-            print(json.dumps(report))
-            return 0
         if args.changed_convs:
             with open(args.changed_convs) as f:
                 changed = [line.strip() for line in f if line.strip()]

@@ -96,11 +96,11 @@ class OntologyTagPipeline:
         """Tag + format (the reference's ``tag_and_format``)."""
         return tag_dataset(ds, self.ontology_rows, self.config)
 
-    def mentions(self, ds: "ray.data.Dataset", **kw) -> "ray.data.Dataset":
-        return extract_mentions(ds, self.ontology_rows, self.config, **kw)
+    def mentions(self, ds: "ray.data.Dataset") -> "ray.data.Dataset":
+        return extract_mentions(ds, self.ontology_rows, self.config)
 
-    def triples(self, ds: "ray.data.Dataset", **kw) -> "ray.data.Dataset":
-        return extract_triples(ds, self.ontology_rows, self.config, **kw)
+    def triples(self, ds: "ray.data.Dataset") -> "ray.data.Dataset":
+        return extract_triples(ds, self.ontology_rows, self.config)
 
 
 def ordered(ds: "ray.data.Dataset", keys=("conv_id", "turn_idx")) -> "ray.data.Dataset":

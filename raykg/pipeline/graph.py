@@ -70,11 +70,11 @@ def _triples(subj, pred: str, obj, conv, turn) -> pa.Table:
     )
 
 
-def _turn_keys(batch: pa.Table, conv_column: str, turn_column: str):
+def _turn_keys(batch: pa.Table):
     """(conv_id, int32 turn_idx, turn id) columns of a batch."""
-    conv = batch[conv_column]
+    conv = batch["conv_id"]
     conv = conv.combine_chunks() if isinstance(conv, pa.ChunkedArray) else conv
-    turn = batch[turn_column]
+    turn = batch["turn_idx"]
     turn = turn.combine_chunks() if isinstance(turn, pa.ChunkedArray) else turn
     turn = pc.cast(turn, pa.int32())
     return conv, turn, pc.binary_join_element_wise(conv, pc.cast(turn, pa.string()), "#")
@@ -112,7 +112,7 @@ class TripleActor(MentionActor):
         self.tool_column = tool_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        conv, turn, tid = _turn_keys(batch, self.conv_column, self.turn_column)
+        conv, turn, tid = _turn_keys(batch)
         parts = _structural_triples(batch, self.tool_column, conv, turn, tid)
         hits = self._tag_keyword_counts(batch)
         if hits.num_rows:
@@ -208,7 +208,7 @@ def triples_from_mentions(
     from ..ops.setops import distinct_rows
 
     def tag_kw_triples(batch: pa.Table) -> pa.Table:
-        conv, turn, tid = _turn_keys(batch, "conv_id", "turn_idx")
+        conv, turn, tid = _turn_keys(batch)
         return _triples(
             pc.binary_join_element_wise(tid, batch["keyword"], "#"),
             "tagged_as",
@@ -223,7 +223,7 @@ def triples_from_mentions(
     ).map_batches(tag_kw_triples, batch_format="pyarrow")
 
     def structural(batch: pa.Table) -> pa.Table:
-        keys = _turn_keys(batch, "conv_id", "turn_idx")
+        keys = _turn_keys(batch)
         return pa.concat_tables(_structural_triples(batch, "tool", *keys))
 
     cols = ["conv_id", "turn_idx"]

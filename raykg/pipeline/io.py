@@ -316,11 +316,13 @@ class PartitionedWriter:
         drop_key_column: bool = False,
     ) -> pd.DataFrame:
         """Recompute ONLY ``partitions`` from ``ds``: invalidate them, prune
-        the input to rows hashing into them (a vectorized mask BEFORE any
-        exchange — at 10^12 turns an update touching 0.1% of conversations
-        reads 0.1% of partitions' worth of work, not the corpus), and
-        write them; a target partition left with no rows (all of its keys
-        were deleted upstream) ends complete and empty."""
+        the input to rows hashing into them, and write them; a target
+        partition left with no rows (all of its keys were deleted
+        upstream) ends complete and empty.  The prune is a vectorized mask
+        before the exchange, so the shuffle and the writes follow the
+        target partitions, but ``ds`` itself still runs in full: a caller
+        that must not pay for the whole input prunes it before the costly
+        stage (:func:`keep_partitions`)."""
         parts = sorted(int(p) for p in partitions)
         self.invalidate(parts)
         return self._write(ds, key_column, parts, fingerprint, drop_key_column)

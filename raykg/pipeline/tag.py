@@ -123,7 +123,7 @@ def ontology_rows_from_table(table: pa.Table, config: PipelineConfig) -> List[tu
 class _MentionCountActorBody:
     def __call__(self, batch: pa.Table) -> pa.Table:
         hits = self._tag_keyword_counts(batch)
-        keys = batch.select([self.conv_column, self.turn_column, *self.extra_columns])
+        keys = batch.select(["conv_id", "turn_idx", *self.extra_columns])
         keys = keys.take(hits["row"])
         cols = {
             "conv_id": pc.cast(keys[0], pa.string()),
@@ -149,7 +149,7 @@ class _DocTagsActorBody:
 
         tags = sorted_distinct("tag")
         kws = sorted_distinct("keyword")
-        keys = batch.select([self.conv_column, self.turn_column]).take(tags["row"])
+        keys = batch.select(["conv_id", "turn_idx"]).take(tags["row"])
         return pa.table(
             {
                 "conv_id": pc.cast(keys[0], pa.string()),
@@ -331,19 +331,16 @@ class MentionActor(TagActor):
     graph layer consumes — no input-row duplication, only matches."""
 
     def __init__(self, ontology, config: PipelineConfig,
-                 conv_column: str = "conv_id", turn_column: str = "turn_idx",
                  extra_columns: Sequence[str] = ()):
         super().__init__(ontology, config)
-        self.conv_column = conv_column
-        self.turn_column = turn_column
         # per-turn attribute passthrough (e.g. event time for temporal KG
         # queries): each emitted mention row copies its turn's value, so no
         # downstream join is needed to recover turn metadata
         self.extra_columns = tuple(extra_columns)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        convs = batch[self.conv_column].to_pylist()
-        turns = batch[self.turn_column].to_pylist()
+        convs = batch["conv_id"].to_pylist()
+        turns = batch["turn_idx"].to_pylist()
         out = {name: [] for name in MENTION_SCHEMA.names}
         for conv, turn, mentions in zip(convs, turns, self._mentions(batch)):
             for m in mentions:
@@ -451,9 +448,6 @@ def extract_mentions(
     ds: "ray.data.Dataset",
     ontology,
     config: PipelineConfig,
-    conv_column: str = "conv_id",
-    turn_column: str = "turn_idx",
 ) -> "ray.data.Dataset":
     """Transcripts -> mentions long table (the graph layer's input)."""
-    return map_stage(ds, MentionActor, ontology, config,
-                     conv_column=conv_column, turn_column=turn_column)
+    return map_stage(ds, MentionActor, ontology, config)

@@ -330,6 +330,63 @@ def test_job_entity_ids_table(tmp_path):
     assert by_rank["node_id"].tolist() == sorted(ids["node_id"].tolist())
 
 
+def test_job_pagerank_on_an_empty_input(tmp_path, ray_session):
+    """An input with no rows writes empty edges; the PageRank stage reads
+    them back as an empty table of the triple schema instead of failing
+    for want of a data file."""
+    from raykg.job import build_graph
+
+    empty = ray.data.from_pandas(small_corpus().iloc[:0])
+    report = build_graph(empty, [("Z", "zebra")], PipelineConfig(language="en", concurrency=1),
+                         str(tmp_path / "kg"), num_partitions=8,
+                         compute_pagerank=True, compute_entity_ids=True)
+    assert report["tables"]["edges"]["rows"] == 0
+    assert report["tables"]["node_ranks"] == {"rows": 0, "partitions": 2}
+    assert report["tables"]["entity_ids"]["rows"] == report["tables"]["nodes"]["rows"]
+
+
+def test_update_graph_makes_node_ranks_and_entity_ids_stale(tmp_path, ray_session):
+    """node_ranks and entity_ids are derived from the whole graph: after
+    an update adds a conversation, a resumed build that asks for them
+    derives them again, equal to a fresh build's, instead of keeping
+    the ones without the new conversation's nodes."""
+    from raykg.job import build_graph, update_graph
+
+    cfg = PipelineConfig(language="en", concurrency=1)
+    onto = [("Engine", "spark")]
+    base = pd.DataFrame([
+        {"conv_id": f"c{i}", "turn_idx": 0, "role": "user", "text": "I use spark",
+         "tool": None, "lang": "en"} for i in range(2)
+    ])
+    cur = pd.concat([base, pd.DataFrame([
+        {"conv_id": "c2", "turn_idx": 0, "role": "user", "text": "spark again",
+         "tool": "python", "lang": "en"}])], ignore_index=True)
+
+    def build(df, path):
+        return build_graph(ray.data.from_pandas(df), onto, cfg, str(path), num_partitions=8,
+                           compute_pagerank=True, compute_entity_ids=True)
+
+    def table(path, name, key):
+        return sorted(PartitionedWriter(str(path / name), 2).read().to_pandas()[key])
+
+    build(base, tmp_path / "inc")
+    update_graph(ray.data.from_pandas(cur), onto, cfg, str(tmp_path / "inc"), ["c2"],
+                 num_partitions=8)
+    build(cur, tmp_path / "inc")
+    nodes = table(tmp_path / "inc", "nodes", "node_id")
+    assert "tool:python" in nodes and "c2#0#spark" in nodes
+    assert table(tmp_path / "inc", "entity_ids", "node_id") == nodes
+    build(cur, tmp_path / "full")
+    assert table(tmp_path / "full", "nodes", "node_id") == nodes
+    assert table(tmp_path / "inc", "node_ranks", "node") == table(
+        tmp_path / "full", "node_ranks", "node")
+    a, b = (PartitionedWriter(str(tmp_path / p / "entity_ids"), 2).read().to_pandas()
+            .sort_values("entity_id").reset_index(drop=True) for p in ("inc", "full"))
+    pd.testing.assert_frame_equal(a, b)
+    rerun = build(cur, tmp_path / "inc")
+    assert rerun["tables"]["node_ranks"] == {"rows": 0, "partitions": 0}
+
+
 def test_triples_from_mentions_pinned_to_extract_triples(ray_session):
     """The job's one-matcher-pass edge derivation must emit exactly the
     triple set the direct TripleActor pass emits (row-set equality)."""
@@ -601,94 +658,6 @@ def test_mention_context_first_occurrence_orders_by_sentence(
     assert "rules" not in row["ctx"].iloc[0]
 
 
-def test_prep_corpus_job_resume_and_decontam(ray_session, tmp_path):
-    """The LLM prep chain as a resumable job: filter -> dedup -> decontam
-    -> pack with per-stage manifests.  A finished run re-skips entirely;
-    a partially-invalidated kept stage recomputes only its missing
-    partitions; decontam drops exactly the planted overlap."""
-    import json
-
-    import pyarrow as pa
-    import ray.data
-
-    from raykg.job import build_prep_corpus
-    from raykg.pipeline.io import PartitionedWriter
-    from raykg.pipeline.transcripts import read_documents_scaled
-
-    out = str(tmp_path / "prep")
-    docs = read_documents_scaled("/root/testdata/sf0.001", 2, salt_vocab=True)
-    r1 = build_prep_corpus(docs, out, num_partitions=4)
-    assert r1["tables"]["kept"]["rows"] > 0
-    assert 0 < r1["tables"]["canonical"]["rows"] <= r1["tables"]["kept"]["rows"]
-    assert r1["tables"]["packed"]["rows"] == r1["tables"]["canonical"]["rows"]
-
-    # full resume: identical report, no recompute
-    docs2 = read_documents_scaled("/root/testdata/sf0.001", 2, salt_vocab=True)
-    r2 = build_prep_corpus(docs2, out, num_partitions=4)
-    assert r2["tables"] == r1["tables"]
-
-    # partial resume of the filter stage: invalidate one partition,
-    # re-run, rows must come back exactly
-    w_kept = PartitionedWriter(out + "/kept", 4)
-    w_kept.invalidate([1])
-    docs3 = read_documents_scaled("/root/testdata/sf0.001", 2, salt_vocab=True)
-    r3 = build_prep_corpus(docs3, out, num_partitions=4)
-    assert r3["tables"]["kept"]["rows"] == r1["tables"]["kept"]["rows"]
-
-    # decontam: plant a test set that shares a 13-gram with some kept doc
-    kept_texts = (
-        PartitionedWriter(out + "/kept", 4).read().take(5)
-    )
-    long_docs = [r["text"] for r in kept_texts if len(r["text"].split()) >= 13]
-    if long_docs:
-        testset = ray.data.from_arrow(
-            pa.table({"text": [long_docs[0]]})
-        )
-        out2 = str(tmp_path / "prep_clean")
-        docs4 = read_documents_scaled("/root/testdata/sf0.001", 2, salt_vocab=True)
-        r4 = build_prep_corpus(
-            docs4, out2, num_partitions=4, testset=testset
-        )
-        assert r4["tables"]["clean"]["rows"] < r4["tables"]["canonical"]["rows"]
-        assert r4["tables"]["packed"]["rows"] == r4["tables"]["clean"]["rows"]
-
-
-def test_prep_corpus_rerun_with_another_testset_recomputes_clean(ray_session, tmp_path):
-    """A rerun into the same directory with a different test set must
-    decontaminate against the new one: the clean and packed stages are
-    fingerprinted with the test set's content, not only with whether one
-    was given."""
-    import pyarrow as pa
-
-    from raykg.job import build_prep_corpus
-    from raykg.ops.decontam import decontaminate
-    from raykg.pipeline.io import PartitionedWriter
-    from raykg.pipeline.transcripts import read_documents_scaled
-
-    out = str(tmp_path / "prep")
-
-    def build(texts):
-        testset = ray.data.from_arrow(pa.table({"text": texts}))
-        docs = read_documents_scaled(SF, 1, salt_vocab=True)
-        return build_prep_corpus(docs, out, num_partitions=4, testset=testset)
-
-    def clean_ids():
-        return set(PartitionedWriter(out + "/clean", 4).read().to_pandas()["doc_id"])
-
-    first = build(["a test set no corpus document shares thirteen words with at all"])
-    assert first["tables"]["clean"]["rows"] == first["tables"]["canonical"]["rows"]
-    canonical = PartitionedWriter(out + "/canonical", 4).read()
-    doc = next(r for r in canonical.take(20) if len(r["text"].split()) >= 13)
-    assert doc["doc_id"] in clean_ids()
-
-    second = build([doc["text"]])
-    want = decontaminate(canonical, ray.data.from_arrow(pa.table({"text": [doc["text"]]})))
-    assert doc["doc_id"] not in clean_ids()
-    assert clean_ids() == set(want.to_pandas()["doc_id"])
-    assert second["tables"]["canonical"] == first["tables"]["canonical"]
-    assert second["tables"]["packed"]["rows"] == second["tables"]["clean"]["rows"]
-
-
 def test_salted_replicas_past_the_suffix_width_raise(ray_session):
     """The salt suffix has four digits: replica 10,000 would reuse replica
     0's vocabulary and break per-replica independence, so it is refused."""
@@ -699,30 +668,6 @@ def test_salted_replicas_past_the_suffix_width_raise(ray_session):
     read_documents_scaled(SF, 10_000, salt_vocab=True)
     # unsalted replication has no suffix and no such limit
     read_documents_scaled(SF, 10_001)
-
-
-def test_prep_cli_end_to_end(tmp_path):
-    """`python -m raykg.job --prep` as the driver would run it: a
-    subprocess with its own Ray session, JSON report on stdout."""
-    import json
-    import subprocess
-    import sys
-
-    out = str(tmp_path / "prep_cli")
-    r = subprocess.run(
-        [
-            sys.executable, "-m", "raykg.job", "--prep",
-            "--input", "/root/testdata/sf0.001/documents.parquet",
-            "--out", out, "--num-partitions", "4", "--num-cpus", "4",
-        ],
-        cwd="/root/repo", capture_output=True, text=True, timeout=300,
-    )
-    assert r.returncode == 0, r.stderr[-2000:]
-    report = json.loads(
-        [l for l in r.stdout.splitlines() if l.startswith("{")][-1]
-    )
-    assert report["tables"]["kept"]["rows"] > 0
-    assert report["tables"]["packed"]["rows"] == report["tables"]["canonical"]["rows"]
 
 
 def test_job_cli_default_ontology_skips_query_registry(tmp_path):

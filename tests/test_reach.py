@@ -5,6 +5,8 @@ static import walk); bench.py and README must agree with the registry."""
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +27,11 @@ def _job_modules(table):
     return {m for m, r in table.items() if r["reach"] == "job"}
 
 
+# the LLM training-data prep chain: registry-only, never part of the KG job
+PREP_MODULES = {"raykg.ops.dedup", "raykg.ops.text", "raykg.ops.components",
+                "raykg.ops.pack", "raykg.ops.decontam", "raykg.core.token_attrs"}
+
+
 def test_job_closure_excludes_query_registry(reach):
     table = reach.reach()
     job = _job_modules(table)
@@ -32,6 +39,13 @@ def test_job_closure_excludes_query_registry(reach):
     assert table["raykg.pipeline.queries"]["reach"] == "registry"
     leaked = sorted(m for m in job if m.startswith("raykg.pipeline.queries"))
     assert not leaked, f"the job/api closure imports the query registry: {leaked}"
+    prep = sorted(PREP_MODULES & job)
+    assert not prep, f"the job/api closure imports the prep chain: {prep}"
+    # the job's command line has no prep mode: argparse rejects the flag
+    r = subprocess.run([sys.executable, "-m", "raykg.job", "--prep", "--input", "x",
+                        "--out", "y"], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2, r.stderr[-2000:]
+    assert "unrecognized arguments: --prep" in r.stderr
 
 
 def test_no_orphaned_modules(reach):
