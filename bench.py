@@ -158,7 +158,6 @@ def run_bench() -> dict:
     timed("orders_rollup")
     timed("orders_merge")
     timed("conv_text")
-    timed("event_funnel")
     timed("token_lift")
     timed("embed_cov")
     timed("hll_custkeys", consume=len)
@@ -181,28 +180,21 @@ def run_bench() -> dict:
     timed("concept_trends")
     timed("neighbor_mean")
     timed("quality_gate")
-    timed("retention")
     timed("doc_tree")
     timed("node_ids")
-    timed("hist_quantiles")
     # round-3 third-session additions
     timed("orders_cube")
-    timed("event_running")
-    timed("max_concurrent", consume=len)
     timed("ppr_concepts")
     timed("mention_context")
     timed("heavy_tokens")
     timed("bloom_join")
     timed("zorder_tiles")
-    timed("user_first_event")
     timed("kg_butterflies", consume=len)
     timed("topic_shifts")
-    timed("hll_by_type")
     timed("tool_stats", consume=len)
     timed("co_mentions_adj")
     timed("mlm_pairs")
     timed("curriculum")
-    timed("distinct_users_by_type")
     timed("kg_reciprocity", consume=len)
     timed("concept_lifespan")
     timed("conv_features")
@@ -217,11 +209,9 @@ def run_bench() -> dict:
     timed("tag_match_ja")
     timed("order_date_ranks")
     # round-4 second-session additions: entropy, contrastive hard negatives
-    timed("type_entropy")
     timed("hard_negatives", consume=len)
     # round-4 third-session additions: sequences, readability/zipf,
     # silhouette, RFM
-    timed("event_trigrams", consume=len)
     timed("readability")
     timed("token_zipf", consume=len)
     timed("canonical_docs")
@@ -249,17 +239,13 @@ def run_bench() -> dict:
     timed("onto_coverage", consume=len)
     # round-4 fifth-session additions
     timed("orders_above_avg", consume=len)
-    timed("hll_setops", consume=len)
-    timed("props_extract", consume=len)
     timed("concept_decay", consume=len)
-    timed("rolling_dau", consume=len)
     timed("hapax_rate", consume=len)
     timed("tool_transitions", consume=len)
     timed("embed_pair_dot", consume=len)
     # round-4 sixth-session additions
     timed("vocab_overlap", consume=len)
     timed("turn_coherence")
-    timed("cohort_value", consume=len)
     timed("conv_lang_entropy")
 
     headline = timings["triples_scaled"]

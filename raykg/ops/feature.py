@@ -74,56 +74,3 @@ def zscore_by_group(
         return batch.append_column(out_column, pa.array(z, type=pa.float64()))
 
     return ds.map_batches(attach, batch_format="pyarrow")
-
-
-def quantile_bucketize(
-    ds: "ray.data.Dataset",
-    group_column: str,
-    value_column: str,
-    n_buckets: int = 4,
-    num_shards: int = 64,
-) -> "ray.data.Dataset":
-    """Equi-depth feature discretization: per row, the bucket index
-    ``0..n_buckets-1`` of its value within its group's exact quantile
-    grid — the binning companion to :func:`zscore_by_group`.
-
-    Thresholds are ``quantile_disc(i / n_buckets)`` for ``i = 1..n-1``
-    (exact, via the key-sharded ``ops/events.key_quantiles``), a
-    group-cardinality-sized table broadcast as a LUT into one stateless
-    filter-free map — rows never shuffle.  The bucket is the COUNT of
-    thresholds <= value (``searchsorted`` right), which a SQL mirror
-    reproduces exactly as a sum of CASE comparisons (duplicated
-    thresholds count once each, both sides — ties behave identically).
-    """
-    import ray
-
-    from .events import key_quantiles
-
-    qs = [i / n_buckets for i in range(1, n_buckets)]
-    names = [f"p{round(q * 100):d}" for q in qs]
-    thr = key_quantiles(
-        ds.select_columns([group_column, value_column]),
-        key_column=group_column,
-        value_column=value_column,
-        quantiles=qs,
-        num_shards=num_shards,
-    ).to_pandas()
-    lut = {
-        row[group_column]: np.asarray([row[n] for n in names], dtype=np.float64)
-        for _, row in thr.iterrows()
-    }
-    lut_ref = ray.put(lut)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        table = ray.get(lut_ref)
-        groups = pd.Series(batch[group_column].to_pylist())
-        vals = batch[value_column].to_numpy(zero_copy_only=False)
-        out = np.empty(len(groups), dtype=np.int64)
-        # one vectorized searchsorted per DISTINCT group in the batch
-        codes, uniques = pd.factorize(groups)
-        for code, g in enumerate(uniques):
-            mask = codes == code
-            out[mask] = np.searchsorted(table[g], vals[mask], side="right")
-        return batch.append_column("bucket", pa.array(out, type=pa.int64()))
-
-    return ds.map_batches(bucketize, batch_format="pyarrow")

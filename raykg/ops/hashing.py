@@ -41,7 +41,7 @@ def bucket_of_column(
     type — required where single-key :func:`partition_of` must agree with
     the column kernel (the partitioned writer).  The default integer path
     uses splitmix64, which is cheaper and fine for query-internal buckets
-    (joins, sessionize) where both sides use the same kernel.
+    (joins) where both sides use the same kernel.
     """
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()

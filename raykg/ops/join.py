@@ -9,7 +9,7 @@ join for two large sides (the guide's portable pattern for when
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import pandas as pd
 import pyarrow as pa
@@ -97,8 +97,8 @@ def semi_join(
     return left.map_batches(filt, batch_format="pyarrow")
 
 
-def _align_and_bucket(left, right, on, num_buckets, suffix="_r"):
-    """Shared two-large-sides scaffolding for the partitioned joins: rename
+def _align_and_bucket(left, right, on, num_buckets):
+    """Two-large-sides scaffolding of :func:`bucketed_hash_join`: rename
     the right side's clashing columns (except the key), pad each side with
     typed nulls for the other's columns, bucket on ``hash(key) % B``, tag
     the side, and union into ONE shuffle input.
@@ -113,7 +113,7 @@ def _align_and_bucket(left, right, on, num_buckets, suffix="_r"):
     r_schema = right.schema()
     l_names = list(l_schema.names)
     rename_map = {
-        n: (n + suffix if n in l_names and n != on else n) for n in r_schema.names
+        n: (n + "_r" if n in l_names and n != on else n) for n in r_schema.names
     }
     l_fields = list(zip(l_schema.names, l_schema.types))
     r_fields = [
@@ -185,200 +185,3 @@ def bucketed_hash_join(
         return pa.Table.from_arrays(arrays, names=[n for n, _ in out_fields])
 
     return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
-
-
-def asof_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    key: str,
-    ts: str,
-    num_buckets: int = 64,
-    suffix: str = "_r",
-    tolerance=None,
-) -> "ray.data.Dataset":
-    """Backward as-of LEFT join: each left row picks the latest right row of
-    the same ``key`` with ``right.ts <= left.ts`` (DuckDB ``ASOF LEFT JOIN``
-    semantics; unmatched left rows keep typed nulls).
-
-    Distribution: both sides bucket on ``hash(key) % B`` — ONE shuffle,
-    identical to :func:`bucketed_hash_join` — and every bucket resolves with
-    a single vectorized ``pandas.merge_asof`` (sorted merge over all of the
-    bucket's keys at once; no per-key Python).  Time-skew is irrelevant to
-    the partitioning (keys, not time ranges, are hashed), so a hot KEY is
-    the only skew concern — salt by raising ``num_buckets``.  ``tolerance``
-    (a ``pandas.Timedelta``) optionally bounds the lookback window.
-    """
-    both, own_r_cols, out_fields = _align_and_bucket(
-        left, right, key, num_buckets, suffix=suffix
-    )
-    ts_r = ts + suffix  # right's timestamp after rename (ts clashes by construction)
-
-    def merge(g: pd.DataFrame) -> pa.Table:
-        lhs = (
-            g[g["__side"] == "l"]
-            .drop(columns=["__side", "__bucket", *own_r_cols])
-            .sort_values(ts, kind="stable")
-        )
-        rhs = (
-            g[g["__side"] == "r"][[key, *own_r_cols]]
-            .rename(columns={ts_r: "__rts"})
-            .sort_values("__rts", kind="stable")
-        )
-        m = pd.merge_asof(
-            lhs,
-            rhs,
-            left_on=ts,
-            right_on="__rts",
-            by=key,
-            direction="backward",
-            tolerance=tolerance,
-        ).rename(columns={"__rts": ts_r})
-        arrays = [
-            pa.array(m[name], type=typ, from_pandas=True) for name, typ in out_fields
-        ]
-        return pa.Table.from_arrays(arrays, names=[n for n, _ in out_fields])
-
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
-
-
-def range_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    key: str,
-    ts: str,
-    start: str,
-    end: str,
-    num_buckets: int = 64,
-    disjoint: bool = False,
-) -> "ray.data.Dataset":
-    """Interval (range) INNER join: left rows matched to right rows of the
-    same ``key`` with ``start <= left.ts <= end``.
-
-    Same one-shuffle bucket-by-key exchange as :func:`bucketed_hash_join`.
-    Per bucket, two vectorized kernels:
-
-    - ``disjoint=True`` (intervals per key never overlap — e.g. sessions):
-      one ``merge_asof`` on the interval start (backward) plus an end-bound
-      filter — O(n log n), no candidate blowup, the 100 TB path;
-    - general: per-key equi-merge then interval filter — candidate volume
-      is events x intervals PER KEY; acceptable when keys hold few
-      intervals, salt/raise ``num_buckets`` for hot keys.
-    """
-    both, own_r_cols, out_fields = _align_and_bucket(left, right, key, num_buckets)
-    # right-side column names after the helper's rename
-    start_c = start + "_r" if start in left.schema().names and start != key else start
-    end_c = end + "_r" if end in left.schema().names and end != key else end
-
-    def merge(g: pd.DataFrame) -> pa.Table:
-        lhs = g[g["__side"] == "l"].drop(columns=["__side", "__bucket", *own_r_cols])
-        rhs = g[g["__side"] == "r"][[key, *own_r_cols]]
-        if disjoint:
-            lhs = lhs.sort_values(ts, kind="stable")
-            rhs = rhs.sort_values(start_c, kind="stable")
-            m = pd.merge_asof(
-                lhs, rhs, left_on=ts, right_on=start_c, by=key, direction="backward"
-            )
-            m = m[m[end_c].notna() & (m[ts] <= m[end_c])]
-        else:
-            m = lhs.merge(rhs, on=key, how="inner")
-            m = m[(m[start_c] <= m[ts]) & (m[ts] <= m[end_c])]
-        arrays = [
-            pa.array(m[name], type=typ, from_pandas=True) for name, typ in out_fields
-        ]
-        return pa.Table.from_arrays(arrays, names=[n for n, _ in out_fields])
-
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
-
-
-def attach_by_key(
-    big: "ray.data.Dataset",
-    small: "ray.data.Dataset",
-    on: str,
-    val_cols: Sequence[str],
-    gate: int = 2_000_000,
-) -> "ray.data.Dataset":
-    """INNER-join ``small``'s ``val_cols`` onto ``big`` by the shared key
-    column ``on`` (non-matching big rows drop).  Under ``gate`` small
-    rows the map is sorted arrays broadcast once via ``ray.put`` + one
-    vectorized ``searchsorted`` per batch; above it the plan switches to
-    :func:`bucketed_hash_join` — same rows, shuffle instead of
-    broadcast.  ``small`` must carry exactly ``[on, *val_cols]`` and its
-    keys MUST be unique: with duplicate keys the broadcast searchsorted
-    would keep only one match per key while the bucketed fallback would
-    emit full multiplicity — same inputs, different row counts depending
-    on the gate — so duplicates raise loudly instead.  Use
-    :func:`bucketed_hash_join` directly for many-to-many attaches."""
-    import numpy as np
-
-    small = small.materialize()
-    n_small = small.count()
-    if n_small > gate:
-        # enforce the unique-key contract on this plan too (one bounded
-        # exchange over the SMALL side only) so both plans agree.
-        n_keys = small.select_columns([on]).groupby(on).count().count()
-        if n_keys != n_small:
-            raise ValueError(
-                f"attach_by_key: duplicate keys in `small` ({n_small} rows, "
-                f"{n_keys} distinct); the broadcast and bucketed plans would "
-                "disagree on multiplicity — dedup `small` or use "
-                "bucketed_hash_join"
-            )
-        return bucketed_hash_join(big, small, on=on)
-
-    def _schema_types() -> dict:
-        sch = small.schema()
-        base = getattr(sch, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            return {f.name: f.type for f in base}
-        # non-Arrow-backed schema (e.g. from_pandas): coerce via pyarrow
-        return {
-            n: (t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t))
-            for n, t in zip(sch.names, sch.types)
-        }
-
-    batches = [b for b in small.iter_batches(batch_format="pyarrow") if b.num_rows]
-    if batches:
-        tbl = pa.concat_tables(batches)
-        stypes = {f.name: f.type for f in tbl.schema}
-        keys = tbl[on].to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if len(keys) and len(np.unique(keys)) != len(keys):
-            dup = keys[:-1][keys[1:] == keys[:-1]]
-            raise ValueError(
-                f"attach_by_key: duplicate keys in `small` (e.g. {dup[0]!r}); "
-                "the broadcast and bucketed plans would disagree on "
-                "multiplicity — dedup `small` or use bucketed_hash_join"
-            )
-        vals = []
-        for c in val_cols:
-            col = tbl[c].combine_chunks()
-            try:
-                v = col.to_numpy(zero_copy_only=False)
-            except (pa.ArrowInvalid, NotImplementedError):
-                v = np.asarray(col.to_pylist(), dtype=object)
-            vals.append(v[order])
-    else:
-        keys = np.zeros(0, dtype=np.int64)
-        vals = [np.zeros(0, dtype=object) for _ in val_cols]
-        stypes = _schema_types()
-    ref = ray.put((keys, vals))
-
-    def attach(batch: pa.Table) -> pa.Table:
-        k, vs = ray.get(ref)
-        bk = batch[on].to_numpy(zero_copy_only=False)
-        if len(k):
-            pos = np.minimum(np.searchsorted(k, bk), len(k) - 1)
-            hit = k[pos] == bk
-        else:
-            hit = np.zeros(len(bk), dtype=bool)
-            pos = np.zeros(len(bk), dtype=np.int64)
-        out = batch.filter(pa.array(hit))
-        p = pos[hit]
-        for c, v in zip(val_cols, vs):
-            out = out.append_column(
-                c, pa.array(v[p], type=stypes[c], from_pandas=True)
-            )
-        return out
-
-    return big.map_batches(attach, batch_format="pyarrow")

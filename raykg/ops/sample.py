@@ -186,6 +186,53 @@ def weighted_bernoulli_sql(
     """
 
 
+def key_quantiles(
+    ds: "ray.data.Dataset",
+    key_column: str,
+    value_column: str,
+    quantiles,
+    num_shards: int = 64,
+) -> "ray.data.Dataset":
+    """EXACT lower-interpolation quantiles per key, one ``p<NN>`` column
+    per requested quantile (0.5 -> ``p50``).
+
+    Rides the sharded-aggregation exchange: every value of one key lands in
+    one shard, so a vectorized per-key sort inside the shard yields exact
+    quantiles — no sketch needed.  This is the bounded-cardinality shape
+    (metrics keyed by type/tenant/model); keys whose VALUE VOLUME exceeds a
+    worker's heap need a t-digest style sketch instead, which composes as a
+    per-batch partial + merge in the same two phases."""
+    import pandas as pd
+
+    from .agg import sharded_groupby_apply
+
+    qs = list(quantiles)
+    names = [f"p{round(q * 100):d}" for q in qs]  # round, not truncate (0.29 -> p29)
+
+    def shard_q(df: pd.DataFrame) -> pd.DataFrame:
+        # discrete quantile, SQL quantile_disc semantics: the element at
+        # 1-indexed position ceil(q*n) of the sorted values (pandas'
+        # interpolation="lower" uses floor(q*(n-1)) — off by one at high q)
+        rows = []
+        for k, v in df.groupby(key_column, sort=False)[value_column]:
+            s = np.sort(v.to_numpy())
+            n = len(s)
+            row = {key_column: k}
+            for q, name in zip(qs, names):
+                # clamp BOTH ends: q=0 gives ceil(0*n)-1 = -1, which would
+                # wrap to the MAX via negative indexing (quantile_disc(0)=min)
+                row[name] = float(s[min(n - 1, max(0, int(np.ceil(q * n)) - 1))])
+            rows.append(row)
+        return pd.DataFrame(rows, columns=[key_column, *names])
+
+    return sharded_groupby_apply(
+        ds.select_columns([key_column, value_column]),
+        [key_column],
+        shard_q,
+        num_shards=num_shards,
+    )
+
+
 def group_quantile_filter(
     ds: "ray.data.Dataset",
     group_column: str,
@@ -198,7 +245,7 @@ def group_quantile_filter(
     shortest quartile of each language's documents").
 
     Two passes over the house shapes: (1) exact per-group quantile_disc
-    through the sharded aggregation (``ops/events.key_quantiles``), whose
+    through the sharded aggregation (:func:`key_quantiles`), whose
     result is GROUP-CARDINALITY-sized (languages/tenants — bounded by
     construction, so collecting it to the driver and re-broadcasting is a
     lookup-table broadcast, not a data-sized pull); (2) one streaming
@@ -207,11 +254,9 @@ def group_quantile_filter(
     threshold (a quantile_disc threshold IS one of the values), so the
     kept set hash-matches DuckDB's ``quantile_disc`` oracle bit-for-bit.
     """
-    from .events import key_quantiles
-
     name = f"p{round(q * 100):d}"
     thr = key_quantiles(
-        ds.select_columns([group_column, value_column]),
+        ds,
         key_column=group_column,
         value_column=value_column,
         quantiles=(q,),

@@ -1,4 +1,4 @@
-"""SQL set operations on whole rows: DISTINCT / INTERSECT / EXCEPT.
+"""SQL set operations on whole rows: DISTINCT / EXCEPT.
 
 Row identity is a single string key built with ONE vectorized Arrow
 kernel (cast + ``binary_join_element_wise`` with an unlikely separator),
@@ -8,10 +8,9 @@ so multi-column rows ride every single-key primitive in this repo:
   ``drop_duplicates`` bounds the exchange to per-block distinct rows,
   then one sharded vectorized dedup per key-hash shard (never a Python
   call per distinct row).
-- :func:`intersect_rows` / :func:`except_rows` — distinct left rows
-  whose key does / doesn't appear on the right, via the broadcast
-  semi/anti join (only the right side's distinct key array crosses the
-  wire).  The right side is the smaller one by contract — for two
+- :func:`except_rows` — distinct left rows whose key doesn't appear
+  on the right, via the broadcast anti join (only the right side's
+  distinct key array crosses the wire).  The right side is the smaller one by contract — for two
   corpus-sized sides, bucket both on the row key with
   ``ops.join.bucketed_hash_join`` instead.
 """
@@ -77,16 +76,6 @@ def distinct_rows(
     return sharded_groupby_apply(pruned, cols, dedup, num_shards=num_shards)
 
 
-def intersect_rows(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    cols: Sequence[str],
-    num_shards: int = 64,
-) -> "ray.data.Dataset":
-    """SQL INTERSECT: distinct ``cols`` rows present in both sides."""
-    return _membership(left, right, cols, anti=False, num_shards=num_shards)
-
-
 def except_rows(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
@@ -95,10 +84,6 @@ def except_rows(
 ) -> "ray.data.Dataset":
     """SQL EXCEPT: distinct ``cols`` rows of ``left`` absent from
     ``right`` (right columns are matched positionally, SQL-style)."""
-    return _membership(left, right, cols, anti=True, num_shards=num_shards)
-
-
-def _membership(left, right, cols, anti: bool, num_shards: int):
     cols = list(cols)
     r_cols = right.schema().names[: len(cols)]
     if len(r_cols) != len(cols):
@@ -107,4 +92,4 @@ def _membership(left, right, cols, anti: bool, num_shards: int):
         )
     lk = _with_row_key(distinct_rows(left, cols, num_shards), cols)
     rk = _with_row_key(right, r_cols)
-    return semi_join(lk, rk, on=_KEY, anti=anti).drop_columns([_KEY])
+    return semi_join(lk, rk, on=_KEY, anti=True).drop_columns([_KEY])

@@ -292,102 +292,6 @@ def hll_oracle_sql(table: str, column: str) -> str:
     """
 
 
-def histogram_quantiles(
-    ds: "ray.data.Dataset",
-    key_column: str,
-    value_column: str,
-    quantiles=(0.5, 0.9, 0.99),
-    scale: int = 16,
-    num_shards: int = 64,
-) -> "ray.data.Dataset":
-    """Mergeable histogram-quantile sketch — the bounded-memory companion
-    to ``ops/events.key_quantiles`` for keys whose VALUE VOLUME exceeds a
-    worker's heap (that function's documented limit).
-
-    Values are binned at ``bin = floor(value * scale)`` with ``scale`` a
-    power of two (the multiply is exact in doubles — the repo's
-    fixed-point idiom), per-batch partials pre-count ``(key, bin)`` pairs,
-    and ONE key-sharded exchange of BIN COUNTS (volume O(distinct bins),
-    not O(rows)) folds them; the reported quantile is the lower edge
-    ``bin / scale`` of the first bin whose cumulative count reaches
-    ``ceil(q * n)`` — within 1/scale of the exact quantile_disc, fully
-    deterministic, and mirrored bit-for-bit by a SQL window cumsum (same
-    double ``q * n`` both engines).
-
-    Like ``key_quantiles`` this is the bounded-KEY-cardinality shape
-    (metrics keyed by type/tenant/model) — the final per-key fold is a
-    Python pass per distinct key; what the sketch removes is the bound
-    on per-key VALUE volume (counts replace values on the wire).
-    """
-    import pyarrow as pa
-
-    from .agg import sharded_groupby_apply
-
-    qs = list(quantiles)
-    names = [f"p{round(q * 100):d}" for q in qs]
-
-    def partial(batch: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-
-        binned = pc.cast(
-            pc.floor(pc.multiply(pc.cast(batch[value_column], pa.float64()),
-                                 float(scale))),
-            pa.int64(),
-        )
-        t = pa.table({key_column: batch[key_column], "bin": binned})
-        return t.group_by([key_column, "bin"]).aggregate([("bin", "count")]).rename_columns(
-            [key_column, "bin", "c"]
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for k, g in df.groupby(key_column, sort=False):
-            cnt = g.groupby("bin")["c"].sum().sort_index()
-            cum = cnt.cumsum().to_numpy()
-            bins = cnt.index.to_numpy()
-            n = int(cum[-1])
-            row = {key_column: k}
-            for q, name in zip(qs, names):
-                target = np.ceil(q * n)  # same IEEE multiply as the oracle
-                row[name] = float(bins[np.searchsorted(cum, target)] / scale)
-            rows.append(row)
-        return pd.DataFrame(rows, columns=[key_column, *names])
-
-    return sharded_groupby_apply(
-        ds.select_columns([key_column, value_column]).map_batches(
-            partial, batch_format="pyarrow"
-        ),
-        [key_column],
-        combine,
-        num_shards=num_shards,
-    )
-
-
-def histogram_quantiles_sql(
-    table: str,
-    key_column: str,
-    value_column: str,
-    quantiles=(0.5, 0.9, 0.99),
-    scale: int = 16,
-) -> str:
-    """DuckDB mirror of :func:`histogram_quantiles` (bit-exact)."""
-    cols = ", ".join(
-        f"MIN(CASE WHEN cum >= ceil({q} * CAST(n AS DOUBLE)) THEN bin END) / {scale}.0 "
-        f"AS p{round(q * 100):d}"
-        for q in quantiles
-    )
-    return f"""
-    WITH b AS (SELECT {key_column}, CAST(floor({value_column} * {scale}) AS BIGINT) AS bin,
-                      COUNT(*) AS c
-               FROM {table} GROUP BY 1, 2),
-    tot AS (SELECT {key_column}, CAST(SUM(c) AS BIGINT) AS n FROM b GROUP BY 1),
-    cum AS (SELECT b.{key_column}, b.bin, n,
-                   SUM(c) OVER (PARTITION BY b.{key_column} ORDER BY b.bin) AS cum
-            FROM b JOIN tot USING ({key_column}))
-    SELECT {key_column}, {cols} FROM cum GROUP BY {key_column}
-    """
-
-
 def heavy_hitters(
     ds: "ray.data.Dataset",
     column: str,
@@ -441,73 +345,3 @@ def heavy_hitters(
         return g[g["n"] >= min_count]
 
     return sharded_groupby_apply(partials, ["key"], fold, num_shards=num_shards)
-
-
-def hll_registers_by(
-    ds: "ray.data.Dataset",
-    group_column: str,
-    column: str,
-    num_shards: int = 64,
-) -> "ray.data.Dataset":
-    """Per-group HyperLogLog register state ``(group, idx, rho)`` —
-    approximate distinct counts for EVERY group in one pass (distinct
-    users per event type, distinct docs per shard) without a
-    per-group exact-distinct exchange.
-
-    Each batch folds its rows to at most ``groups x 2^p`` register
-    partials (per-batch dedup + max), so the single group-sharded
-    exchange carries sketch state, never values; the fold is one more
-    vectorized max.  Register semantics identical to :class:`HllSketch`
-    (same md5 idx/rho split), so the SQL mirror is bit-equal per group;
-    feed a group's registers to :func:`hll_estimate` for the float
-    cardinality."""
-    from .agg import sharded_groupby_apply
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for g, sub in df.groupby(group_column, sort=False):
-            vals = {v for v in sub[column] if v is not None}
-            if not vals:
-                continue
-            idx, rho = _hll_parts(sorted(vals, key=str))
-            t = pd.DataFrame({group_column: g, "idx": idx, "rho": rho})
-            outs.append(
-                t.groupby([group_column, "idx"], as_index=False)["rho"].max()
-            )
-        if not outs:
-            return pd.DataFrame(
-                {group_column: pd.Series([], dtype=df[group_column].dtype),
-                 "idx": pd.Series([], dtype=np.int64),
-                 "rho": pd.Series([], dtype=np.int64)}
-            )
-        return pd.concat(outs, ignore_index=True)
-
-    parts = ds.select_columns([group_column, column]).map_batches(
-        partial, batch_format="pandas"
-    )
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby([group_column, "idx"], as_index=False)["rho"].max()
-
-    return sharded_groupby_apply(parts, [group_column], fold, num_shards)
-
-
-def hll_by_oracle_sql(table: str, group_column: str, column: str) -> str:
-    """DuckDB mirror of :func:`hll_registers_by` — identical hash/idx/rho
-    per group."""
-    w_mask = (1 << _HLL_WBITS) - 1
-    return f"""
-    WITH h AS (SELECT DISTINCT {group_column},
-                 CAST(('0x' || substr(md5(CAST({column} AS VARCHAR)), 1, 15))
-                      AS BIGINT) AS h
-               FROM {table} WHERE {column} IS NOT NULL),
-    parts AS (SELECT {group_column}, h >> {_HLL_WBITS} AS idx,
-                     h & {w_mask} AS w FROM h),
-    rr AS (SELECT {group_column}, idx,
-                  CASE WHEN w = 0 THEN {_HLL_WBITS + 1}
-                       ELSE {_HLL_WBITS} - CAST(floor(log2(w)) AS BIGINT)
-                  END AS rho
-           FROM parts)
-    SELECT {group_column}, idx, CAST(MAX(rho) AS BIGINT) AS rho
-    FROM rr GROUP BY {group_column}, idx
-    """

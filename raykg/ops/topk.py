@@ -128,69 +128,3 @@ def dense_rank_global(
         )
 
     return ds.map_batches(attach, batch_format="pyarrow")
-
-
-def group_mode(
-    ds: "ray.data.Dataset",
-    keys: Sequence[str],
-    value_column: str,
-    num_shards: int = 64,
-) -> "ray.data.Dataset":
-    """Most frequent ``value_column`` per key group with its count —
-    ties break to the SMALLEST value (deterministic, the SQL
-    ``ORDER BY n DESC, value`` contract).
-
-    Two-phase: per-batch (key, value) count partials bound the exchange
-    to distinct (key, value) pairs per block; one key-sharded fold sums
-    partials and takes the per-key head of a vectorized
-    (n desc, value asc) sort — never a Python call per key."""
-    keys = list(keys)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys + [value_column], sort=False, as_index=False)
-        out = g.size()
-        return out.rename(columns={"size": "n"})
-
-    parts = ds.select_columns(keys + [value_column]).map_batches(
-        partial, batch_format="pandas"
-    )
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys + [value_column], sort=False, as_index=False)[
-            "n"
-        ].sum()
-        g = g.sort_values(
-            keys + ["n", value_column],
-            ascending=[True] * len(keys) + [False, True],
-            kind="stable",
-        )
-        return g.drop_duplicates(keys, keep="first")
-
-    return sharded_groupby_apply(parts, keys, fold, num_shards)
-
-
-def group_argmin(
-    ds: "ray.data.Dataset",
-    keys: Sequence[str],
-    order_columns: Sequence[str],
-    num_shards: int = 64,
-) -> "ray.data.Dataset":
-    """The full first row per key group under ``ORDER BY order_columns``
-    (SQL ``row_number() OVER (PARTITION BY keys ORDER BY ...) = 1``) —
-    accumulating-snapshot facts like "first event per user".
-
-    ``order_columns`` must be a total order within each group (include a
-    unique tiebreak column) or the winner is unspecified.  Two-phase:
-    each batch keeps only its per-key minimum row (a vectorized sort +
-    drop_duplicates, bounding the exchange to one row per key per
-    block), then one key-sharded fold repeats the same kernel — argmin
-    is idempotent under this split, so the result is exact."""
-    keys = list(keys)
-    order_columns = list(order_columns)
-
-    def head(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(keys + order_columns, kind="stable")
-        return df.drop_duplicates(keys)
-
-    parts = ds.map_batches(head, batch_format="pandas")
-    return sharded_groupby_apply(parts, keys, head, num_shards=num_shards)

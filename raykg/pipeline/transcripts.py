@@ -135,61 +135,6 @@ def read_transcripts_scaled(sf_dir: str, replication: int = 1) -> "ray.data.Data
     )
 
 
-def read_documents_scaled(
-    sf_dir: str, replication: int = 1, salt_vocab: bool = False
-) -> "ray.data.Dataset":
-    """Deterministic documents-table scale-up (the prep-chain analogue of
-    :func:`read_transcripts_scaled`): replica r of doc d gets id
-    d + r*N.  With ``salt_vocab=True`` every word of replica r is
-    suffixed with a fixed-width tag (``q0007``) — a per-replica
-    VOCABULARY BIJECTION, so within a replica every n-gram relation
-    (shingle Jaccard, 13-gram decontam windows, distinct-word quality
-    ratio) is exactly preserved while across replicas shingle sets are
-    fully disjoint.  That makes the near-dup dedup stage provably
-    independent per replica: every prep-stage row count is exactly
-    linear in ``replication``, which is what the 512x kill/resume proof
-    asserts.  (The word suffix zeroes the stopword-profile hits, so the
-    heuristic lang-id classifies every salted doc as the default 'en' —
-    the filter stage still executes, uniformly per replica.)"""
-    import pyarrow.parquet as pq_mod
-
-    if salt_vocab and replication > 10_000:
-        # the suffix has four digits: more replicas would reuse vocabularies
-        raise ValueError(
-            f"salt_vocab supports at most 10,000 replicas, got {replication}"
-        )
-    path = f"{sf_dir}/documents.parquet"
-    if replication == 1 and not salt_vocab:
-        return ray.data.read_parquet(path, columns=["doc_id", "text"])
-    n_docs = pq_mod.read_metadata(path).num_rows
-    outer = min(replication, 128)
-    inner = (replication + outer - 1) // outer
-
-    def expand(batch: pa.Table) -> pa.Table:
-        tbl = pq_mod.read_table(path, columns=["doc_id", "text"])
-        parts = []
-        for oid in batch["id"].to_pylist():
-            for j in range(inner):
-                rid = oid * inner + j
-                if rid >= replication:
-                    break
-                shifted = tbl.set_column(
-                    0, "doc_id", pc.add(tbl["doc_id"], rid * n_docs)
-                )
-                if salt_vocab:
-                    salted = pc.replace_substring_regex(
-                        shifted["text"], pattern=r"(\S+)",
-                        replacement=rf"\1q{rid:04d}",
-                    )
-                    shifted = shifted.set_column(1, "text", salted)
-                parts.append(shifted)
-        return pa.concat_tables(parts)
-
-    return ray.data.range(outer, override_num_blocks=outer).map_batches(
-        expand, batch_size=1, batch_format="pyarrow", num_cpus=0.99
-    )
-
-
 TRANSCRIPTS_SQL = f"""
 SELECT 'c' || CAST(doc_id // {TURNS_PER_CONV} AS VARCHAR) AS conv_id,
        CAST(doc_id % {TURNS_PER_CONV} AS INTEGER) AS turn_idx,

@@ -122,69 +122,6 @@ class TestDedup:
         # each pair exactly once (candidates deduped before verify)
         assert len(out) == len(pairs)
 
-    def test_asof_join_backward(self):
-        from raykg.ops.join import asof_join
-
-        left = docs_ds(
-            pd.DataFrame(
-                {
-                    "id": [1, 2, 3, 4],
-                    "k": [7, 7, 7, 9],
-                    "ts": pd.to_datetime(["2024-01-01 10:00", "2024-01-01 11:00",
-                                          "2024-01-01 09:00", "2024-01-01 10:30"]),
-                }
-            )
-        )
-        right = docs_ds(
-            pd.DataFrame(
-                {
-                    "id": [100, 101, 102],
-                    "k": [7, 7, 9],
-                    "ts": pd.to_datetime(["2024-01-01 09:30", "2024-01-01 10:45",
-                                          "2024-01-01 11:00"]),
-                }
-            )
-        )
-        out = (
-            asof_join(left, right, key="k", ts="ts")
-            .to_pandas()
-            .set_index("id")
-        )
-        assert out.loc[1, "id_r"] == 100  # 10:00 -> 09:30
-        assert out.loc[2, "id_r"] == 101  # 11:00 -> 10:45
-        assert pd.isna(out.loc[3, "id_r"])  # 09:00 -> nothing prior
-        assert pd.isna(out.loc[4, "id_r"])  # key 9: right at 11:00 is later
-
-    def test_range_join_general_and_disjoint(self):
-        from raykg.ops.join import range_join
-
-        left = docs_ds(
-            pd.DataFrame(
-                {
-                    "id": [1, 2, 3],
-                    "k": [7, 7, 7],
-                    "ts": pd.to_datetime(["2024-01-01 10:15", "2024-01-01 11:30",
-                                          "2024-01-01 12:30"]),
-                }
-            )
-        )
-        right = docs_ds(
-            pd.DataFrame(
-                {
-                    "k": [7, 7],
-                    "win": [10, 11],
-                    "start_ts": pd.to_datetime(["2024-01-01 10:00", "2024-01-01 11:00"]),
-                    "end_ts": pd.to_datetime(["2024-01-01 10:59", "2024-01-01 11:59"]),
-                }
-            )
-        )
-        for disjoint in (False, True):
-            out = range_join(
-                left, right, key="k", ts="ts", start="start_ts", end="end_ts",
-                disjoint=disjoint,
-            ).to_pandas()
-            assert dict(zip(out["id"], out["win"])) == {1: 10, 2: 11}  # 3 unmatched
-
     def test_sharded_agg_parity(self):
         # sharded_groupby_apply == a plain pandas groupby, for random data
         # across int and string keys (exactness does not depend on sharding)
@@ -713,53 +650,6 @@ class TestWeightedBernoulli:
 import numpy as np
 import pandas as pd
 import ray.data
-from raykg.ops.topk import group_mode
-
-def test_mode_with_ties_and_invariance(ray_session):
-    df = pd.DataFrame(
-        {"k": ["a"] * 5 + ["b"] * 4,
-         "v": ["x", "y", "x", "z", "y", "q", "p", "q", "p"]}
-    )
-    out = group_mode(ray.data.from_pandas(df), ["k"], "v", num_shards=4).to_pandas()
-    got = {r.k: (r.v, r.n) for r in out.itertuples()}
-    # a: x=2, y=2 tie -> smallest value 'x'; b: p=2, q=2 -> 'p'
-    assert got == {"a": ("x", 2), "b": ("p", 2)}
-
-    rng = np.random.default_rng(79)
-    big = pd.DataFrame(
-        {"k": rng.integers(0, 30, 500).astype(str),
-         "v": rng.choice(list("abcdef"), 500)}
-    )
-    a = group_mode(ray.data.from_pandas(big), ["k"], "v", num_shards=2).to_pandas()
-    b = group_mode(ray.data.from_pandas(big).repartition(9), ["k"], "v",
-                   num_shards=8).to_pandas()
-    pa_ = a.sort_values("k").reset_index(drop=True)
-    pb_ = b.sort_values("k").reset_index(drop=True)
-    pd.testing.assert_frame_equal(pa_, pb_)
-    # matches pandas mode with the same tie rule
-    want = (
-        big.groupby(["k", "v"], as_index=False).size()
-        .sort_values(["k", "size", "v"], ascending=[True, False, True])
-        .drop_duplicates("k")
-    )
-    assert pa_["v"].tolist() == want["v"].tolist()
-
-
-from raykg.ops.scan import prefix_sum
-
-def test_prefix_sum_matches_numpy_and_partition_invariant(ray_session):
-    rng = np.random.default_rng(41)
-    n = 2000
-    df = pd.DataFrame(
-        {"k": rng.permutation(n).astype(np.int64),
-         "v": rng.integers(-50, 50, n).astype(np.int64)}
-    )
-    want = df.sort_values("k")["v"].cumsum().to_numpy()
-    for parts in (1, 7):
-        ds = ray.data.from_pandas(df).repartition(parts)
-        out = prefix_sum(ds, "v", ["k"]).to_pandas().sort_values("k")
-        assert (out["run_total"].to_numpy() == want).all()
-
 
 from raykg.ops.bloom import BloomBuild, bloom_prefilter
 

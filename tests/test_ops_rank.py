@@ -32,32 +32,6 @@ def test_ties_share_rank_no_gaps(ray_session):
     assert r == {4: 1, 1: 2, 2: 2, 3: 3}
 
 
-def test_group_argmin_partition_invariant(ray_session):
-    import numpy as np
-    import pandas as pd
-    import ray.data
-    from raykg.ops.topk import group_argmin
-
-    rng = np.random.default_rng(13)
-    df = pd.DataFrame(
-        {"k": rng.integers(0, 40, 800),
-         "o": rng.permutation(800),
-         "payload": rng.integers(0, 1000, 800)}
-    )
-    want = df.sort_values(["k", "o"]).drop_duplicates("k").reset_index(drop=True)
-    for parts in (1, 6):
-        got = (
-            group_argmin(ray.data.from_pandas(df).repartition(parts),
-                         ["k"], ["o"], num_shards=4)
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(
-            got[["k", "o", "payload"]],
-            want[["k", "o", "payload"]],
-            check_dtype=False,
-        )
-
-
 def test_with_keyed_ranks_matches_pandas(ray_session):
     """percent_rank / ntile / row_number per key vs a pandas reference,
     across partition counts (keys span many blocks)."""

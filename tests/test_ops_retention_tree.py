@@ -1,4 +1,4 @@
-"""Unit tests: weekly retention cohorts and the radix hierarchy rollup."""
+"""Unit tests: the radix hierarchy rollup and zip_with_index."""
 
 import pandas as pd
 import pyarrow as pa
@@ -6,40 +6,7 @@ import pytest
 
 import ray.data
 
-from raykg.ops.events import retention_cohorts
 from raykg.ops.rollup import hierarchy_rollup
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_retention_cohorts_hand_checked():
-    # week 0 = 1970-01-01..07 (day//7): u1 active weeks 0 and 2,
-    # u2 weeks 0 only (two events same week dedup), u3 week 2 only
-    ts = pd.to_datetime(
-        [
-            "1970-01-02",  # u1 w0
-            "1970-01-16",  # u1 w2
-            "1970-01-03",  # u2 w0
-            "1970-01-05",  # u2 w0 (dup week)
-            "1970-01-17",  # u3 w2
-        ]
-    )
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"user_id": [1, 1, 2, 2, 3], "ts": ts})
-    )
-    out = (
-        retention_cohorts(ds, num_shards=4)
-        .to_pandas()
-        .sort_values(["cohort_week", "week_offset"])
-        .reset_index(drop=True)
-    )
-    want = pd.DataFrame(
-        {
-            "cohort_week": [0, 0, 2],
-            "week_offset": [0, 2, 0],
-            "n_users": [2, 1, 1],
-        }
-    )
-    pd.testing.assert_frame_equal(out, want, check_dtype=False)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -143,46 +110,3 @@ def test_zip_with_index_keeps_rows_of_partly_empty_block_layout():
     out = zip_with_index(ds, sort_key="k").to_pandas().sort_values("rank")
     assert out["k"].tolist() == ["a", "b", "c", "d"]
     assert out["rank"].tolist() == [0, 1, 2, 3]
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_histogram_quantiles_within_bin_width_of_exact():
-    import numpy as np
-
-    from raykg.ops.sketch import histogram_quantiles
-
-    rng = np.random.RandomState(5)
-    df = pd.DataFrame(
-        {"k": rng.choice(["a", "b"], 5000), "v": rng.gamma(2.0, 3.0, 5000)}
-    )
-    got = (
-        histogram_quantiles(ray.data.from_pandas(df), "k", "v", scale=16, num_shards=4)
-        .to_pandas()
-        .set_index("k")
-        .sort_index()
-    )
-    for k, g in df.groupby("k"):
-        s = np.sort(g.v.to_numpy())
-        for q, name in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")]:
-            exact = s[min(len(s) - 1, max(0, int(np.ceil(q * len(s))) - 1))]
-            # sketch reports the bin's lower edge: within one bin width below
-            assert got.loc[k, name] <= exact < got.loc[k, name] + 1 / 16 + 1e-12
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_quantile_bucketize_equi_depth():
-    import numpy as np
-
-    from raykg.ops.feature import quantile_bucketize
-
-    rng = np.random.RandomState(2)
-    df = pd.DataFrame({"g": ["a"] * 400 + ["b"] * 400, "v": rng.randn(800)})
-    out = (
-        quantile_bucketize(ray.data.from_pandas(df), "g", "v", n_buckets=4, num_shards=4)
-        .to_pandas()
-    )
-    # equi-depth: each quartile bucket holds ~25% of its group
-    for g, grp in out.groupby("g"):
-        counts = grp.bucket.value_counts().sort_index()
-        assert counts.index.tolist() == [0, 1, 2, 3]
-        assert (counts >= 90).all() and (counts <= 110).all()

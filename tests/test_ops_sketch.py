@@ -135,31 +135,3 @@ def test_heavy_hitters_exact_even_with_collisions(ray_session):
             min_count=20, width=width, num_shards=4,
         ).to_pandas()
         assert dict(zip(out["key"], out["n"])) == want, width
-
-
-def test_hll_by_group_matches_global_and_estimates(ray_session):
-    import numpy as np
-    import pandas as pd
-    import ray.data
-    from raykg.ops.sketch import hll_estimate, hll_registers, hll_registers_by
-
-    rng = np.random.default_rng(8)
-    df = pd.DataFrame(
-        {"g": np.where(rng.random(4000) < 0.5, "a", "b"),
-         "v": rng.integers(0, 1500, 4000)}
-    )
-    by = hll_registers_by(
-        ray.data.from_pandas(df).repartition(5), "g", "v", num_shards=4
-    ).to_pandas()
-    for g in ("a", "b"):
-        # per-group registers == global registers over that group's rows
-        want = hll_registers(
-            ray.data.from_pandas(df[df["g"] == g][["v"]]), "v"
-        )
-        got = by[by["g"] == g][["idx", "rho"]].sort_values("idx")
-        want = want.sort_values("idx")
-        assert got["idx"].tolist() == want["idx"].tolist()
-        assert got["rho"].tolist() == want["rho"].tolist()
-        true = df[df["g"] == g]["v"].nunique()
-        est = hll_estimate(got)
-        assert abs(est - true) / true < 0.15

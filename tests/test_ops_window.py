@@ -77,127 +77,6 @@ class TestWindowOver:
         assert out["rn"].tolist() == [1, 2, 3, 1, 2]
 
 
-class TestFunnel:
-    def test_strict_order_chain(self, ray_session):
-        import pandas as pd
-
-        from raykg.ops.events import funnel_counts
-
-        df = pd.DataFrame(
-            {
-                # u1 completes all 3 in order; u2 clicks before viewing
-                # (click doesn't count), never purchases; u3 views only
-                "user_id": [1, 1, 1, 2, 2, 3],
-                "ts": pd.to_datetime(
-                    ["2024-01-01 00:00", "2024-01-01 00:01",
-                     "2024-01-01 00:02", "2024-01-01 00:00",
-                     "2024-01-01 00:01", "2024-01-01 00:00"]
-                ),
-                "event_type": ["view", "click", "purchase",
-                               "click", "view", "view"],
-            }
-        )
-        out = funnel_counts(
-            ray.data.from_pandas(df), ["view", "click", "purchase"],
-            num_shards=4,
-        ).to_pandas().sort_values("step")
-        assert out["step"].tolist() == [1, 2, 3]
-        assert out["n_keys"].tolist() == [3, 1, 1]
-
-    def test_matches_per_user_brute(self, ray_session):
-        import numpy as np
-        import pandas as pd
-
-        from raykg.ops.events import funnel_counts
-
-        rng = np.random.default_rng(41)
-        n = 600
-        df = pd.DataFrame(
-            {
-                "user_id": rng.integers(0, 50, n),
-                "ts": pd.to_datetime("2024-01-01")
-                + pd.to_timedelta(rng.permutation(n), unit="s"),
-                "event_type": rng.choice(
-                    ["view", "click", "purchase", "error"], n
-                ),
-            }
-        )
-        steps = ["view", "click", "purchase"]
-        want = [0, 0, 0]
-        for _, g in df.sort_values("ts").groupby("user_id"):
-            t, depth = None, 0
-            for s in steps:
-                ev = g[(g["event_type"] == s)
-                       & ((g["ts"] > t) if t is not None else True)]
-                if not len(ev):
-                    break
-                t = ev["ts"].min()
-                depth += 1
-            for i in range(depth):
-                want[i] += 1
-        out = funnel_counts(
-            ray.data.from_pandas(df).repartition(7), steps, num_shards=8
-        ).to_pandas().sort_values("step")
-        assert out["n_keys"].tolist() == want
-
-
-class TestOhlc:
-    def test_known_bars(self, ray_session):
-        import pandas as pd
-
-        from raykg.ops.events import ohlc_window
-
-        df = pd.DataFrame(
-            {
-                "event_type": ["a"] * 4 + ["b"],
-                "ts": pd.to_datetime(
-                    ["2024-01-01 10:05", "2024-01-01 10:50",
-                     "2024-01-01 10:20", "2024-01-01 11:10",
-                     "2024-01-01 10:30"]
-                ),
-                "value": [5.0, 2.0, 9.0, 7.0, 1.0],
-            }
-        )
-        out = ohlc_window(
-            ray.data.from_pandas(df), num_shards=4
-        ).to_pandas().sort_values(["event_type", "window_start"])
-        rows = out.to_dict("records")
-        a10 = rows[0]
-        assert a10["open"] == 5.0 and a10["close"] == 2.0
-        assert a10["high"] == 9.0 and a10["low"] == 2.0 and a10["n"] == 3
-        a11 = rows[1]
-        assert (a11["open"], a11["close"], a11["n"]) == (7.0, 7.0, 1)
-        b10 = rows[2]
-        assert (b10["open"], b10["close"], b10["high"], b10["low"]) == (
-            1.0, 1.0, 1.0, 1.0)
-
-    def test_partition_invariance(self, ray_session):
-        import numpy as np
-        import pandas as pd
-
-        from raykg.ops.events import ohlc_window
-
-        rng = np.random.default_rng(43)
-        n = 500
-        df = pd.DataFrame(
-            {
-                "event_type": rng.choice(["x", "y", "z"], n),
-                "ts": pd.to_datetime("2024-01-01")
-                + pd.to_timedelta(rng.permutation(n) * 97, unit="s"),
-                "value": rng.normal(size=n),
-            }
-        )
-        outs = [
-            ohlc_window(ray.data.from_pandas(df).repartition(p),
-                        num_shards=s)
-            .to_pandas()
-            .sort_values(["event_type", "window_start"])
-            .reset_index(drop=True)
-            for p, s in [(1, 2), (9, 8)]
-        ]
-        pd.testing.assert_frame_equal(outs[0], outs[1])
-
-
 class TestRankWindows:
     def test_percent_rank_and_ntile_match_duckdb(self, ray_session):
         import duckdb

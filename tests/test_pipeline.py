@@ -658,18 +658,6 @@ def test_mention_context_first_occurrence_orders_by_sentence(
     assert "rules" not in row["ctx"].iloc[0]
 
 
-def test_salted_replicas_past_the_suffix_width_raise(ray_session):
-    """The salt suffix has four digits: replica 10,000 would reuse replica
-    0's vocabulary and break per-replica independence, so it is refused."""
-    from raykg.pipeline.transcripts import read_documents_scaled
-
-    with pytest.raises(ValueError, match="10,000 replicas"):
-        read_documents_scaled(SF, 10_001, salt_vocab=True)
-    read_documents_scaled(SF, 10_000, salt_vocab=True)
-    # unsalted replication has no suffix and no such limit
-    read_documents_scaled(SF, 10_001)
-
-
 def test_job_cli_default_ontology_skips_query_registry(tmp_path):
     """The CLI's built-in ontology must not import the query registry
     (every query module and its oracle SQL) into a graph build."""

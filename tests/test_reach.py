@@ -1,12 +1,15 @@
 """The KG job and API must not reach the scenario-query registry, and
 every module must be reached by one of the two (``scripts/reach.py``'s
-static import walk); bench.py and README must agree with the registry."""
+static import walk); every public function of the job closure must have
+a caller; bench.py and README must agree with the registry."""
 
+import ast
 import importlib.util
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -53,6 +56,65 @@ def test_no_orphaned_modules(reach):
     imports is dead code; delete it with whatever stopped using it."""
     orphans = sorted(m for m, r in reach.reach().items() if r["reach"] == "none")
     assert not orphans, f"modules no entry point reaches: {orphans}"
+
+
+# entry modules: their public names are the product surface
+ENTRY_MODULES = {"raykg.job", "raykg.pipeline.api"}
+# caller-less on purpose, with the reason
+UNCALLED_OK = {
+    "raykg.core.ontology.match_sentences": "tests drive the sentence matcher through it",
+}
+
+
+def _non_test_sources():
+    """Every ``.py`` a caller can live in: raykg/, scripts/, perfbench/
+    (its ``test_*`` files aside), bench.py and __ray_entry__.py."""
+    paths = [os.path.join(ROOT, f) for f in ("bench.py", "__ray_entry__.py")]
+    for top in ("raykg", "scripts", "perfbench"):
+        for d, dirs, files in os.walk(os.path.join(ROOT, top)):
+            dirs[:] = [x for x in dirs if x != "__pycache__"]
+            paths += [os.path.join(d, f) for f in files
+                      if f.endswith(".py") and not f.startswith("test_")]
+    return paths
+
+
+def _referenced_names(node):
+    """Names ``node`` uses: plain names, attributes (``mod.f``) and the
+    original name of an aliased import (``from m import f as g``)."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias) and n.asname:
+            out.append(n.name.rpartition(".")[2])
+    return out
+
+
+def test_job_closure_has_no_uncalled_functions(reach):
+    """A public top-level function or class of a job-closure module that
+    no non-test file refers to (outside its own definition) is dead code
+    the job carries; delete it with whatever stopped calling it."""
+    trees = {}
+    for path in _non_test_sources():
+        with open(path) as f:
+            trees[path] = ast.parse(f.read(), path)
+    uses = Counter(n for tree in trees.values() for n in _referenced_names(tree))
+    files = reach.module_files()
+    uncalled = []
+    for mod, row in sorted(reach.reach().items()):
+        if row["reach"] != "job" or mod in ENTRY_MODULES:
+            continue
+        for node in trees[files[mod]].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or f"{mod}.{node.name}" in UNCALLED_OK:
+                continue
+            own = _referenced_names(node).count(node.name)
+            if uses[node.name] - own <= 0:
+                uncalled.append(f"{mod}.{node.name}")
+    assert not uncalled, f"job-closure functions nothing calls: {uncalled}"
 
 
 def test_walk_follows_function_level_and_relative_imports(reach, tmp_path):
