@@ -144,7 +144,6 @@ def run_bench() -> dict:
     timed("prep_corpus")
     timed("token_counts")
     timed("quality")
-    timed("ann_topk")
     timed("decontam")
     timed("redact")
     timed("repetition")
@@ -159,11 +158,9 @@ def run_bench() -> dict:
     timed("orders_merge")
     timed("conv_text")
     timed("token_lift")
-    timed("embed_cov")
     timed("hll_custkeys", consume=len)
     timed("lineitem_checksum", consume=len)
     timed("part_rank")
-    timed("embed_classify")
     timed("conv_json")
     timed("cust_orders_left")
     timed("price_hist")
@@ -174,11 +171,9 @@ def run_bench() -> dict:
     # round-3 session additions
     timed("tag_lemma_nl")
     timed("hub_nodes")
-    timed("semdedup")
     timed("entity_resolve")
     timed("bpe_pairs")
     timed("concept_trends")
-    timed("neighbor_mean")
     timed("quality_gate")
     timed("doc_tree")
     timed("node_ids")
@@ -208,15 +203,11 @@ def run_bench() -> dict:
     timed("tag_lemma_ru")
     timed("tag_match_ja")
     timed("order_date_ranks")
-    # round-4 second-session additions: entropy, contrastive hard negatives
-    timed("hard_negatives", consume=len)
-    # round-4 third-session additions: sequences, readability/zipf,
-    # silhouette, RFM
+    # round-4 third-session additions: sequences, readability/zipf, RFM
     timed("readability")
     timed("token_zipf", consume=len)
     timed("canonical_docs")
     timed("source_card", consume=len)
-    timed("embed_silhouette")
     timed("rfm_segments")
     # round-4 fourth-session additions: CCNet boilerplate removal,
     # DSIR selection, temporal mention chains
@@ -233,7 +224,6 @@ def run_bench() -> dict:
     timed("mix_weights", consume=len)
     timed("source_kl", consume=len)
     timed("conv_latency")
-    timed("xalign_mutual")
     timed("ccnet_buckets")
     timed("kg_cardinality", consume=len)
     timed("onto_coverage", consume=len)
@@ -242,7 +232,6 @@ def run_bench() -> dict:
     timed("concept_decay", consume=len)
     timed("hapax_rate", consume=len)
     timed("tool_transitions", consume=len)
-    timed("embed_pair_dot", consume=len)
     # round-4 sixth-session additions
     timed("vocab_overlap", consume=len)
     timed("turn_coherence")

@@ -16,8 +16,8 @@ Parquet transcript tables, built on ``ray.data.Dataset`` pipelines:
                       (triples / nodes / edges / concept scores),
                       partitioned+resumable parquet IO.
 - ``raykg.ops``       large-scale training-data operators: dedup (exact,
-                      MinHash-LSH, SimHash, n-gram Jaccard), similarity
-                      search, text quality/language-id/token stats.
+                      MinHash-LSH, SimHash, n-gram Jaccard), text
+                      quality/language-id/token stats.
 """
 
 __version__ = "0.1.0"

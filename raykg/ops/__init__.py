@@ -1,1 +1,1 @@
-"""Large-scale training-data operators over document/embedding tables."""
+"""Large-scale training-data operators over document tables."""

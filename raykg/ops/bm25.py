@@ -1,8 +1,7 @@
 """BM25 term-based retrieval (Robertson & Spärck Jones; Okapi BM25).
 
-Parity note: not in the reference plugin — this is the lexical-search
-counterpart to the embedding ANN path (`ops/similarity.py`) for
-retrieval over a training corpus.
+Parity note: not in the reference plugin — lexical retrieval over a
+training corpus.
 
 Scale shape:
 

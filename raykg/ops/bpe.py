@@ -1,28 +1,16 @@
-"""BPE vocabulary induction — distributed pair statistics + merge training.
+"""BPE pair statistics — distributed adjacent-character pair counts.
 
-Tokenizer training over a 100 TB corpus is a first-class training-data
-pipeline op.  BPE's data-heavy step is counting adjacent-symbol pairs; the
-classic factorization (Sennrich et al. 2016) makes it cheap: the corpus is
-read ONCE into a word-frequency table (vocabulary-sized), and every merge
-round then runs over that table, never over the corpus again.
-
-- :func:`pair_counts` — one round of adjacent CHARACTER pair statistics
-  straight off the corpus (what the `bpe_pairs` oracle checks).  The
-  per-batch kernel is vectorized: all texts in a batch are joined and
-  decoded to a uint32 codepoint array (``encode('utf-32-le')`` →
-  ``np.frombuffer``), pair positions are masked where either side is
-  whitespace, and pairs are counted with one ``np.unique`` over packed
-  ``(left << 32) | right`` keys — no per-character Python.  Each batch
-  emits a partial table bounded by the alphabet^2, and one sharded
-  combine produces the global counts: exchange volume is alphabet-, not
-  corpus-, sized.
-- :func:`bpe_train` — k merge rounds over the word-frequency table.
-  Per round: symbol-pair counts weighted by word frequency (vocab-sized
-  map + tiny combine), deterministic argmax (count DESC, then sym_a,
-  sym_b lexicographic), then the merge applied to the symbol sequences
-  with the standard greedy left-to-right single pass.  The driver holds
-  only the merge list (k rows) and the per-round pair-count table
-  (bounded by (alphabet + k)^2, a config- not data-sized object).
+Counting adjacent-symbol pairs is the data-heavy step of BPE tokenizer
+training.  :func:`pair_counts` computes one round of adjacent CHARACTER
+pair statistics straight off the corpus (what the `bpe_pairs` oracle
+checks).  The per-batch kernel is vectorized: all texts in a batch are
+joined and decoded to a uint32 codepoint array (``encode('utf-32-le')``
+→ ``np.frombuffer``), pair positions are masked where either side is
+whitespace, and pairs are counted with one ``np.unique`` over packed
+``(left << 32) | right`` keys — no per-character Python.  Each batch
+emits a partial table bounded by the alphabet^2, and one sharded combine
+produces the global counts: exchange volume is alphabet-, not corpus-,
+sized.
 
 Word boundary convention: ``\\S+`` runs, the same RE2-compatible pattern
 the text-analysis family uses (`raykg/ops/text.py` WORD_RE), so SQL
@@ -31,8 +19,6 @@ oracles can mirror with ``regexp_extract_all(text, '\\S+')``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -40,7 +26,6 @@ import pyarrow as pa
 import ray.data
 
 from .agg import sharded_groupby_apply
-from .text import WORD_RE
 
 # Unicode whitespace (UTS#18 \s, what Python re's \S excludes) as codepoints
 _WS_CODES = np.array(
@@ -99,179 +84,3 @@ def pair_counts(
         return g.reset_index()
 
     return sharded_groupby_apply(parts, ["sym_a", "sym_b"], combine, num_shards)
-
-
-def word_counts(
-    ds: "ray.data.Dataset", text_column: str = "text", num_shards: int = 32
-) -> "ray.data.Dataset":
-    """Corpus -> word-frequency table ``(word, cnt)`` (one exchange;
-    per-batch pre-aggregation bounds its volume)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c: Counter = Counter()
-        for t in batch[text_column].to_pylist():
-            if t:
-                c.update(WORD_RE.findall(t))
-        return pa.table(
-            {
-                "word": pa.array(list(c.keys()), type=pa.string()),
-                "cnt": pa.array(list(c.values()), type=pa.int64()),
-            }
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("word", sort=False)["cnt"].sum().reset_index()
-
-    return sharded_groupby_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["word"],
-        combine,
-        num_shards,
-    )
-
-
-def _merge_seq(syms: List[str], a: str, b: str) -> List[str]:
-    """Standard greedy left-to-right single-pass merge of (a, b) -> a+b."""
-    out: List[str] = []
-    i, n = 0, len(syms)
-    while i < n:
-        if i + 1 < n and syms[i] == a and syms[i + 1] == b:
-            out.append(a + b)
-            i += 2
-        else:
-            out.append(syms[i])
-            i += 1
-    return out
-
-
-def bpe_train(
-    ds: "ray.data.Dataset",
-    text_column: str = "text",
-    num_merges: int = 10,
-    min_count: int = 2,
-    num_shards: int = 32,
-) -> List[Tuple[int, str, str, int]]:
-    """Train ``num_merges`` BPE merges; returns
-    ``[(rank, sym_a, sym_b, count), ...]``.  Corpus is read once (word
-    counts); each round runs over the vocabulary-sized symbol table."""
-    wc = word_counts(ds, text_column, num_shards)
-
-    def to_syms(batch: pa.Table) -> pa.Table:
-        words = batch["word"].to_pylist()
-        return pa.table(
-            {
-                "syms": pa.array([list(w) for w in words], type=pa.list_(pa.string())),
-                "cnt": batch["cnt"],
-            }
-        )
-
-    vocab = wc.map_batches(to_syms, batch_format="pyarrow").materialize()
-    merges: List[Tuple[int, str, str, int]] = []
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c: Counter = Counter()
-        cnts = batch["cnt"].to_pylist()
-        for syms, n in zip(batch["syms"].to_pylist(), cnts):
-            for i in range(len(syms) - 1):
-                c[(syms[i], syms[i + 1])] += n
-        if not c:
-            return _EMPTY_PAIRS
-        ks = list(c.keys())
-        return pa.table(
-            {
-                "sym_a": pa.array([k[0] for k in ks], type=pa.string()),
-                "sym_b": pa.array([k[1] for k in ks], type=pa.string()),
-                "cnt": pa.array(list(c.values()), type=pa.int64()),
-            }
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["sym_a", "sym_b"], sort=False)["cnt"].sum().reset_index()
-
-    for rank in range(num_merges):
-        pairs = sharded_groupby_apply(
-            vocab.map_batches(pair_partial, batch_format="pyarrow"),
-            ["sym_a", "sym_b"],
-            combine,
-            num_shards=8,
-        ).to_pandas()  # bounded by (alphabet + rank)^2 — config-sized
-        if pairs.empty:
-            break
-        pairs = pairs.sort_values(
-            ["cnt", "sym_a", "sym_b"], ascending=[False, True, True], kind="stable"
-        )
-        best = pairs.iloc[0]
-        if int(best["cnt"]) < min_count:
-            break
-        a, b = str(best["sym_a"]), str(best["sym_b"])
-        merges.append((rank, a, b, int(best["cnt"])))
-
-        def apply(batch: pa.Table, a=a, b=b) -> pa.Table:
-            return pa.table(
-                {
-                    "syms": pa.array(
-                        [_merge_seq(s, a, b) for s in batch["syms"].to_pylist()],
-                        type=pa.list_(pa.string()),
-                    ),
-                    "cnt": batch["cnt"],
-                }
-            )
-
-        vocab = vocab.map_batches(apply, batch_format="pyarrow").materialize()
-
-    return merges
-
-
-def bpe_encode(
-    ds: "ray.data.Dataset",
-    merges: List[Tuple[int, str, str, int]],
-    text_column: str = "text",
-    id_column: str = "doc_id",
-) -> "ray.data.Dataset":
-    """Apply trained merges to the corpus: ``(id, tokens, n_tokens)``
-    with ``tokens`` the space-joined BPE symbols of every word in
-    whitespace order — the encode half of the Sennrich factorization
-    (the train half is :func:`bpe_train`).
-
-    The merge table is query-sized (rides in the closure, broadcast by
-    Ray's task serialization once per worker); each batch encodes its
-    DISTINCT words once through a per-actor-call memo, so the per-batch
-    cost is O(distinct words x merges) rather than per token.  Stateless
-    map — zero exchange.  Pinned against a pure-Python reference encoder
-    by test."""
-    ranked = [(m[1], m[2]) for m in sorted(merges, key=lambda m: m[0])]
-
-    def encode_word(w: str, memo: dict) -> List[str]:
-        got = memo.get(w)
-        if got is None:
-            syms = list(w)
-            for a, b in ranked:
-                syms = _merge_seq(syms, a, b)
-            memo[w] = got = syms
-        return got
-
-    def encode(batch: pa.Table) -> pa.Table:
-        memo: dict = {}
-        ids = batch[id_column]
-        out_toks, out_n = [], []
-        for text in batch[text_column].to_pylist():
-            toks: List[str] = []
-            for w in (text or "").split():
-                toks.extend(encode_word(w, memo))
-            out_toks.append(" ".join(toks))
-            out_n.append(len(toks))
-        return pa.table(
-            {
-                id_column: ids,
-                "tokens": pa.array(out_toks, type=pa.string()),
-                "n_tokens": pa.array(out_n, type=pa.int64()),
-            }
-        )
-
-    return ds.select_columns([id_column, text_column]).map_batches(
-        encode, batch_format="pyarrow"
-    )

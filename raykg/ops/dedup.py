@@ -1,5 +1,5 @@
-"""Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard,
-embedding-cosine near-dup.
+"""Deduplication operators: exact, MinHash+LSH, SimHash and n-gram
+Jaccard near-dup.
 
 Shuffle design: every variant pre-aggregates or pre-hashes inside
 ``map_batches`` so the groupby exchanges move hashes and ids, never document
@@ -969,277 +969,6 @@ def simhash_near_pairs(
         return t.filter(pa.array(keep))
 
     return _distinct_pairs(cand.map_batches(verify, batch_format="pyarrow"), ["hamming"])
-
-
-# --- embedding near-dup ----------------------------------------------------
-
-def embedding_near_pairs(
-    ds: "ray.data.Dataset",
-    embedding_column: str = "embedding",
-    id_column: str = "vec_id",
-    threshold: float = 0.95,
-    num_tables: int = 12,
-    planes_per_table: int = 16,
-    seed: int = 42,
-    num_shards: int = 64,
-    max_bucket_members: int = 1024,
-) -> "ray.data.Dataset":
-    """Embedding-cosine near-duplicate pairs via MULTI-TABLE random-
-    hyperplane LSH: ``num_tables`` independent plane sets each bucket the
-    corpus; a pair is a candidate when it collides in ANY table (miss
-    probability (1-(1-θ/π)^P)^T — tunable to ~0 for the target threshold).
-    ``planes_per_table`` also sets the bucket count (2^P): random-pair
-    candidate volume is ~n²·T/2^(P+1), so P should grow with log2(n) at
-    corpus scale to keep verification linear.
-    Candidates are verified with exact cosine after a bucketed join attaches
-    the two embeddings; per-bucket membership is capped deterministically.
-    Output: (id_a, id_b, cosine >= threshold)."""
-
-    def bucketize_factory():
-        state: dict = {}
-
-        def bucketize(batch: pa.Table) -> pa.Table:
-            embs = np.array(batch[embedding_column].to_pylist(), dtype=np.float64)
-            n = len(embs)
-            if n == 0:
-                return pa.Table.from_pydict(
-                    {
-                        "bucket": pa.array([], type=pa.int64()),
-                        "shard": pa.array([], type=pa.int32()),
-                        id_column: pa.array([], type=pa.int64()),
-                    }
-                )
-            if "planes" not in state:
-                rng = np.random.RandomState(seed)
-                state["planes"] = rng.randn(
-                    embs.shape[1], num_tables * planes_per_table
-                )
-            bits = (embs @ state["planes"]) > 0  # (n, T*P)
-            codes = bits.reshape(n, num_tables, planes_per_table)
-            weights = (1 << np.arange(planes_per_table, dtype=np.int64))
-            code_vals = (codes * weights[None, None, :]).sum(axis=2)
-            table_idx = np.arange(num_tables, dtype=np.int64)
-            bucket = (table_idx[None, :] << np.int64(planes_per_table)) | code_vals
-            bucket = bucket.ravel()
-            ids = np.repeat(
-                np.asarray(batch[id_column].to_pylist(), dtype=np.int64), num_tables
-            )
-            return pa.Table.from_pydict(
-                {
-                    "bucket": pa.array(bucket, type=pa.int64()),
-                    "shard": pa.array(
-                        (bucket % num_shards).astype(np.int32), type=pa.int32()
-                    ),
-                    id_column: pa.array(ids, type=pa.int64()),
-                }
-            )
-
-        return bucketize
-
-    bands = ds.map_batches(bucketize_factory(), batch_format="pyarrow")
-    # cross-table duplicates are deduped after the (map-side) verify on the
-    # filtered pair set; materialized because it feeds id extraction + join
-    cand = _bucket_candidate_pairs(
-        bands, id_column=id_column, max_bucket_members=max_bucket_members,
-        distinct=False,
-    ).materialize()
-    n_cand, ids = _candidate_ids(cand)
-    if n_cand == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                    "cosine": pd.Series(dtype="float64"),
-                }
-            )
-        )
-    # ids is None above _BROADCAST_MAX_DOCS: skip the prune, go bucketed
-    ids_ref = ray.put(ids) if ids is not None else None
-
-    def keep_candidates(batch: pa.Table) -> pa.Table:
-        if ids_ref is None:
-            return batch.select([id_column, embedding_column])
-        wanted = pa.array(ray.get(ids_ref), type=batch[id_column].type)
-        return batch.filter(pc.is_in(batch[id_column], value_set=wanted)).select(
-            [id_column, embedding_column]
-        )
-
-    emb_ds = ds.map_batches(keep_candidates, batch_format="pyarrow")
-    joined = _attach_pair_payload(
-        cand.select_columns(["id_a", "id_b"]),
-        emb_ds,
-        id_column,
-        embedding_column,
-        num_buckets=32,
-        n_candidate_docs=n_cand,
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "cosine": pa.array([], type=pa.float64()),
-                }
-            )
-        a = np.array(batch[embedding_column + "_a"].to_pylist(), dtype=np.float64)
-        b = np.array(batch[embedding_column + "_b"].to_pylist(), dtype=np.float64)
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        denom = na * nb
-        denom[denom == 0] = 1.0
-        cos = (a * b).sum(axis=1) / denom
-        keep = cos >= threshold
-        # half-away-from-zero to match DuckDB round()
-        rounded = np.floor(np.abs(cos) * 1e6 + 0.5) / 1e6 * np.sign(cos)
-        t = pa.table(
-            {
-                "id_a": batch["id_a"],
-                "id_b": batch["id_b"],
-                "cosine": pa.array(rounded, type=pa.float64()),
-            }
-        )
-        return t.filter(pa.array(keep))
-
-    return _distinct_pairs(joined.map_batches(verify, batch_format="pyarrow"), ["cosine"])
-
-
-# --- semantic (clustered) dedup ---------------------------------------------
-
-class _SeedAssign:
-    """Stateful assign stage: the (tiny) K x d seed matrix is ray.put once
-    and normalized once per actor; each batch is one normalized matmul."""
-
-    def __init__(self, seeds_ref, embedding_column: str, id_column: str):
-        seeds = np.asarray(
-            ray.get(seeds_ref) if isinstance(seeds_ref, ray.ObjectRef) else seeds_ref,
-            dtype=np.float64,
-        )
-        norms = np.linalg.norm(seeds, axis=1)
-        norms[norms == 0] = 1.0
-        self._seed_t = (seeds / norms[:, None]).T  # (d, K)
-        self._emb = embedding_column
-        self._id = id_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return pa.Table.from_pydict(
-                {
-                    self._id: pa.array([], type=pa.int64()),
-                    "cluster": pa.array([], type=pa.int64()),
-                    self._emb: pa.array([], type=pa.list_(pa.float64())),
-                }
-            )
-        e = np.array(batch[self._emb].to_pylist(), dtype=np.float64)
-        norms = np.linalg.norm(e, axis=1)
-        norms[norms == 0] = 1.0
-        sims = (e / norms[:, None]) @ self._seed_t  # (n, K)
-        # argmax takes the FIRST max -> ties resolve to the smallest seed
-        # index, same as the oracle's ORDER BY cosine DESC, sid
-        cluster = np.argmax(sims, axis=1).astype(np.int64)
-        return pa.table(
-            {
-                self._id: batch[self._id],
-                "cluster": pa.array(cluster, type=pa.int64()),
-                self._emb: batch[self._emb],
-            }
-        )
-
-
-def semantic_dedup(
-    ds: "ray.data.Dataset",
-    seeds: np.ndarray,
-    embedding_column: str = "embedding",
-    id_column: str = "vec_id",
-    threshold: float = 0.9,
-    num_shards: int = 16,
-    max_cluster_members: int = 65536,
-    concurrency=2,
-) -> "ray.data.Dataset":
-    """SemDeDup-style semantic dedup (Abbas et al. 2023: cluster the
-    embedding space, then drop near-identical members within each cluster —
-    the within-cluster pairwise pass is what makes it tractable, O(K*(n/K)^2)
-    instead of O(n^2)).
-
-    Clustering here is the deterministic spherical assignment ``cluster(v) =
-    argmax_k cosine(v, seeds[k])`` (ties -> smallest k) so an SQL oracle can
-    reproduce it exactly; callers pick seeds (first-K-by-id rows, k-means
-    centroids from ops.kmeans, ...).  Within a cluster, row v is dropped iff
-    SOME row u with ``u.id < v.id`` in the same cluster has
-    ``cosine(u, v) >= threshold`` — dominance by ANY earlier row, kept or
-    not, the same keep-first-by-id convention as the exact-dedup family
-    (deterministic and closed-form; NOT the order-dependent greedy scan,
-    whose output depends on visit order).
-
-    Scale shape: assign is a pure map with the K x d seed matrix broadcast
-    once; one exchange shards rows by hash(cluster) and the pairwise check
-    runs vectorized per cluster inside each shard (norms + one matmul,
-    column-blocked to bound memory).  ``max_cluster_members`` caps a
-    degenerate cluster deterministically: only its cap-many smallest-id
-    members act as dominators (every row is still examined as a dominee).
-    Output: (id, cluster, kept 0/1).
-    """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    seeds_ref = ray.put(seeds)
-    assigned = ds.map_batches(
-        _SeedAssign,
-        fn_constructor_kwargs={
-            "seeds_ref": seeds_ref,
-            "embedding_column": embedding_column,
-            "id_column": id_column,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        out_ids: List[np.ndarray] = []
-        out_cl: List[np.ndarray] = []
-        out_kept: List[np.ndarray] = []
-        for cluster, g in df.groupby("cluster", sort=False):
-            ids = g[id_column].to_numpy(dtype=np.int64)
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            e = np.array(g[embedding_column].tolist(), dtype=np.float64)[order]
-            norms = np.linalg.norm(e, axis=1)
-            norms[norms == 0] = 1.0
-            en = e / norms[:, None]
-            n = len(ids)
-            p = min(n, max_cluster_members)
-            dom = np.zeros(n, dtype=bool)
-            prefix = en[:p]
-            i_idx = np.arange(p)
-            blk = 4096  # bounds the p x blk similarity tile
-            for j0 in range(0, n, blk):
-                j1 = min(n, j0 + blk)
-                tile = prefix @ en[j0:j1].T
-                mask = i_idx[:, None] < np.arange(j0, j1)[None, :]
-                dom[j0:j1] = ((tile >= threshold) & mask).any(axis=0)
-            out_ids.append(ids)
-            out_cl.append(np.full(n, cluster, dtype=np.int64))
-            out_kept.append((~dom).astype(np.int64))
-        if not out_ids:
-            return pd.DataFrame(
-                {
-                    id_column: pd.Series(dtype="int64"),
-                    "cluster": pd.Series(dtype="int64"),
-                    "kept": pd.Series(dtype="int64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                id_column: np.concatenate(out_ids),
-                "cluster": np.concatenate(out_cl),
-                "kept": np.concatenate(out_kept),
-            }
-        )
-
-    from raykg.ops.agg import sharded_groupby_apply
-
-    return sharded_groupby_apply(assigned, ["cluster"], apply, num_shards=num_shards)
 
 
 def exact_dedup_best(

@@ -250,27 +250,12 @@ class HllSketch(AggregateFnV2):
 
 def hll_registers(ds: "ray.data.Dataset", column: str) -> pd.DataFrame:
     """Occupied HLL registers ``(idx, rho)`` — the full sketch state,
-    exactly (the float cardinality estimate lives in
-    :func:`hll_estimate`; the registers are the oracle surface)."""
+    exactly (the registers are the oracle surface)."""
     regs = ds.aggregate(HllSketch(column))[f"hll({column})"]
     nz = np.nonzero(regs)[0]
     return pd.DataFrame(
         {"idx": nz.astype(np.int64), "rho": regs[nz].astype(np.int64)}
     )
-
-
-def hll_estimate(registers: pd.DataFrame, p: int = _HLL_P) -> float:
-    """Standard HLL harmonic-mean estimate with the small-range
-    linear-counting correction (test surface; float)."""
-    m = 1 << p
-    regs = np.zeros(m, dtype=np.int64)
-    regs[registers["idx"].to_numpy()] = registers["rho"].to_numpy()
-    alpha = 0.7213 / (1 + 1.079 / m)
-    est = alpha * m * m / np.sum(np.power(2.0, -regs))
-    zeros = int((regs == 0).sum())
-    if est <= 2.5 * m and zeros:
-        return m * float(np.log(m / zeros))
-    return float(est)
 
 
 def hll_oracle_sql(table: str, column: str) -> str:

@@ -21,10 +21,6 @@ Scale shape (what moves through the cluster):
    numpy pass per shard (intervals ``[p, p+k)`` merge when the position
    delta is <= k, so coverage = k + sum(min(diff, k)) per doc).
 
-:func:`duplicate_gram_hashes` remains as the standalone hash-only
-discovery reduce (16-byte partial rows) for consumers that want the
-duplicated-gram set itself rather than positions.
-
 Grouping is by 64-bit polynomial window hash (`ops/text.window_hashes`)
 rather than gram text: a collision can only ADD a false duplicate flag,
 with probability ~n^2/2^64 — the standard inverted-index trade, and the
@@ -43,47 +39,6 @@ import ray.data
 
 from .agg import sharded_groupby_apply
 from .text import window_hashes
-
-
-def _empty_partial() -> pa.Table:
-    return pa.table(
-        {
-            "h": pa.array([], type=pa.uint64()),
-            "n": pa.array([], type=pa.int64()),
-        }
-    )
-
-
-def duplicate_gram_hashes(
-    ds: "ray.data.Dataset",
-    text_column: str = "text",
-    k: int = 8,
-    min_docs: int = 2,
-    num_shards: int = 64,
-) -> "ray.data.Dataset":
-    """Dataset of window-hash values (column ``h``, uint64) whose k-gram
-    occurs in at least ``min_docs`` distinct documents."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        per_doc = []
-        for t in batch[text_column].to_pylist():
-            ws = (t or "").split()
-            if len(ws) >= k:
-                # per-doc unique => downstream sum counts DISTINCT docs
-                per_doc.append(np.unique(window_hashes(ws, k)))
-        if not per_doc:
-            return _empty_partial()
-        u, c = np.unique(np.concatenate(per_doc), return_counts=True)
-        return pa.table(
-            {"h": pa.array(u, type=pa.uint64()), "n": pa.array(c, type=pa.int64())}
-        )
-
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        s = df.groupby("h", sort=False)["n"].sum()
-        return pd.DataFrame({"h": s.index.to_numpy()[s.to_numpy() >= min_docs]})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return sharded_groupby_apply(partials, ["h"], agg, num_shards=num_shards)
 
 
 def _occurrences(

@@ -100,31 +100,6 @@ def repetition_batch(batch: pa.Table, text_column: str = "text") -> pa.Table:
     return batch
 
 
-def filter_repetitive(
-    ds: "ray.data.Dataset",
-    text_column: str = "text",
-    max_top_word_pct: int = 20,
-    max_top_bigram_pct: int = 20,
-    max_dup_word_pct: int = 60,
-) -> "ray.data.Dataset":
-    """Drop documents whose repetition metrics exceed the thresholds —
-    a streaming map_batches filter, no shuffle."""
-    import pyarrow.compute as pc
-
-    def keep(batch: pa.Table) -> pa.Table:
-        m = repetition_batch(batch, text_column)
-        ok = pc.and_(
-            pc.and_(
-                pc.less_equal(m["top_word_pct"], max_top_word_pct),
-                pc.less_equal(m["top_bigram_pct"], max_top_bigram_pct),
-            ),
-            pc.less_equal(m["dup_word_pct"], max_dup_word_pct),
-        )
-        return batch.filter(ok)
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
 _FP_WINDOW = 8
 _FP_K = 0x100000001B3  # FNV-ish odd multiplier for the window polynomial
 
@@ -374,53 +349,6 @@ def add_tokens(ds: "ray.data.Dataset", text_column: str = "text",
             "text_column": text_column,
             "language": language,
             "language_column": language_column,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-
-
-class TokenFilterActor:
-    """Token-attribute filtering (reference DEFAULT_FILTER_TOKEN_ATTRIBUTES,
-    spacy_tokenizer.py:132-146): drops tokens matching any of the requested
-    attributes (is_punct, is_stop, like_num, is_emoji, ...) from a
-    ``tokens`` list column into a ``tokens_filtered`` column."""
-
-    def __init__(self, attributes, language: str = "en",
-                 stopwords_folder_path: str | None = None,
-                 tokens_column: str = "tokens"):
-        from ..core.token_attrs import ATTRIBUTE_PREDICATES, Stopwords
-
-        self.tokens_column = tokens_column
-        preds = []
-        for attr in attributes:
-            if attr == "is_stop":
-                sw = Stopwords(language, stopwords_folder_path)
-                preds.append(sw.is_stop)
-            else:
-                preds.append(ATTRIBUTE_PREDICATES[attr])
-        self.preds = preds
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        preds = self.preds
-        out = [
-            [t for t in (toks or []) if not any(p(t) for p in preds)]
-            for toks in batch[self.tokens_column].to_pylist()
-        ]
-        return batch.append_column(
-            "tokens_filtered", pa.array(out, type=pa.list_(pa.string()))
-        )
-
-
-def filter_tokens(ds: "ray.data.Dataset", attributes,
-                  language: str = "en", stopwords_folder_path: str | None = None,
-                  concurrency=2):
-    return ds.map_batches(
-        TokenFilterActor,
-        fn_constructor_kwargs={
-            "attributes": list(attributes),
-            "language": language,
-            "stopwords_folder_path": stopwords_folder_path,
         },
         batch_format="pyarrow",
         concurrency=concurrency,

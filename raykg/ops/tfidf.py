@@ -8,8 +8,6 @@ plus a tf⋈df join would re-shuffle the same rows on the same key); rank
 with the sharded per-group top-k.  The vocabulary scales with the
 corpus, so DF stays distributed — never a broadcast dict (at 100 TB the
 vocabulary alone is too large to ship to every task).
-``document_frequencies`` remains available as a standalone reduce for
-consumers that want the (term, df) table itself.
 
 Scoring uses ``tf / df`` (rarity-weighted term frequency).  The ratio of
 two small ints is IEEE-exact and identically ordered in every engine,
@@ -55,33 +53,6 @@ def term_frequencies(
         )
 
     return docs.map_batches(explode, batch_format="pyarrow")
-
-
-def document_frequencies(
-    tf: "ray.data.Dataset", num_shards: int = 64
-) -> "ray.data.Dataset":
-    """``(term, df)`` from the distinct (doc, term) rows: per-batch partial
-    counts bound the exchange, the sharded aggregate sums them without a
-    Python call per distinct term."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = pd.Series(batch["term"].to_pandas()).value_counts()
-        return pa.table(
-            {
-                "term": pa.array(vc.index, type=pa.string()),
-                "df": pa.array(vc.to_numpy(), type=pa.int64()),
-            }
-        )
-
-    def total(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("term", as_index=False, sort=False)["df"].sum()
-
-    return sharded_groupby_apply(
-        tf.map_batches(partial, batch_format="pyarrow"),
-        ["term"],
-        total,
-        num_shards=num_shards,
-    )
 
 
 def tfidf_topk(

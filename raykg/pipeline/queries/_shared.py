@@ -36,7 +36,7 @@ def _cfg(**kw) -> PipelineConfig:
     return PipelineConfig(**defaults)
 
 
-# Family modules (tag/kg/text/embed/relational) register
+# Family modules (tag/kg/text/relational) register
 # into these shared dicts at import time; __init__ imports them in
 # dependency order.
 QUERIES: Dict[str, Callable] = {}

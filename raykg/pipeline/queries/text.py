@@ -384,10 +384,9 @@ def q_entity_resolve(sf_dir: str):
 def q_bpe_pairs(sf_dir: str):
     """BPE vocabulary-induction pair statistics: global adjacent-character
     pair counts over \\S+ words of the documents corpus (round 0 of BPE
-    training; `ops/bpe.bpe_train` iterates merges over the word-frequency
-    table, pinned by unit test).  The per-batch kernel is a vectorized
-    uint32-codepoint pass; the oracle mirrors word extraction and per-word
-    substr pairs exactly."""
+    training).  The per-batch kernel is a vectorized uint32-codepoint
+    pass; the oracle mirrors word extraction and per-word substr pairs
+    exactly."""
     from raykg.ops import bpe as bpe_ops
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])

@@ -20,8 +20,7 @@ import pandas as pd
 import ray
 
 TABLES = (
-    "region nation customer supplier part orders lineitem events "
-    "documents embeddings"
+    "region nation customer supplier part orders lineitem events documents"
 ).split()
 
 

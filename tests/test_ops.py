@@ -1,4 +1,4 @@
-"""Training-data operator tests: dedup, similarity, text stats."""
+"""Training-data operator tests: dedup, text stats."""
 
 import numpy as np
 import pandas as pd
@@ -8,19 +8,14 @@ import ray
 import ray.data
 
 from raykg.ops.dedup import (
-    embedding_near_pairs,
     exact_dedup,
     exact_dedup_groups,
     jaccard_verify,
     minhash_lsh_pairs,
     ngram_jaccard_pairs,
-    semantic_dedup,
     simhash_near_pairs,
 )
-from raykg.ops.similarity import IVFIndex, topk_cosine
 from raykg.ops.text import add_fingerprints, add_lang_id, add_quality, add_token_counts
-
-SF = "/root/testdata/sf0.001"
 
 
 def docs_ds(rows):
@@ -86,27 +81,6 @@ class TestDedup:
         assert n2 == 3 and ids2 is None  # distributed-only path engaged
         got = (
             minhash_lsh_pairs(docs_ds(DUP_ROWS), **kwargs)
-            .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want)
-
-    def test_embedding_near_gate_paths_pinned_equal(self, monkeypatch):
-        import raykg.ops.dedup as dd
-
-        rng = np.random.default_rng(5)
-        base = rng.normal(size=(6, 8))
-        rows = []
-        for i, v in enumerate(base):
-            rows.append({"doc_id": i, "embedding": v.tolist()})
-            rows.append({"doc_id": 100 + i,
-                         "embedding": (v + rng.normal(scale=1e-3, size=8)).tolist()})
-        want = (
-            embedding_near_pairs(docs_ds(rows), id_column="doc_id", threshold=0.99)
-            .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-        )
-        monkeypatch.setattr(dd, "_BROADCAST_MAX_DOCS", 1)
-        got = (
-            embedding_near_pairs(docs_ds(rows), id_column="doc_id", threshold=0.99)
             .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, want)
@@ -237,68 +211,6 @@ class TestDedup:
         pairs = set(zip(out["id_a"], out["id_b"]))
         assert (0, 1) in pairs
         assert all(h <= 3 for h in out["hamming"])
-
-    def test_embedding_near_pairs(self):
-        rng = np.random.RandomState(0)
-        base = rng.randn(4, 16)
-        rows = []
-        for i, v in enumerate(base):
-            rows.append({"vec_id": 2 * i, "embedding": v.tolist()})
-            rows.append(
-                {"vec_id": 2 * i + 1, "embedding": (v + 0.01 * rng.randn(16)).tolist()}
-            )
-        out = embedding_near_pairs(docs_ds(rows), threshold=0.99).to_pandas()
-        pairs = set(zip(out["id_a"], out["id_b"]))
-        assert {(0, 1), (2, 3), (4, 5), (6, 7)} <= pairs
-
-    def test_semantic_dedup_matches_bruteforce(self):
-        # random vectors + planted near-dups; pin (cluster, kept) against an
-        # in-Python brute force of the documented semantics (argmax-cosine
-        # assignment, dominance by ANY earlier same-cluster row)
-        rng = np.random.RandomState(7)
-        base = rng.randn(40, 12)
-        vecs = np.concatenate([base, base[:15] + 0.01 * rng.randn(15, 12)])
-        ids = np.concatenate([np.arange(40), 1000 + np.arange(15)])
-        seeds = base[:4]
-        rows = [{"vec_id": int(i), "embedding": v.tolist()} for i, v in zip(ids, vecs)]
-        out = (
-            semantic_dedup(docs_ds(rows), seeds, threshold=0.95, num_shards=3)
-            .to_pandas()
-            .sort_values("vec_id")
-            .reset_index(drop=True)
-        )
-        en = vecs / np.linalg.norm(vecs, axis=1)[:, None]
-        sn = seeds / np.linalg.norm(seeds, axis=1)[:, None]
-        cl = np.argmax(en @ sn.T, axis=1)
-        order = np.argsort(ids)
-        exp_rows = []
-        for j in order:
-            dominated = any(
-                ids[i] < ids[j] and cl[i] == cl[j] and en[i] @ en[j] >= 0.95
-                for i in order
-            )
-            exp_rows.append((ids[j], cl[j], 0 if dominated else 1))
-        got = list(zip(out["vec_id"], out["cluster"], out["kept"]))
-        assert got == exp_rows
-        # every planted copy shares its source's cluster and is dropped
-        planted = out[out["vec_id"] >= 1000]
-        assert (planted["kept"] == 0).all()
-
-    def test_semantic_dedup_member_cap(self):
-        # above the cap only the cap-many smallest-id rows dominate: with a
-        # cluster of 4 near-identical vectors and cap=2, rows 1..3 are all
-        # dominated by row 0 (in the prefix); a cap that excluded the only
-        # dominator would keep everything
-        v = np.array([1.0, 0.0, 0.0, 0.0])
-        rows = [
-            {"vec_id": i, "embedding": (v + 1e-6 * np.arange(4) * i).tolist()}
-            for i in range(4)
-        ]
-        out = semantic_dedup(
-            docs_ds(rows), v[None, :], threshold=0.99, max_cluster_members=2
-        ).to_pandas().sort_values("vec_id")
-        assert out["kept"].tolist() == [1, 0, 0, 0]
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestEntityResolve:
@@ -498,88 +410,6 @@ class TestBpe:
                     exp[(w[i], w[i + 1])] += 1
         got = {(a, b): int(c) for a, b, c in zip(out["sym_a"], out["sym_b"], out["cnt"])}
         assert got == dict(exp)
-
-    def test_bpe_train_matches_reference(self):
-        from collections import Counter
-
-        from raykg.ops.bpe import bpe_train
-        from raykg.ops.text import WORD_RE
-
-        texts = [
-            "low low low low low",
-            "lower lower newest newest",
-            "newest newest newest newest widest",
-            "widest widest low lower",
-        ]
-        rows = [{"text": t} for t in texts]
-        got = bpe_train(docs_ds(rows), num_merges=6, num_shards=3)
-
-        # pure-Python reference BPE over the word-frequency table with the
-        # same deterministic tie-break (count DESC, sym_a, sym_b)
-        freqs: Counter = Counter()
-        for t in texts:
-            freqs.update(WORD_RE.findall(t))
-        vocab = {w: list(w) for w in freqs}
-        exp = []
-        for rank in range(6):
-            pc: Counter = Counter()
-            for w, f in freqs.items():
-                s = vocab[w]
-                for i in range(len(s) - 1):
-                    pc[(s[i], s[i + 1])] += f
-            if not pc:
-                break
-            (a, b), c = min(pc.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-            if c < 2:
-                break
-            exp.append((rank, a, b, c))
-            for w in vocab:
-                s, out_s, i = vocab[w], [], 0
-                while i < len(s):
-                    if i + 1 < len(s) and s[i] == a and s[i + 1] == b:
-                        out_s.append(a + b)
-                        i += 2
-                    else:
-                        out_s.append(s[i])
-                        i += 1
-                vocab[w] = out_s
-        assert got == exp
-        assert len(got) == 6  # the fixture has at least 6 productive merges
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSimilarity:
-    def test_topk_cosine_matches_numpy(self):
-        emb = ray.data.read_parquet(f"{SF}/embeddings.parquet")
-        df = emb.to_pandas()
-        m = np.array(df["embedding"].tolist(), dtype=np.float64)
-        ids = df["vec_id"].to_numpy()
-        q = m[:3]
-        out = topk_cosine(emb, q, [0, 1, 2], k=5, concurrency=1).to_pandas()
-        # oracle: full numpy
-        mn = m / np.linalg.norm(m, axis=1, keepdims=True)
-        qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-        sims = np.round(mn @ qn.T, 6)
-        for qi in range(3):
-            order = np.lexsort((ids, -sims[:, qi]))[:5]
-            expect = ids[order].tolist()
-            got = out[out["query_id"] == qi].sort_values("rank")["vec_id"].tolist()
-            assert got == expect
-
-    def test_ivf_recall(self):
-        emb = ray.data.read_parquet(f"{SF}/embeddings.parquet")
-        df = emb.to_pandas()
-        m = np.array(df["embedding"].tolist(), dtype=np.float64)
-        q = m[:2]
-        idx = IVFIndex(nlist=8, nprobe=8).fit(emb)  # nprobe=nlist -> exact
-        assigned = idx.assign(emb)
-        out = idx.search(assigned, q, [0, 1], k=3).to_pandas()
-        brute = topk_cosine(emb, q, [0, 1], k=3, concurrency=1).to_pandas()
-        for qi in (0, 1):
-            a = out[out["query_id"] == qi].sort_values("rank")["vec_id"].tolist()
-            b = brute[brute["query_id"] == qi].sort_values("rank")["vec_id"].tolist()
-            assert a == b
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestTextOps:

@@ -13,7 +13,6 @@ from raykg.ops.decontam import decontaminate
 from raykg.ops.join import semi_join
 from raykg.ops.text import (
     _window_fingerprint,
-    filter_repetitive,
     redact,
     repetition_batch,
     window_hashes,
@@ -117,18 +116,6 @@ class TestRepetition:
     def test_null_text(self):
         t = repetition_batch(pa.table({"text": pa.array([None], type=pa.string())}))
         assert t["top_word_pct"][0].as_py() == 0
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_filter_repetitive_drops_loops():
-    ds = ray.data.from_items(
-        [
-            {"doc_id": 1, "text": "buy now " * 50},
-            {"doc_id": 2, "text": "a reasonably varied sentence with many distinct words in it"},
-        ]
-    )
-    out = filter_repetitive(ds).to_pandas()
-    assert out["doc_id"].tolist() == [2]
 
 
 @pytest.mark.usefixtures("ray_session")

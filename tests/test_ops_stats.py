@@ -1,5 +1,5 @@
-"""Tie-averaged ranks, the Zipf fit built on them, per-label
-silhouettes and the SQL NTILE bucketing vs brute force."""
+"""Tie-averaged ranks, the Zipf fit built on them and the SQL NTILE
+bucketing vs brute force."""
 import numpy as np
 import pyarrow as pa
 import ray.data
@@ -74,49 +74,6 @@ def test_zipf_fit_matches_brute_force():
     assert abs(got["slope"][0].as_py() - slope) < 1e-6
     assert abs(got["intercept"][0].as_py() - intercept) < 1e-6
     assert got["slope"][0].as_py() < -0.5  # zipf-shaped
-
-
-def test_silhouette_by_label_matches_brute_force():
-    from raykg.ops.silhouette import silhouette_by_label
-
-    rng = np.random.default_rng(43)
-    k, dim, n = 4, 8, 300
-    centers = rng.uniform(-0.4, 0.4, (k, dim))
-    labels = rng.integers(0, k, n)
-    vecs = centers[labels] + rng.normal(0, 0.05, (n, dim))
-    t = pa.table(
-        {
-            "vec_id": np.arange(n),
-            "embedding": pa.array(list(vecs), type=pa.list_(pa.float32())),
-            "label": pa.array(labels, type=pa.int32()),
-        }
-    )
-    got = (
-        silhouette_by_label(ray.data.from_arrow(t).repartition(5))
-        .to_pandas()
-        .set_index("vec_id")
-        .sort_index()
-    )
-    # brute force on the same fixed-point grid (incl. negative floors)
-    q = np.floor(vecs.astype(np.float64) * 1024).astype(np.int64)
-    cent = np.zeros((k, dim), dtype=np.int64)
-    for lab in range(k):
-        s = q[labels == lab].sum(axis=0)
-        nn = (labels == lab).sum()
-        cent[lab] = (1024 * (s + 1024 * nn)) // nn - 1024 * 1024
-    X = q * 1024
-    d2 = ((X[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
-    rows = np.arange(n)
-    a = d2[rows, labels]
-    m = d2.copy()
-    m[rows, labels] = np.iinfo(np.int64).max
-    b = m.min(axis=1)
-    sil = np.round((b - a) / np.maximum(a, b), 6)
-    assert np.array_equal(got["a_d2"].to_numpy(), a)
-    assert np.array_equal(got["b_d2"].to_numpy(), b)
-    assert np.array_equal(got["silhouette"].to_numpy(), sil)
-    # well-separated planted clusters score positive on average
-    assert got["silhouette"].mean() > 0.3
 
 
 def test_ntile_bucket_matches_sql_ntile():

@@ -5,7 +5,7 @@ import pytest
 import ray
 import ray.data
 
-from raykg.ops.tfidf import document_frequencies, term_frequencies, tfidf_topk
+from raykg.ops.tfidf import term_frequencies, tfidf_topk
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -24,11 +24,6 @@ class TestTfidf:
         got = {(r.doc_id, r.term): r.tf for r in tf.itertuples()}
         assert got[(1, "apple")] == 2 and got[(3, "cherry")] == 2
         assert len(tf) == 6  # distinct (doc, term) pairs only
-
-    def test_document_frequencies(self):
-        df = document_frequencies(term_frequencies(self._docs())).to_pandas()
-        got = dict(zip(df["term"], df["df"]))
-        assert got == {"apple": 1, "banana": 2, "cherry": 2, "durian": 1}
 
     def test_topk_ranks_rare_terms_first(self):
         out = tfidf_topk(self._docs(), k=1).to_pandas().set_index("doc_id")

@@ -11,7 +11,7 @@ from raykg.pipeline.queries import ORACLE_SQL, QUERIES
 SF = "/root/testdata/sf0.001"
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
-    "lineitem", "events", "documents", "embeddings",
+    "lineitem", "events", "documents",
 ]
 
 

@@ -1,7 +1,8 @@
 """The KG job and API must not reach the scenario-query registry, and
 every module must be reached by one of the two (``scripts/reach.py``'s
-static import walk); every public function of the job closure must have
-a caller; bench.py and README must agree with the registry."""
+static import walk); every public function of a reached module must have
+a caller; every ``raykg`` import of a script must resolve; bench.py and
+README must agree with the registry."""
 
 import ast
 import importlib.util
@@ -63,6 +64,10 @@ ENTRY_MODULES = {"raykg.job", "raykg.pipeline.api"}
 # caller-less on purpose, with the reason
 UNCALLED_OK = {
     "raykg.core.ontology.match_sentences": "tests drive the sentence matcher through it",
+    "raykg.ops.sample.weighted_bernoulli_sql":
+        "the DuckDB mirror TestWeightedBernoulli compares the sampler against",
+    "raykg.ops.merge.table_diff":
+        "the reference test_fused_equals_composition checks apply_changeset_diff against",
 }
 
 
@@ -92,10 +97,10 @@ def _referenced_names(node):
     return out
 
 
-def test_job_closure_has_no_uncalled_functions(reach):
-    """A public top-level function or class of a job-closure module that
-    no non-test file refers to (outside its own definition) is dead code
-    the job carries; delete it with whatever stopped calling it."""
+def _uncalled(reach, kind):
+    """Public top-level functions and classes of the modules ``kind``
+    ("job" or "registry") reaches that no non-test file refers to outside
+    their own definition."""
     trees = {}
     for path in _non_test_sources():
         with open(path) as f:
@@ -104,7 +109,7 @@ def test_job_closure_has_no_uncalled_functions(reach):
     files = reach.module_files()
     uncalled = []
     for mod, row in sorted(reach.reach().items()):
-        if row["reach"] != "job" or mod in ENTRY_MODULES:
+        if row["reach"] != kind or mod in ENTRY_MODULES:
             continue
         for node in trees[files[mod]].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -114,7 +119,83 @@ def test_job_closure_has_no_uncalled_functions(reach):
             own = _referenced_names(node).count(node.name)
             if uses[node.name] - own <= 0:
                 uncalled.append(f"{mod}.{node.name}")
+    return uncalled
+
+
+def test_job_closure_has_no_uncalled_functions(reach):
+    """A public function or class of a job-closure module that nothing
+    calls is dead code the job carries; delete it with whatever stopped
+    calling it."""
+    uncalled = _uncalled(reach, "job")
     assert not uncalled, f"job-closure functions nothing calls: {uncalled}"
+
+
+def test_registry_has_no_uncalled_functions(reach):
+    """The same for registry-only modules: a family cut must take the
+    functions only its queries called with it."""
+    uncalled = _uncalled(reach, "registry")
+    assert not uncalled, f"registry functions nothing calls: {uncalled}"
+
+
+def _top_level_names(tree):
+    """Names a module binds at top level (definitions, assignments and
+    imports, also inside top-level ``if`` blocks)."""
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.If):
+            stack += node.body + node.orelse
+    return names
+
+
+def test_script_imports_resolve(reach):
+    """Every ``raykg`` import in scripts/, perfbench/, bench.py and
+    __ray_entry__.py names a module that exists, and every name it
+    imports from one is a submodule or a top-level name of it, so a cut
+    cannot leave a script that no tier-1 test runs silently broken."""
+    files = reach.module_files()
+    paths = [os.path.join(ROOT, f) for f in ("bench.py", "__ray_entry__.py")]
+    for top in ("scripts", "perfbench"):
+        for d, dirs, names in os.walk(os.path.join(ROOT, top)):
+            dirs[:] = [x for x in dirs if x != "__pycache__"]
+            paths += [os.path.join(d, f) for f in names if f.endswith(".py")]
+    defined = {}
+    broken = []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                wanted = [(a.name, []) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+                wanted = [(node.module, [a.name for a in node.names])]
+            else:
+                continue
+            for mod, names in wanted:
+                if mod != "raykg" and not mod.startswith("raykg."):
+                    continue
+                where = f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                if mod not in files:
+                    broken.append(f"{where} {mod}")
+                    continue
+                for name in names:
+                    if name == "*" or f"{mod}.{name}" in files:
+                        continue
+                    if mod not in defined:
+                        with open(files[mod]) as f:
+                            defined[mod] = _top_level_names(ast.parse(f.read()))
+                    if name not in defined[mod]:
+                        broken.append(f"{where} {mod}.{name}")
+    assert not broken, f"imports of raykg names that do not exist: {broken}"
 
 
 def test_walk_follows_function_level_and_relative_imports(reach, tmp_path):

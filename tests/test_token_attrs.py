@@ -1,74 +1,11 @@
-"""Token attribute predicates + tokenize/filter stages (reference
-spacy_tokenizer.py token extensions and DEFAULT_FILTER_TOKEN_ATTRIBUTES)."""
+"""The tokenize stage (reference spacy_tokenizer.py ``tokenize_list``)."""
 
 import pandas as pd
 import pytest
 
-import ray
 import ray.data
 
-from raykg.core.token_attrs import (
-    Stopwords,
-    is_currency,
-    is_datetime,
-    is_emoji,
-    is_hashtag,
-    is_measure,
-    is_punct,
-    is_space,
-    is_symbol,
-    is_username,
-    like_email,
-    like_num,
-    like_url,
-)
-from raykg.ops.text import add_tokens, filter_tokens
-
-
-def test_basic_predicates():
-    assert is_hashtag("#OMG") and not is_hashtag("OMG")
-    assert is_username("@user") and not is_username("user")
-    assert is_punct(".") and is_punct("!?") and not is_punct("a.")
-    assert is_currency("$") and is_currency("€") and not is_currency("$5")
-    assert is_space(" ") and is_space("\n\t") and not is_space("a b")
-
-
-def test_emoji():
-    assert is_emoji("💩") and is_emoji("👩🏾") and is_emoji("😂")
-    assert not is_emoji("abc") and not is_emoji(".")
-
-
-def test_symbol():
-    assert is_symbol("©") or is_symbol("♦")  # S-category, not emoji blocks
-    assert not is_symbol("$")  # currency
-    assert not is_symbol("💩")  # emoji
-
-
-def test_like_num():
-    for t in ["5", "5.5", "1,000", "-3", "+2.5", "three", "1/2"]:
-        assert like_num(t), t
-    assert not like_num("5km") and not like_num("abc")
-
-
-def test_datetime_and_measure():
-    # reference semantics: digit-led, strips datetime separators/units
-    assert is_datetime("10:30") and is_datetime("2021-01-01") and is_datetime("5pm")
-    assert not is_datetime("10") and not is_datetime("abc")
-    assert is_measure("5km") and is_measure("3.5kg") and is_measure("10mph")
-    assert not is_measure("5") and not is_measure("km")
-
-
-def test_url_email():
-    assert like_url("https://x.io/a") and like_url("www.example.com")
-    assert like_email("a.b@c.org") and not like_email("a@b")
-
-
-def test_stopwords_embedded_and_file(tmp_path):
-    sw = Stopwords("en")
-    assert sw.is_stop("the") and sw.is_stop("The") and not sw.is_stop("spark")
-    (tmp_path / "en.txt").write_text("foo\nbar\n")
-    sw2 = Stopwords("en", str(tmp_path))
-    assert sw2.is_stop("foo") and not sw2.is_stop("the")  # file REPLACES defaults
+from raykg.ops.text import add_tokens
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -82,10 +19,3 @@ def test_tokenize_and_filter_stages():
     out = toks.to_pandas()
     assert list(out["tokens"][0]) == ["I", "hope", "nothing", ".", "💩", "#OMG", "5km"]
     assert list(out["tokens"][1]) == ["les", "violons", "d'", "automne"]
-    filtered = filter_tokens(
-        toks, ["is_punct", "is_emoji", "is_hashtag", "is_measure", "is_stop"],
-        language="en", concurrency=1,
-    ).to_pandas()
-    # "I" is an embedded English stopword (case-insensitive, like the
-    # reference marking word/capitalized/upper variants)
-    assert list(filtered["tokens_filtered"][0]) == ["hope", "nothing"]
