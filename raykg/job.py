@@ -9,23 +9,28 @@ cluster").
 Reads a transcripts Parquet table (or derives one from a documents table
 with ``--derive-from-documents``), extracts mentions/triples, and writes:
 
-    out/edges/part=NNNNN/{data.parquet,manifest.json}   (hash(conv_id))
-    out/mentions/part=NNNNN/...
-    out/nodes/...            out/concept_scores/...
+    out/mentions/part=NNNNN/{data.parquet,manifest.json}   (crc32(conv_id) % P)
+    out/edges/part=NNNNN/...                                (crc32(conv_id) % P)
+    out/nodes/...   (N = gcd(P, P // 4) partitions)   out/concept_scores/...
 
-Every table goes through the resumable partitioned writer — a re-run after
-a failure skips complete partitions (checked via the atomic manifests).
-``build_graph`` and ``update_graph`` (``--changed-convs``) run the same
-stages, ``_graph_tables``, over different partition sets: a build the
-partitions that are not done, an update those of the changed
-conversations.  Only this entry point owns the Ray session (guarded init;
-the library never calls ray.init).
+One matcher pass and one exchange build all four tables: the mention rows
+and one row per turn are grouped by their conversation's node partition,
+and each group writes its mention, edge and node partitions and returns
+per-tag score partials and its tools; the driver reduces those into
+concept_scores and the global tool/concept node rows.  Every partition is
+committed atomically with a manifest, so a re-run after a failure skips
+complete partitions.  ``build_graph`` and ``update_graph``
+(``--changed-convs``) run the same body, ``_graph_tables``, over different
+partition sets: a build the partitions that are not done, an update those
+of the changed conversations.  Only this entry point owns the Ray session
+(guarded init; the library never calls ray.init).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -72,14 +77,17 @@ def _fingerprint(config, onto_rows) -> str:
 
 
 def _writers(out_dir: str, num_partitions: int) -> list:
-    """The graph tables' writers in stage order: mentions and edges hash
-    ``conv_id`` into ``num_partitions``, nodes route into a quarter as
-    many (the nodes_v2 layout, :func:`~.pipeline.graph.with_node_part_key`)
-    and concept_scores is one partition."""
+    """The graph tables' writers: mentions and edges hash ``conv_id`` into
+    ``num_partitions``, nodes into about a quarter as many (a divisor of
+    ``num_partitions``, so each node partition gathers whole mention
+    partitions) and concept_scores is one partition."""
+    import math
+
     from .pipeline.io import PartitionedWriter
 
     sizes = (("mentions", num_partitions), ("edges", num_partitions),
-             ("nodes", max(num_partitions // 4, 1)), ("concept_scores", 1))
+             ("nodes", math.gcd(num_partitions, max(num_partitions // 4, 1))),
+             ("concept_scores", 1))
     return [PartitionedWriter(os.path.join(out_dir, t), n) for t, n in sizes]
 
 
@@ -89,74 +97,193 @@ def _table_report(summary) -> dict:
     return {"rows": int(summary["rows"].sum()), "partitions": len(summary)}
 
 
+# the nodes fingerprint tag: bump it when the node partitioning changes,
+# so a resume over an older output recomputes instead of mixing moduli
+_NODES_TAG = "|nodes_v3"
+# the global node partition's conversation rows, staged by its exchange
+# group until the driver appends the tool and concept rows
+_STAGED_NODES = ".global_conv_nodes.parquet"
+# the exchange groups' summary rows, each for one partition ``part``: a
+# written partition (table, part, rows), a mention partition's score
+# partial (table "concept_scores", rows = n_mentions, key = tag, n_convs)
+# or one of its tools (table "tools", key = tool)
+_SUMMARY = (("table", "string"), ("part", "int64"), ("rows", "int64"),
+            ("key", "string"), ("n_convs", "int64"))
+
+
 def _graph_tables(transcripts, ontology, config, out_dir: str,
                   num_partitions: int, parts, n_parts) -> dict:
-    """The graph stages of :func:`build_graph` and :func:`update_graph`:
-    recompute the conv partitions ``parts`` of mentions and edges, the
-    node partitions ``n_parts``, and concept_scores.  Returns the report's
-    per-table entries (:func:`_table_report`).
+    """The body of :func:`build_graph` and :func:`update_graph`: recompute
+    the edge partitions ``parts`` (and their mentions where those are not
+    done), the node partitions ``n_parts`` and, when ``parts`` is not
+    empty or it is not done, concept_scores.  Returns the report's
+    per-table entries: the rows written and the partitions completed.
 
-    - mentions: the matcher runs over the transcripts pruned to the
-      partitions of ``parts`` whose mentions are not done, so a resume
-      after a kill between the mentions and edges writes reuses them (a
-      caller whose input changed invalidates them first);
-    - edges: derived from the mentions read back plus a text-free
-      (conv_id, turn_idx, tool) projection of the transcripts, so the
-      matcher runs once per corpus;
-    - nodes: built from the edge rows whose nodes route into ``n_parts``;
-    - concept_scores aggregates across conversations, so it rebuilds from
-      the whole mentions table whenever ``parts`` is not empty or it is
-      not done;
-    - the whole-graph tables (``_WHOLE_GRAPH_TABLES``) lose every
-      manifest when ``parts`` or ``n_parts`` is not empty, so the next
-      :func:`build_graph` that asks for them derives them again.
+    One actor pass (:class:`~.pipeline.graph.GraphRowsActor`) emits a row
+    per turn of the mention partitions the targets cover (``parts`` and
+    every mention partition of a node partition in ``n_parts``), plus the
+    mention rows of ``parts`` whose mentions are not done.  One exchange
+    groups them by node partition; each group, per mention partition,
+    writes the matched mentions or reads the done mention file, derives
+    and writes the edges, and returns the score partials and tools, and
+    then derives its node partition.  The driver completes the partitions
+    no row reached with zero-row manifests, appends the tool and concept
+    rows to the global node partition and reduces the partials into
+    concept_scores; the partitions outside the covered set contribute
+    column-pruned reads of their edge and mention files.
 
-    A slice with no mentions is a valid table at every stage."""
+    The whole-graph tables (``_WHOLE_GRAPH_TABLES``) lose every manifest
+    when ``parts`` or ``n_parts`` is not empty, so the next
+    :func:`build_graph` that asks for them derives them again.  A slice
+    with no mentions is a valid table at every stage."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from .ops.hashing import partition_of
     from .pipeline.graph import (
-        TRIPLE_SCHEMA,
-        build_nodes,
-        concept_scores,
-        edge_node_part_key,
-        triples_from_mentions,
-        with_node_part_key,
+        NODE_GLOBAL_PART_KEY,
+        NODE_SCHEMA,
+        GraphRowsActor,
+        concept_nodes,
+        conversation_edges,
+        edge_nodes,
+        scores_from_partials,
+        tag_partials,
+        tool_nodes,
     )
-    from .pipeline.io import PartitionedWriter, keep_partitions, require_sort_shuffle
-    from .pipeline.tag import MENTION_SCHEMA, extract_mentions
+    from .pipeline.io import PartitionedWriter, require_sort_shuffle
+    from .pipeline.tag import MENTION_SCHEMA, map_stage
 
     require_sort_shuffle(transcripts)
     onto_rows = _ontology_rows(ontology, config)
     fp = _fingerprint(config, onto_rows)
+    fp_n = fp + _NODES_TAG
     w_m, w_e, w_n, w_s = _writers(out_dir, num_partitions)
-    tables: dict = {}
+    P, N = num_partitions, w_n.num_partitions
+    g = partition_of(NODE_GLOBAL_PART_KEY, N)
     if parts or n_parts:
         for name in _WHOLE_GRAPH_TABLES:
             path = os.path.join(out_dir, name)
             if os.path.isdir(path):
-                PartitionedWriter(path, w_n.num_partitions).invalidate(range(w_n.num_partitions))
+                PartitionedWriter(path, N).invalidate(range(N))
 
-    def refresh(name, writer, ds, key, targets, fingerprint=fp, **kw) -> None:
-        tables[name] = _table_report(
-            writer.refresh(ds, key, targets, fingerprint=fingerprint, **kw))
+    parts, n_parts = set(parts), set(n_parts)
+    m_parts = parts - w_m.done_partitions(fingerprint=fp)
+    scores_stale = bool(parts) or not w_s.done_partitions(fingerprint=fp)
+    covered = parts | {m for m in range(P) if m % N in n_parts}
+    mention_files = w_m.data_files(covered - m_parts)
+    w_m.invalidate(m_parts)
+    w_e.invalidate(parts)
+    w_n.invalidate(n_parts)
+    if scores_stale:
+        w_s.invalidate([0])
+    staged = os.path.join(w_n.out_dir, _STAGED_NODES)
+    schema = pa.schema(list(_SUMMARY))
 
-    m_parts = set(parts) - w_m.done_partitions(fingerprint=fp)
-    matcher_input = keep_partitions(transcripts, "conv_id", num_partitions, m_parts)
-    refresh("mentions", w_m, extract_mentions(matcher_input, ontology, config),
-            "conv_id", m_parts)
-    # the edge writer prunes the structural rows to ``parts``; pruning the
-    # transcripts first would make triples_from_mentions' schema lookup
-    # run the input pipeline
-    triples = triples_from_mentions(w_m.read(parts, MENTION_SCHEMA), transcripts)
-    refresh("edges", w_e, triples, "conv_id", parts)
-    edges = keep_partitions(w_e.read(schema=TRIPLE_SCHEMA), edge_node_part_key,
-                            w_n.num_partitions, n_parts)
-    # the nodes_v2 tag keeps a resume over a pre-v2 output from mixing
-    # partition schemes
-    refresh("nodes", w_n, with_node_part_key(build_nodes(edges, onto_rows)),
-            "node_part_key", n_parts, fingerprint=fp + "|nodes_v2",
-            drop_key_column=True)
-    stale = parts or not w_s.done_partitions(fingerprint=fp)
-    refresh("concept_scores", w_s, concept_scores(w_m.read(schema=MENTION_SCHEMA)),
-            "tag", [0] if stale else [])
+    def write_group(rows: pa.Table) -> pa.Table:
+        n = int(rows["node_part"][0].as_py())
+        out = {f: [] for f in schema.names}
+
+        def report(table, part, count, key=None, n_convs=None):
+            for f, v in zip(schema.names, (table, part, count, key, n_convs)):
+                out[f].append(v)
+
+        def commit(table, writer, part, data, fingerprint, key_column=None):
+            if data.num_rows:
+                writer.commit_table(part, data, fingerprint, key_column)
+                report(table, part, data.num_rows)
+
+        is_turn = pc.is_null(rows["keyword"])
+        edges = []
+        for m in sorted(pc.unique(rows["part"]).to_pylist()):
+            in_m = pc.equal(rows["part"], m)
+            turns = rows.filter(pc.and_(in_m, is_turn))
+            if m in m_parts:
+                ments = rows.filter(pc.and_not(in_m, is_turn)).select(MENTION_SCHEMA.names)
+                commit("mentions", w_m, m, ments, fp, "conv_id")
+            elif m in mention_files:
+                ments = pq.read_table(mention_files[m], schema=MENTION_SCHEMA)
+            else:
+                ments = MENTION_SCHEMA.empty_table()
+            e = conversation_edges(turns, ments)
+            if m in parts:
+                commit("edges", w_e, m, e, fp, "conv_id")
+            for tool in pc.unique(e["obj"].filter(pc.equal(e["pred"], "used_tool"))).to_pylist():
+                report("tools", m, 0, tool)
+            partials = tag_partials(ments)
+            for tag, n_mentions, n_convs in zip(*(partials[c].to_pylist() for c in partials.column_names)):
+                report("concept_scores", m, n_mentions, tag, n_convs)
+            edges.append(e)
+        edges = pa.concat_tables(edges)
+        if n in n_parts:
+            nodes = edge_nodes(edges)
+            nodes = nodes.filter(pc.not_equal(nodes["node_type"], "tool"))
+            if n != g:
+                commit("nodes", w_n, n, nodes, fp_n)
+            elif nodes.num_rows:
+                pq.write_table(nodes, staged)
+                report("nodes", n, nodes.num_rows)
+        return pa.table(out, schema=schema)
+
+    summary = schema.empty_table()
+    if covered:
+        rows = map_stage(transcripts, GraphRowsActor, onto_rows, config, num_partitions=P,
+                         node_partitions=N, emit=covered, match=m_parts)
+        summary = pa.Table.from_pylist(
+            rows.groupby("node_part").map_groups(write_group, batch_format="pyarrow").take_all(),
+            schema=schema)
+
+    def of(table):
+        return summary.filter(pc.equal(summary["table"], table))
+
+    def written(table) -> dict:
+        return dict(zip(of(table)["part"].to_pylist(), of(table)["rows"].to_pylist()))
+
+    tables: dict = {}
+    for name, writer, owned, fingerprint in (("mentions", w_m, m_parts, fp),
+                                             ("edges", w_e, parts, fp),
+                                             ("nodes", w_n, n_parts - {g}, fp_n)):
+        for p in owned - written(name).keys():
+            writer.write_empty(p, fingerprint)
+        tables[name] = {"rows": sum(written(name).values()), "partitions": len(owned)}
+
+    uncovered = set(range(P)) - covered
+    if g in n_parts:
+        # the global node partition: its group's staged conversation rows,
+        # then one row per tool of the whole graph and one per concept
+        tools = [of("tools")["key"]]
+        for path in w_e.data_files(uncovered).values():
+            e = pq.read_table(path, columns=["pred", "obj"])
+            tools.append(e["obj"].filter(pc.equal(e["pred"], "used_tool")))
+        tools = pc.unique(pa.chunked_array([c for t in tools for c in t.chunks], pa.string()))
+        extra = pa.concat_tables([tool_nodes(tools), concept_nodes(onto_rows)]).combine_chunks()
+        staged_rows = written("nodes").get(g, 0)
+        if staged_rows + extra.num_rows:
+            batches = extra.to_batches()
+            if staged_rows:
+                batches = itertools.chain(pq.ParquetFile(staged).iter_batches(), batches)
+            w_n.commit(g, NODE_SCHEMA, batches, fp_n)
+        else:
+            w_n.write_empty(g, fp_n)
+        if os.path.exists(staged):
+            os.remove(staged)
+        tables["nodes"]["rows"] += extra.num_rows
+        tables["nodes"]["partitions"] += 1
+
+    tables["concept_scores"] = {"rows": 0, "partitions": 0}
+    if scores_stale:
+        got = of("concept_scores")
+        partials = [pa.table({"tag": got["key"], "n_mentions": got["rows"],
+                              "n_convs": got["n_convs"]})]
+        for path in w_m.data_files(uncovered).values():
+            partials.append(tag_partials(pq.read_table(path, columns=["tag", "conv_id"])))
+        scores = scores_from_partials(pa.concat_tables(partials))
+        if scores.num_rows:
+            w_s.commit_table(0, scores, fp, "tag")
+        else:
+            w_s.write_empty(0, fp)
+        tables["concept_scores"] = {"rows": scores.num_rows, "partitions": 1}
     return tables
 
 
@@ -187,7 +314,7 @@ def build_graph(
     parts, n_parts = set(range(num_partitions)), set(range(w_n.num_partitions))
     if resume:
         parts -= w_m.done_partitions(fingerprint=fp) & w_e.done_partitions(fingerprint=fp)
-        n_parts -= w_n.done_partitions(fingerprint=fp + "|nodes_v2")
+        n_parts -= w_n.done_partitions(fingerprint=fp + _NODES_TAG)
     else:
         w_m.invalidate(parts)  # _graph_tables reuses done mentions
     report: dict = {"out_dir": out_dir, "tables": _graph_tables(
@@ -240,19 +367,23 @@ def update_graph(
 
     - ``mentions`` and ``edges``: the changed convs' hash partitions.
       The matcher runs over their turns only, but the input is read in
-      full and pruned after the read (a vectorized conv-hash mask), and
-      the edges' structural rows come from the whole input, pruned at
-      the edge writer.
+      full and pruned inside the matcher pass (a vectorized conv-hash
+      mask).
     - ``nodes``: the changed convs' node partitions plus the one global
-      partition (tool/concept rows).  The global partition needs every
-      ``used_tool`` edge, so every edge partition is read.
-    - ``concept_scores`` aggregates ACROSS conversations, so it rebuilds
-      from the whole on-disk mentions table.
+      partition (tool/concept rows).  A node partition is derived from
+      all of its mention partitions, so the exchange also carries the
+      turn rows of their unchanged siblings, whose mentions are read from
+      their done files.  The tools of the other partitions come from a
+      column-pruned read of their edge files.
+    - ``concept_scores`` aggregates ACROSS conversations: the exchange
+      groups return the partials of the partitions they hold, and the
+      other partitions' partials come from their mention files' ``tag``
+      and ``conv_id`` columns.
     - ``node_ranks`` and ``entity_ids`` lose every manifest; the next
       :func:`build_graph` that asks for them derives them again.
 
     So the matcher's work follows the change, but the reads do not: the
-    full input, every edge partition and the whole mentions table.
+    full input, and two columns of every other mention and edge file.
 
     Deleted conversations: include their ids in ``changed_conv_ids``;
     their partitions recompute from the current table (which no longer

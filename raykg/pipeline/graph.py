@@ -10,22 +10,27 @@ Per the target data model (SURVEY.md §1.2, BASELINE.json north_star):
 - canonical node table (conversation / turn / concept / mention / tool),
 - per-concept mention/conversation counts.
 
-Shuffle design: triple/edge extraction straight from transcripts
-(:func:`extract_triples`) is a pure streaming actor-pool stage, because
-per-turn dedup happens inside the actor.  The job's path,
-:func:`triples_from_mentions`, reads the mentions table back, where one
-turn's mentions may span blocks, so it dedups them with one 64-shard
-``distinct_rows`` exchange.  The node canonicalization and score reduces
-shuffle too; both pre-aggregate inside ``map_batches`` first so the
-all-to-all exchange moves one row per (key, batch) instead of one per
-mention.  Hot-conversation
-skew is absorbed by that same in-batch partial aggregation (the salt: a hot
-conv_id contributes at most one partial row per block, not one per turn).
+Shuffle design: the KG job (``job._graph_tables``) runs one exchange.
+One actor pass (:class:`GraphRowsActor`) emits the mention rows plus one
+row per turn; the rows are grouped once by the conversation's node
+partition, and each group derives its conversations' edges
+(:func:`conversation_edges`), nodes (:func:`edge_nodes`) and per-tag
+score partials (:func:`tag_partials`) with vectorized Arrow.  Every row of
+a conversation lands in one group, so the per-turn mention dedup, the node
+dedup and the distinct-conversation counts are exact inside it.
+
+The dataset-level forms serve the query registry and the benchmark's
+stage replay.  :func:`extract_triples` is a pure streaming actor-pool
+stage (per-turn dedup inside the actor).  :func:`triples_from_mentions`,
+:func:`build_nodes` and :func:`concept_scores` take datasets in which one
+conversation may span blocks, so each ends in a sharded exchange after
+the same kernels ran per batch: a hot conversation contributes at most
+one partial row per key and block to the exchange.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -34,8 +39,9 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from ..ops.hashing import bucket_column
 from .config import PipelineConfig
-from .tag import MentionActor, map_stage
+from .tag import MENTION_SCHEMA, MentionActor, map_stage
 
 TRIPLE_SCHEMA = pa.schema(
     [
@@ -97,6 +103,83 @@ def _structural_triples(batch: pa.Table, tool_column: str, conv, turn, tid) -> L
     return parts
 
 
+def _tagged_triples(mentions: pa.Table) -> pa.Table:
+    """One ``tagged_as`` triple per distinct (conv_id, turn_idx, tag,
+    keyword) of ``mentions``; exact when they hold every mention of their
+    turns."""
+    keys = mentions.select(["conv_id", "turn_idx", "tag", "keyword"])
+    keys = keys.group_by(keys.column_names, use_threads=False).aggregate([])
+    conv, turn, tid = _turn_keys(keys)
+    return _triples(
+        pc.binary_join_element_wise(tid, keys["keyword"], "#"),
+        "tagged_as",
+        pc.binary_join_element_wise("concept:", keys["tag"], ""),
+        conv,
+        turn,
+    )
+
+
+def conversation_edges(turns: pa.Table, mentions: pa.Table) -> pa.Table:
+    """The edge rows of whole conversations from their turn rows
+    (conv_id, turn_idx, tool) and all of their mention rows: the rows
+    :func:`triples_from_mentions` yields for them."""
+    parts = _structural_triples(turns, "tool", *_turn_keys(turns))
+    return pa.concat_tables(parts + [_tagged_triples(mentions)])
+
+
+# the KG job's exchange rows (GraphRowsActor): mention rows (keyword set)
+# and one row per turn (keyword null) with its tool, each with its
+# conversation's mention partition ``part`` and node partition ``node_part``
+EXCHANGE_SCHEMA = pa.schema(
+    list(MENTION_SCHEMA)
+    + [("tool", pa.string()), ("part", pa.int32()), ("node_part", pa.int32())]
+)
+
+
+class GraphRowsActor(MentionActor):
+    """The KG job's one matcher pass.  Per batch it keeps the turns whose
+    ``part = crc32(conv_id) % num_partitions`` is in ``emit`` and returns
+    them as :data:`EXCHANGE_SCHEMA` rows: one row per turn, plus the
+    :class:`MentionActor` rows of the turns whose ``part`` is in
+    ``match``.  ``node_part`` is ``part % node_partitions``, which equals
+    ``crc32(conv_id) % node_partitions`` because ``node_partitions``
+    divides ``num_partitions``."""
+
+    def __init__(self, ontology, config: PipelineConfig, num_partitions: int,
+                 node_partitions: int, emit, match):
+        super().__init__(ontology, config)
+        self.num_partitions = num_partitions
+        self.node_partitions = node_partitions
+        self.emit = pa.array(sorted(emit), type=pa.int32())
+        self.match = pa.array(sorted(match), type=pa.int32())
+
+    def _rows(self, columns: list, part: pa.Array) -> pa.Table:
+        node_part = pa.array(part.to_numpy() % self.node_partitions, type=pa.int32())
+        return pa.Table.from_arrays(columns + [part, node_part], schema=EXCHANGE_SCHEMA)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        part = bucket_column(batch["conv_id"], self.num_partitions, stable_str=True)
+        if len(self.emit) < self.num_partitions:
+            keep = pc.is_in(part, value_set=self.emit)
+            batch, part = batch.filter(keep), part.filter(keep)
+        matched = batch
+        if len(self.match) < self.num_partitions:
+            matched = batch.filter(pc.is_in(part, value_set=self.match))
+        mentions = super().__call__(matched)
+        n, k = batch.num_rows, mentions.num_rows
+        tool = (pc.cast(batch["tool"], pa.string()) if "tool" in batch.schema.names
+                else pa.nulls(n, pa.string()))
+        turns = [pc.cast(batch["conv_id"], pa.string()), pc.cast(batch["turn_idx"], pa.int32())]
+        turns += [pa.nulls(n, f.type) for f in list(MENTION_SCHEMA)[2:]] + [tool]
+        turns = [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in turns]
+        mention_cols = [mentions[c].combine_chunks() for c in MENTION_SCHEMA.names]
+        mention_part = bucket_column(mentions["conv_id"], self.num_partitions, stable_str=True)
+        return pa.concat_tables([
+            self._rows(mention_cols + [pa.nulls(k, pa.string())], mention_part),
+            self._rows(turns, part),
+        ])
+
+
 class TripleActor(MentionActor):
     """Transcripts batch -> triples. One streaming pass, no shuffle:
 
@@ -147,44 +230,36 @@ def triples_to_edges(triples: "ray.data.Dataset") -> "ray.data.Dataset":
 
 # --- nodes ----------------------------------------------------------------
 
-def _batch_nodes(batch: pa.Table) -> pa.Table:
-    """Per-batch node rows (turn + mention exact; conversation/tool partial,
-    deduped in-batch then reduced globally)."""
-    out: Dict[str, List[Optional[str]]] = {
-        "node_id": [],
-        "node_type": [],
-        "label": [],
-        "category": [],
-    }
-    seen: set = set()
-    for subj, pred, obj in zip(
-        batch["subj"].to_pylist(), batch["pred"].to_pylist(), batch["obj"].to_pylist()
-    ):
-        if pred == "utters":
-            for nid, ntype in ((subj, "conversation"), (obj, "turn")):
-                if (nid, ntype) not in seen:
-                    seen.add((nid, ntype))
-                    out["node_id"].append(nid)
-                    out["node_type"].append(ntype)
-                    out["label"].append(nid)
-                    out["category"].append(None)
-        elif pred == "used_tool":
-            key = (obj, "tool")
-            if key not in seen:
-                seen.add(key)
-                out["node_id"].append(f"tool:{obj}")
-                out["node_type"].append("tool")
-                out["label"].append(obj)
-                out["category"].append(None)
-        elif pred == "tagged_as":
-            key = (subj, "mention")
-            if key not in seen:
-                seen.add(key)
-                out["node_id"].append(subj)
-                out["node_type"].append("mention")
-                out["label"].append(subj.rsplit("#", 1)[-1])
-                out["category"].append(None)
-    return pa.Table.from_pydict(out, schema=NODE_SCHEMA)
+def edge_nodes(triples: pa.Table) -> pa.Table:
+    """The distinct node rows the triples yield: a conversation and a turn
+    node per ``utters`` edge, a tool node per ``used_tool`` edge and a
+    mention node per ``tagged_as`` edge, labelled with the id's last
+    ``#`` field.  Exact over a table that holds whole conversations (the
+    job's exchange groups); :func:`build_nodes` dedups it again across
+    batches."""
+    subj, pred, obj = (
+        c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+        for c in (triples["subj"], triples["pred"], triples["obj"])
+    )
+    utters = pc.equal(pred, "utters")
+    conv, turn = subj.filter(utters), obj.filter(utters)
+    tool = obj.filter(pc.equal(pred, "used_tool"))
+    mention = subj.filter(pc.equal(pred, "tagged_as"))
+    last_field = pc.struct_field(pc.extract_regex(mention, r"(?P<label>[^#]*)$"), [0])
+    ids = [conv, turn, pc.binary_join_element_wise("tool:", tool, ""), mention]
+    types = [pa.repeat(t, len(a)) for t, a in
+             zip(("conversation", "turn", "tool", "mention"), ids)]
+    nodes = pa.table({
+        "node_id": pa.concat_arrays([pc.cast(a, pa.string()) for a in ids]),
+        "node_type": pa.concat_arrays([pc.cast(a, pa.string()) for a in types]),
+        "label": pa.concat_arrays([pc.cast(a, pa.string()) for a in (conv, turn, tool, last_field)]),
+    })
+    nodes = nodes.group_by(nodes.column_names, use_threads=False).aggregate([])
+    return pa.Table.from_arrays(
+        [nodes["node_id"], nodes["node_type"], nodes["label"],
+         pa.nulls(nodes.num_rows, pa.string())],
+        schema=NODE_SCHEMA,
+    )
 
 
 def triples_from_mentions(
@@ -192,13 +267,15 @@ def triples_from_mentions(
     transcripts_meta: "ray.data.Dataset",
 ) -> "ray.data.Dataset":
     """Triples derived from an EXISTING mentions table plus a text-free
-    metadata pass — so the matcher (the job's dominant cost) runs once per
-    corpus, not once for edges and again for mentions.
+    metadata pass, so the matcher runs once for mentions and edges.  The
+    dataset form of :func:`conversation_edges`: the job derives the same
+    rows inside its exchange groups; perfbench's stage replay and the
+    registry-free tests call this.
 
     - ``tagged_as``: the per-turn distinct (tag, keyword) set of the
-      mentions table (per-batch dedup bounds the exchange, one sharded
-      distinct makes it globally exact — mentions of one turn may span
-      blocks after a partitioned write/read round trip).
+      mentions table (one sharded distinct makes it globally exact —
+      mentions of one turn may span blocks after a partitioned
+      write/read round trip).
     - ``utters`` / ``used_tool``: vectorized Arrow kernels over a
       (conv_id, turn_idx, tool) projection of the transcripts — columns
       only, the text never leaves storage.
@@ -207,20 +284,10 @@ def triples_from_mentions(
     (tests/test_pipeline.py)."""
     from ..ops.setops import distinct_rows
 
-    def tag_kw_triples(batch: pa.Table) -> pa.Table:
-        conv, turn, tid = _turn_keys(batch)
-        return _triples(
-            pc.binary_join_element_wise(tid, batch["keyword"], "#"),
-            "tagged_as",
-            pc.binary_join_element_wise("concept:", batch["tag"], ""),
-            conv,
-            turn,
-        )
-
     keys = ["conv_id", "turn_idx", "tag", "keyword"]
     tagged = distinct_rows(
         mentions.select_columns(keys), keys, num_shards=64
-    ).map_batches(tag_kw_triples, batch_format="pyarrow")
+    ).map_batches(_tagged_triples, batch_format="pyarrow")
 
     def structural(batch: pa.Table) -> pa.Table:
         keys = _turn_keys(batch)
@@ -265,17 +332,6 @@ def with_node_part_key(nodes: "ray.data.Dataset") -> "ray.data.Dataset":
     return nodes.map_batches(add, batch_format="pyarrow")
 
 
-def edge_node_part_key(edges: pa.Table):
-    """The ``node_part_key`` of the node rows each edge row yields: a
-    ``used_tool`` edge yields only its tool node (the global partition),
-    every other edge only nodes of its own conversation."""
-    return pc.if_else(
-        pc.equal(edges["pred"], "used_tool"),
-        pa.scalar(NODE_GLOBAL_PART_KEY),
-        edges["conv_id"],
-    )
-
-
 def tool_nodes_from_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """The global tool-node rows from a column-pruned scan of the edge
     table: distinct ``obj`` of ``used_tool`` edges (tool cardinality —
@@ -297,22 +353,35 @@ def tool_nodes_from_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     )
 
     def to_nodes(batch: pa.Table) -> pa.Table:
-        obj = batch["obj"]
-        obj = obj.combine_chunks() if isinstance(obj, pa.ChunkedArray) else obj
-        n = len(obj)
-        return pa.Table.from_arrays(
-            [
-                pc.binary_join_element_wise(
-                    pa.array(["tool:"] * n), obj, ""
-                ),
-                pa.array(["tool"] * n, type=pa.string()),
-                pc.cast(obj, pa.string()),
-                pa.nulls(n, type=pa.string()),
-            ],
-            schema=NODE_SCHEMA,
-        )
+        return tool_nodes(batch["obj"])
 
     return tools.map_batches(to_nodes, batch_format="pyarrow")
+
+
+def tool_nodes(tools) -> pa.Table:
+    """One tool node row per value of ``tools`` (distinct tool names)."""
+    tools = pc.cast(tools, pa.string())
+    tools = tools.combine_chunks() if isinstance(tools, pa.ChunkedArray) else tools
+    n = len(tools)
+    return pa.Table.from_arrays(
+        [pc.binary_join_element_wise("tool:", tools, ""), pa.repeat("tool", n), tools,
+         pa.nulls(n, pa.string())],
+        schema=NODE_SCHEMA,
+    )
+
+
+def concept_nodes(ontology_rows) -> pa.Table:
+    """One concept node row per distinct tag of the cleaned ontology rows."""
+    uniq = _uniq_tags(ontology_rows)
+    return pa.Table.from_pydict(
+        {
+            "node_id": [concept_id(r.tag) for r in uniq],
+            "node_type": ["concept"] * len(uniq),
+            "label": [r.tag for r in uniq],
+            "category": [r.category for r in uniq],
+        },
+        schema=NODE_SCHEMA,
+    )
 
 
 def build_nodes(
@@ -320,15 +389,15 @@ def build_nodes(
 ) -> "ray.data.Dataset":
     """Canonical node table from the triple stream.
 
-    Turn and mention node ids are unique by construction (no shuffle needed);
-    conversation and tool nodes repeat across blocks, so the stream is
-    pre-deduped per batch and then reduced with a groupby — the shuffle moves
-    at most (distinct convs x blocks) rows.  Concept nodes come straight from
-    the broadcast ontology (driver-side, tiny).
+    Conversation and tool nodes repeat across blocks, so the stream is
+    deduped per batch (:func:`edge_nodes`, the job's node kernel) and then
+    reduced with a sharded groupby — the shuffle moves at most (distinct
+    convs x blocks) rows.  Concept nodes come straight from the broadcast
+    ontology (driver-side, tiny).
     """
     from ..ops.agg import sharded_groupby_apply
 
-    nodes = triples.map_batches(_batch_nodes, batch_format="pyarrow")
+    nodes = triples.map_batches(edge_nodes, batch_format="pyarrow")
 
     # duplicate node rows are identical, so "first non-null" per column is a
     # pick-any.  Sharded combine (ops/agg.py): node count scales with the
@@ -355,16 +424,7 @@ def build_nodes(
 
     deduped = deduped.map_batches(to_schema, batch_format="pyarrow")
     if ontology_rows:
-        concept_rows = pa.Table.from_pydict(
-            {
-                "node_id": [concept_id(r.tag) for r in _uniq_tags(ontology_rows)],
-                "node_type": ["concept"] * len(_uniq_tags(ontology_rows)),
-                "label": [r.tag for r in _uniq_tags(ontology_rows)],
-                "category": [r.category for r in _uniq_tags(ontology_rows)],
-            },
-            schema=NODE_SCHEMA,
-        )
-        deduped = deduped.union(ray.data.from_arrow(concept_rows))
+        deduped = deduped.union(ray.data.from_arrow(concept_nodes(ontology_rows)))
     return deduped
 
 
@@ -392,21 +452,7 @@ def concept_scores(
     """
 
     def partial(batch: pa.Table) -> pa.Table:
-        counts: Dict[tuple, int] = {}
-        weights = (
-            batch[count_column].to_pylist() if count_column else [1] * batch.num_rows
-        )
-        for tag, conv, w in zip(
-            batch["tag"].to_pylist(), batch["conv_id"].to_pylist(), weights
-        ):
-            counts[(tag, conv)] = counts.get((tag, conv), 0) + w
-        return pa.Table.from_pydict(
-            {
-                "tag": [k[0] for k in counts],
-                "conv_id": [k[1] for k in counts],
-                "n": list(counts.values()),
-            }
-        )
+        return _tag_conv_counts(batch, count_column)
 
     from ..ops.agg import sharded_groupby_apply
 
@@ -433,10 +479,43 @@ def concept_scores(
     )
 
     def add_concept(batch: pa.Table) -> pa.Table:
-        cid = pa.array([concept_id(t) for t in batch["tag"].to_pylist()])
+        cid = pc.binary_join_element_wise("concept:", batch["tag"], "")
         return batch.add_column(1, pa.field("concept_id", pa.string()), cid)
 
     return scores.map_batches(add_concept, batch_format="pyarrow")
+
+
+def _tag_conv_counts(mentions: pa.Table, count_column: Optional[str] = None) -> pa.Table:
+    """(tag, conv_id, n): the mentions per (tag, conversation) pair of
+    ``mentions``, each row counting 1 or its ``count_column``."""
+    n = (pc.cast(mentions[count_column], pa.int64()) if count_column
+         else pa.repeat(1, mentions.num_rows))
+    t = pa.table({"tag": mentions["tag"], "conv_id": mentions["conv_id"], "n": n})
+    t = t.group_by(["tag", "conv_id"], use_threads=False).aggregate([("n", "sum")])
+    return t.select(["tag", "conv_id", "n_sum"]).rename_columns(["tag", "conv_id", "n"])
+
+
+def tag_partials(mentions: pa.Table) -> pa.Table:
+    """(tag, n_mentions, n_convs) over ``mentions``.  When they hold every
+    mention of their conversations, the partials of disjoint conversation
+    sets add up to the concept scores (:func:`scores_from_partials`)."""
+    t = _tag_conv_counts(mentions).group_by("tag", use_threads=False).aggregate(
+        [("n", "sum"), ("conv_id", "count", pc.CountOptions(mode="all"))])
+    return t.select(["tag", "n_sum", "conv_id_count"]).rename_columns(
+        ["tag", "n_mentions", "n_convs"])
+
+
+def scores_from_partials(partials: pa.Table) -> pa.Table:
+    """The concept_scores rows (tag, concept_id, n_mentions, n_convs), in
+    tag order, from :func:`tag_partials` of disjoint conversation sets."""
+    t = partials.group_by("tag", use_threads=False).aggregate(
+        [("n_mentions", "sum"), ("n_convs", "sum")]).sort_by("tag")
+    return pa.table({
+        "tag": t["tag"],
+        "concept_id": pc.binary_join_element_wise("concept:", t["tag"], ""),
+        "n_mentions": t["n_mentions_sum"],
+        "n_convs": t["n_convs_sum"],
+    })
 
 
 def conversation_stats(

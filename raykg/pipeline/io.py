@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 import pandas as pd
 import pyarrow as pa
@@ -36,8 +36,7 @@ import ray.data
 
 from ..ops.hashing import bucket_column, partition_of
 
-__all__ = ["partition_of", "keep_partitions", "PartitionedWriter",
-           "require_sort_shuffle"]
+__all__ = ["partition_of", "PartitionedWriter", "require_sort_shuffle"]
 
 
 def require_sort_shuffle(*datasets) -> None:
@@ -59,29 +58,6 @@ def require_sort_shuffle(*datasets) -> None:
             "ShuffleStrategy.SORT_SHUFFLE_PULL_BASED before creating the "
             "input datasets"
         )
-
-
-def keep_partitions(
-    ds: "ray.data.Dataset", key, num_partitions: int, parts
-) -> "ray.data.Dataset":
-    """The rows of ``ds`` whose ``crc32(key) % num_partitions`` is in
-    ``parts`` — a vectorized mask, so callers prune before any costly
-    stage or exchange.  ``key`` names the key column, or maps a batch to
-    its key array.  ``ds`` itself, with no stage added, when ``parts``
-    covers every partition."""
-    parts = {int(p) for p in parts}
-    if parts >= set(range(num_partitions)):
-        return ds
-    want = pa.array(sorted(parts), type=pa.int32())
-
-    def keep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keys = key(batch) if callable(key) else batch[key]
-        pcol = bucket_column(keys, num_partitions, stable_str=True)
-        return batch.filter(pc.is_in(pcol, value_set=want))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
 
 
 class PartitionedWriter:
@@ -183,54 +159,18 @@ class PartitionedWriter:
 
         with_part = ds.map_batches(add, batch_format="pyarrow")
 
-        part_dir_fmt = self._part_dir
-
-        manifest_path_fmt = self.manifest_path
-
         def write_group(g: pa.Table) -> pa.Table:
             # pyarrow end-to-end: the group stays object-store-backed Arrow
-            # (no whole-partition pandas copy) and is written in bounded
-            # record-batch chunks through one ParquetWriter
+            # (no whole-partition pandas copy)
             part = int(g["part"][0].as_py())
-            pdir = part_dir_fmt(part)
-            os.makedirs(pdir, exist_ok=True)
             data = g.drop_columns(
                 ["part", key_column] if drop_key_column else ["part"]
             )
-            tmp = os.path.join(pdir, ".data.parquet.tmp")
-            final = os.path.join(pdir, "data.parquet")
-            with pq.ParquetWriter(tmp, data.schema) as writer:
-                for rb in data.to_batches(max_chunksize=65536):
-                    writer.write_batch(rb)
-            h = hashlib.md5()
-            with open(tmp, "rb") as f:
-                for chunk in iter(lambda: f.read(1 << 20), b""):
-                    h.update(chunk)
-            content_hash = h.hexdigest()
-            os.replace(tmp, final)
-            import pyarrow.compute as pc
-
-            manifest = {
-                "part": part,
-                "status": "complete",
-                "rows": int(data.num_rows),
-                "n_keys": (
-                    int(pc.count_distinct(data[key_column]).as_py())
-                    if key_column in data.schema.names
-                    else None
-                ),
-                "content_md5": content_hash,
-                "columns": list(data.schema.names),
-                "fingerprint": fingerprint,
-            }
-            mtmp = os.path.join(pdir, ".manifest.json.tmp")
-            with open(mtmp, "w") as f:
-                json.dump(manifest, f)
-            os.replace(mtmp, manifest_path_fmt(part))
+            rows, content_hash = self.commit_table(part, data, fingerprint, key_column)
             return pa.Table.from_pydict(
                 {
                     "part": pa.array([part], type=pa.int64()),
-                    "rows": pa.array([manifest["rows"]], type=pa.int64()),
+                    "rows": pa.array([rows], type=pa.int64()),
                     "content_md5": pa.array([content_hash], type=pa.string()),
                 }
             )
@@ -242,30 +182,86 @@ class PartitionedWriter:
         written = set(result["part"]) if len(result) else set()
         empty = sorted(set(owned) - written)
         for p in empty:
-            self._write_empty(p, fingerprint)
+            self.write_empty(p, fingerprint)
         if not written:
             return _empty_summary(empty)
         if empty:
             result = pd.concat([result, _empty_summary(empty)], ignore_index=True)
         return result.sort_values("part").reset_index(drop=True)
 
-    def _write_empty(self, part: int, fingerprint: str) -> None:
+    def commit(self, part: int, schema: pa.Schema, batches, fingerprint: str = "",
+               n_keys: Optional[int] = None):
+        """Write the record batches ``batches`` of ``schema`` as partition
+        ``part``'s data file through one ParquetWriter, then its manifest
+        (recording ``n_keys``), each to a temp name renamed into place: a
+        killed run never leaves a partition that looks complete.  Returns
+        the rows written and the data file's md5."""
+        pdir = self._part_dir(part)
+        os.makedirs(pdir, exist_ok=True)
+        tmp = os.path.join(pdir, ".data.parquet.tmp")
+        rows = 0
+        with pq.ParquetWriter(tmp, schema) as writer:
+            for rb in batches:
+                writer.write(rb)
+                rows += rb.num_rows
+        h = hashlib.md5()
+        with open(tmp, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+        content_hash = h.hexdigest()
+        os.replace(tmp, os.path.join(pdir, "data.parquet"))
+        self._write_manifest(part, {
+            "part": part, "status": "complete", "rows": rows, "n_keys": n_keys,
+            "content_md5": content_hash, "columns": list(schema.names),
+            "fingerprint": fingerprint,
+        })
+        return rows, content_hash
+
+    def commit_table(self, part: int, table: pa.Table, fingerprint: str = "",
+                     key_column: Optional[str] = None):
+        """:meth:`commit` of an in-memory table, one Parquet row group per
+        64k rows, with its distinct ``key_column`` values as ``n_keys``
+        (None when the table has no such column)."""
+        import pyarrow.compute as pc
+
+        n_keys = (int(pc.count_distinct(table[key_column]).as_py())
+                  if key_column in table.schema.names else None)
+        batches = table.combine_chunks().to_batches(max_chunksize=65536)
+        return self.commit(part, table.schema, batches, fingerprint, n_keys)
+
+    def _write_manifest(self, part: int, manifest: dict) -> None:
+        mtmp = os.path.join(self._part_dir(part), ".manifest.json.tmp")
+        with open(mtmp, "w") as f:
+            json.dump(manifest, f)
+        os.replace(mtmp, self.manifest_path(part))
+
+    def write_empty(self, part: int, fingerprint: str) -> None:
         """Mark ``part`` complete with zero rows.  The manifest lands first
         (atomically) and the stale data file goes after it: a crash in
         between leaves a zero-row manifest, which read() skips."""
         pdir = self._part_dir(part)
         os.makedirs(pdir, exist_ok=True)
-        mtmp = os.path.join(pdir, ".manifest.json.tmp")
-        with open(mtmp, "w") as f:
-            json.dump(
-                {"part": part, "status": "complete", "rows": 0, "n_keys": 0,
-                 "content_md5": None, "columns": [], "fingerprint": fingerprint},
-                f,
-            )
-        os.replace(mtmp, self.manifest_path(part))
+        self._write_manifest(part, {
+            "part": part, "status": "complete", "rows": 0, "n_keys": 0,
+            "content_md5": None, "columns": [], "fingerprint": fingerprint,
+        })
         data_path = os.path.join(pdir, "data.parquet")
         if os.path.exists(data_path):
             os.remove(data_path)
+
+    def data_files(self, partitions: Optional[Set[int]] = None) -> Dict[int, str]:
+        """The data file of every complete partition (or of those among
+        ``partitions``) that holds rows; a zero-row partition has none."""
+        done = self.done_partitions()
+        if partitions is not None:
+            done &= {int(p) for p in partitions}
+        files = {}
+        for p in sorted(done):
+            with open(self.manifest_path(p)) as f:
+                if json.load(f).get("rows", 0) == 0:
+                    continue
+            files[p] = os.path.join(self._part_dir(p), "data.parquet")
+        return files
 
     def read(
         self,
@@ -278,15 +274,7 @@ class PartitionedWriter:
         no data file and are skipped; when that leaves no file, the result
         is an empty dataset of ``schema`` (a slice with no rows is a
         valid table, e.g. a corpus the ontology never matches)."""
-        done = self.done_partitions()
-        if partitions is not None:
-            done &= {int(p) for p in partitions}
-        paths = []
-        for p in sorted(done):
-            with open(self.manifest_path(p)) as f:
-                if json.load(f).get("rows", 0) == 0:
-                    continue
-            paths.append(os.path.join(self._part_dir(p), "data.parquet"))
+        paths = list(self.data_files(partitions).values())
         if not paths and schema is not None:
             return ray.data.from_arrow(schema.empty_table())
         # partitioning=None: the part=NNNNN directory name is writer
@@ -322,7 +310,7 @@ class PartitionedWriter:
         before the exchange, so the shuffle and the writes follow the
         target partitions, but ``ds`` itself still runs in full: a caller
         that must not pay for the whole input prunes it before the costly
-        stage (:func:`keep_partitions`)."""
+        stage."""
         parts = sorted(int(p) for p in partitions)
         self.invalidate(parts)
         return self._write(ds, key_column, parts, fingerprint, drop_key_column)

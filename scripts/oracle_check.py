@@ -12,6 +12,7 @@ import argparse
 import json
 import time
 import hashlib
+import os
 import sys
 
 import duckdb
@@ -76,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     if owns_ray:
         ray.init(address="local", num_cpus=8, include_dashboard=False)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     qs, oracles = e.queries(), e.oracle_sql()

@@ -3,11 +3,12 @@ when the sweep exceeds the time budget and pass when it doesn't, so the
 registry can never silently outgrow the driver's correctness-gate
 window."""
 
+import os
 import sys
 
 
 def _run(argv):
-    sys.path.insert(0, "/root/repo/scripts")
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"))
     import importlib
 
     oc = importlib.import_module("oracle_check")

@@ -586,6 +586,125 @@ def test_build_graph_resumes_after_a_kill_past_mentions(tmp_path, ray_session):
     assert_same_graph(out, tmp_path / "fresh")
 
 
+def test_build_graph_runs_one_exchange_and_reads_nothing_back(tmp_path, ray_session,
+                                                              monkeypatch):
+    """A fresh build derives mentions, edges, nodes and concept_scores from
+    one groupby exchange and reads none of its own tables back."""
+    from raykg.job import build_graph
+
+    calls = {"groupby": 0, "read": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby",
+                        counting("groupby", ray.data.Dataset.groupby))
+    monkeypatch.setattr(PartitionedWriter, "read", counting("read", PartitionedWriter.read))
+    report = build_graph(ray.data.from_pandas(small_corpus()),
+                         [("Engine", "spark"), ("Customer", "customer")],
+                         PipelineConfig(language="en", concurrency=1),
+                         str(tmp_path / "kg"), num_partitions=8)
+    assert report["tables"]["mentions"]["rows"] == 16
+    assert calls == {"groupby": 1, "read": 0}
+
+
+def equality_corpus():
+    """Turns with and without tools (null, empty and named), punctuated and
+    mixed-script text, repeated keywords in one turn, and one conversation
+    no keyword matches."""
+    texts = [
+        "I use Spark, and the customer likes spark.",
+        "Клиент said: the customer wants an agg row! Spark?",
+        "no keyword in this turn",
+        "spark spark spark; CUSTOMER.",
+    ]
+    tools = [None, "search", "", "python"]
+    rows = [
+        {"conv_id": f"conv{i}", "turn_idx": t, "role": "user",
+         "text": texts[(i + t) % len(texts)], "tool": tools[(i * 3 + t) % len(tools)],
+         "lang": "en"}
+        for i in range(23) for t in range(1 + i % 3)
+    ]
+    rows += [{"conv_id": "quiet", "turn_idx": t, "role": "user", "text": "nothing at all",
+              "tool": "search" if t else None, "lang": "en"} for t in range(2)]
+    return pd.DataFrame(rows)
+
+
+@pytest.mark.parametrize("num_partitions", [8, 18])
+def test_build_graph_equals_the_stage_recipe(tmp_path, ray_session, num_partitions):
+    """Each table of the one-exchange build row-set-equals the composition
+    of the dataset-level stage functions, and every row sits in the
+    partition its key hashes to (nodes: gcd(P, P // 4) partitions, the
+    tool and concept rows in the global one).  A build over an output
+    whose nodes carry the older fingerprint tag recomputes the nodes."""
+    import math
+
+    import pyarrow.parquet as pq
+
+    from raykg.core.ontology import clean_ontology
+    from raykg.job import build_graph
+    from raykg.pipeline.graph import (
+        NODE_GLOBAL_PART_KEY,
+        triples_from_mentions,
+        with_node_part_key,
+    )
+
+    onto = [("Engine", "spark", "tech"), ("Customer", "customer", "entity"),
+            ("AggRow", "agg row", "pattern")]
+    cfg = PipelineConfig(language="en", category_column="category", ignore_case=True,
+                         concurrency=1)
+    ds = ray.data.from_pandas(equality_corpus())
+    P, N = num_partitions, math.gcd(num_partitions, num_partitions // 4)
+    out = tmp_path / "kg"
+    build_graph(ds, onto, cfg, str(out), num_partitions=P)
+
+    mentions = extract_mentions(ds, onto, cfg).materialize()
+    edges = triples_from_mentions(mentions, ds)
+    nodes = with_node_part_key(
+        build_nodes(edges, clean_ontology(onto, has_category=True))).to_pandas()
+    want = {
+        "mentions": (P, mentions.to_pandas(), "conv_id"),
+        "edges": (P, edges.to_pandas(), "conv_id"),
+        "nodes": (N, nodes.drop(columns="node_part_key"), None),
+        "concept_scores": (1, concept_scores(mentions).to_pandas(), "tag"),
+    }
+    for table, (parts, expected, key) in want.items():
+        files = PartitionedWriter(str(out / table), parts).data_files()
+        got = []
+        for part, path in files.items():
+            frame = pq.read_table(path).to_pandas()
+            if key is None:
+                global_type = frame["node_type"].isin(["tool", "concept"])
+                keys = frame["node_id"].str.split("#").str[0].where(
+                    ~global_type, NODE_GLOBAL_PART_KEY)
+            else:
+                keys = frame[key]
+            assert {partition_of(k, parts) for k in keys} == {part}, (table, part)
+            got.append(frame)
+        got = pd.concat(got, ignore_index=True)
+        cols = sorted(expected.columns)
+        assert sorted(got.columns) == cols, table
+        a = got[cols].sort_values(cols).reset_index(drop=True)
+        b = expected[cols].sort_values(cols).reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=table)
+    assert len(want["mentions"][1]) > 0 and (want["nodes"][1]["node_type"] == "tool").any()
+
+    w_n = PartitionedWriter(str(out / "nodes"), N)
+    for part in range(N):
+        path = w_n.manifest_path(part)
+        manifest = json.load(open(path))
+        manifest["fingerprint"] = manifest["fingerprint"].replace("|nodes_v3", "|nodes_v2")
+        json.dump(manifest, open(path, "w"))
+    report = build_graph(ds, onto, cfg, str(out), num_partitions=P)
+    assert report["tables"]["nodes"]["partitions"] == N
+    assert report["tables"]["mentions"]["partitions"] == 0
+    assert report["tables"]["edges"]["partitions"] == 0
+    assert report["tables"]["nodes"]["rows"] == len(nodes)
+
+
 def test_refresh_recomputes_only_target_partitions(tmp_path, ray_session):
     import glob
     import json as _json

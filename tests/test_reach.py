@@ -258,3 +258,51 @@ def test_coverage_reachability_table_is_current(reach, capsys):
     committed = section[section.index("| module | lines | reached by |"):].strip()
     assert reach.main(["--markdown"]) == 0
     assert committed == capsys.readouterr().out.strip()
+
+
+def _absolute_sys_path_lines(tree):
+    """Lines that put a string literal naming an absolute path on
+    ``sys.path`` (``insert``, ``append``, ``extend`` or a slice
+    assignment), directly or inside an expression such as
+    ``os.path.join``."""
+
+    def is_sys_path(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "path"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+    lines = []
+    for node in ast.walk(tree):
+        values = []
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("insert", "append", "extend")
+                and is_sys_path(node.func.value)):
+            values = node.args
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Subscript) and is_sys_path(t.value) for t in node.targets):
+            values = [node.value]
+        if any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+               and os.path.isabs(c.value) for v in values for c in ast.walk(v)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_fixed_checkout_path_on_sys_path():
+    """No script, test or benchmark file puts an absolute path on
+    ``sys.path``: it must derive the checkout from its own ``__file__``,
+    or a run from another checkout silently imports the code at the
+    fixed path."""
+    probe = ast.parse('import sys, os\nsys.path.insert(0, "/srv/app")\n'
+                      'sys.path[:0] = [os.path.join("/srv", "x")]\nsys.path.append(HERE)\n')
+    assert sorted(_absolute_sys_path_lines(probe)) == [2, 3]
+    fixed = []
+    for top in ("scripts", "tests", "perfbench"):
+        for d, dirs, files in os.walk(os.path.join(ROOT, top)):
+            dirs[:] = [x for x in dirs if x != "__pycache__"]
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(d, name)
+                    with open(path) as f:
+                        tree = ast.parse(f.read(), path)
+                    fixed += [f"{os.path.relpath(path, ROOT)}:{line}"
+                              for line in _absolute_sys_path_lines(tree)]
+    assert not fixed, f"absolute paths put on sys.path: {fixed}"
