@@ -150,23 +150,17 @@ def run_bench() -> dict:
     timed("tfidf_top")
     timed("bm25_top")
     timed("lm_scores")
-    timed("order_windows")
     timed("approx_distinct", consume=len)
     # graph + warehouse extras (round-2 session additions)
     timed("tri_counts")
-    timed("orders_rollup")
     timed("orders_merge")
     timed("conv_text")
     timed("token_lift")
     timed("hll_custkeys", consume=len)
-    timed("lineitem_checksum", consume=len)
     timed("part_rank")
     timed("conv_json")
-    timed("cust_orders_left")
-    timed("price_hist")
     timed("tag_lemma")
     timed("orders_diff")
-    timed("order_ranks")
     timed("clustering_coef")
     # round-3 session additions
     timed("tag_lemma_nl")
@@ -178,12 +172,9 @@ def run_bench() -> dict:
     timed("doc_tree")
     timed("node_ids")
     # round-3 third-session additions
-    timed("orders_cube")
     timed("ppr_concepts")
     timed("mention_context")
     timed("heavy_tokens")
-    timed("bloom_join")
-    timed("zorder_tiles")
     timed("kg_butterflies", consume=len)
     timed("topic_shifts")
     timed("tool_stats", consume=len)
@@ -195,20 +186,16 @@ def run_bench() -> dict:
     timed("conv_features")
     timed("part_truss")
     timed("conv_dot")
-    timed("basket_pairs")
-    timed("basket_rules")
     timed("conv_splits")
     # round-4 additions: model-depth lemmas, ja segmentation
     timed("tag_lemma_pl")
     timed("tag_lemma_ru")
     timed("tag_match_ja")
-    timed("order_date_ranks")
-    # round-4 third-session additions: sequences, readability/zipf, RFM
+    # round-4 third-session additions: sequences, readability/zipf
     timed("readability")
     timed("token_zipf", consume=len)
     timed("canonical_docs")
     timed("source_card", consume=len)
-    timed("rfm_segments")
     # round-4 fourth-session additions: CCNet boilerplate removal,
     # DSIR selection, temporal mention chains
     timed("boilerplate")
@@ -228,7 +215,6 @@ def run_bench() -> dict:
     timed("kg_cardinality", consume=len)
     timed("onto_coverage", consume=len)
     # round-4 fifth-session additions
-    timed("orders_above_avg", consume=len)
     timed("concept_decay", consume=len)
     timed("hapax_rate", consume=len)
     timed("tool_transitions", consume=len)

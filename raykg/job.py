@@ -22,8 +22,11 @@ committed atomically with a manifest, so a re-run after a failure skips
 complete partitions.  ``build_graph`` and ``update_graph``
 (``--changed-convs``) run the same body, ``_graph_tables``, over different
 partition sets: a build the partitions that are not done, an update those
-of the changed conversations.  Only this entry point owns the Ray session
-(guarded init; the library never calls ray.init).
+of the changed conversations.  The job writes these four tables only:
+whole-graph tables such as PageRank or a dense node numbering are the
+query registry's ``q_pagerank`` and ``q_node_ids``.  Only this entry
+point owns the Ray session (guarded init; the library never calls
+ray.init).
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ import time
 # part of every tag-chain fingerprint: bump it when an output table's
 # layout changes, so a resume recomputes instead of mixing layouts
 _SCHEMA_VERSION = 1
-# the tables build_graph derives on request from the whole edge or node
-# set: one recomputed graph partition makes every partition of them stale
-_WHOLE_GRAPH_TABLES = ("node_ranks", "entity_ids")
 
 
 def _ontology_rows(ontology, config):
@@ -91,12 +91,6 @@ def _writers(out_dir: str, num_partitions: int) -> list:
     return [PartitionedWriter(os.path.join(out_dir, t), n) for t, n in sizes]
 
 
-def _table_report(summary) -> dict:
-    """A table's report entry from its writer summary: the rows written and
-    the partitions completed, zero-row ones included."""
-    return {"rows": int(summary["rows"].sum()), "partitions": len(summary)}
-
-
 # the nodes fingerprint tag: bump it when the node partitioning changes,
 # so a resume over an older output recomputes instead of mixing moduli
 _NODES_TAG = "|nodes_v3"
@@ -130,12 +124,8 @@ def _graph_tables(transcripts, ontology, config, out_dir: str,
     no row reached with zero-row manifests, appends the tool and concept
     rows to the global node partition and reduces the partials into
     concept_scores; the partitions outside the covered set contribute
-    column-pruned reads of their edge and mention files.
-
-    The whole-graph tables (``_WHOLE_GRAPH_TABLES``) lose every manifest
-    when ``parts`` or ``n_parts`` is not empty, so the next
-    :func:`build_graph` that asks for them derives them again.  A slice
-    with no mentions is a valid table at every stage."""
+    column-pruned reads of their edge and mention files.  A slice with
+    no mentions is a valid table at every stage."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -152,7 +142,7 @@ def _graph_tables(transcripts, ontology, config, out_dir: str,
         tag_partials,
         tool_nodes,
     )
-    from .pipeline.io import PartitionedWriter, require_sort_shuffle
+    from .pipeline.io import require_sort_shuffle
     from .pipeline.tag import MENTION_SCHEMA, map_stage
 
     require_sort_shuffle(transcripts)
@@ -162,12 +152,6 @@ def _graph_tables(transcripts, ontology, config, out_dir: str,
     w_m, w_e, w_n, w_s = _writers(out_dir, num_partitions)
     P, N = num_partitions, w_n.num_partitions
     g = partition_of(NODE_GLOBAL_PART_KEY, N)
-    if parts or n_parts:
-        for name in _WHOLE_GRAPH_TABLES:
-            path = os.path.join(out_dir, name)
-            if os.path.isdir(path):
-                PartitionedWriter(path, N).invalidate(range(N))
-
     parts, n_parts = set(parts), set(n_parts)
     m_parts = parts - w_m.done_partitions(fingerprint=fp)
     scores_stale = bool(parts) or not w_s.done_partitions(fingerprint=fp)
@@ -294,8 +278,6 @@ def build_graph(
     out_dir: str,
     num_partitions: int = 64,
     resume: bool = True,
-    compute_pagerank: bool = False,
-    compute_entity_ids: bool = False,
 ) -> dict:
     """The job body (importable for tests): transcripts + ontology ->
     partitioned graph tables on disk; returns the run report.
@@ -303,12 +285,7 @@ def build_graph(
     A build is an update of every partition that is not done: the conv
     partitions not done in mentions or in edges, and the node partitions
     not done (:func:`_graph_tables`).  ``resume=False`` recomputes all of
-    them.  ``compute_pagerank`` and ``compute_entity_ids`` also derive
-    the whole-graph tables ``node_ranks`` and ``entity_ids`` from the
-    finished edges and nodes."""
-    from .pipeline.graph import TRIPLE_SCHEMA
-    from .pipeline.io import PartitionedWriter
-
+    them."""
     w_m, w_e, w_n, _ = _writers(out_dir, num_partitions)
     fp = _fingerprint(config, _ontology_rows(ontology, config))
     parts, n_parts = set(range(num_partitions)), set(range(w_n.num_partitions))
@@ -317,38 +294,10 @@ def build_graph(
         n_parts -= w_n.done_partitions(fingerprint=fp + _NODES_TAG)
     else:
         w_m.invalidate(parts)  # _graph_tables reuses done mentions
-    report: dict = {"out_dir": out_dir, "tables": _graph_tables(
+    tables = _graph_tables(
         transcripts, ontology, config, out_dir, num_partitions, parts, n_parts
-    )}
-
-    def whole_graph_table(name, key_column, make) -> None:
-        # all-or-nothing: the table is derived again only when one of its
-        # partitions is not done (_graph_tables invalidates all of them
-        # whenever it recomputes a graph partition)
-        w = PartitionedWriter(os.path.join(out_dir, name), w_n.num_partitions)
-        if resume and len(w.done_partitions(fingerprint=fp)) == w.num_partitions:
-            report["tables"][name] = {"rows": 0, "partitions": 0}
-            return
-        s = w.write(make(), key_column=key_column, resume=False, fingerprint=fp)
-        report["tables"][name] = _table_report(s)
-
-    if compute_pagerank:
-        from .ops.pagerank import pagerank
-
-        whole_graph_table("node_ranks", "node", lambda: pagerank(
-            w_e.read(schema=TRIPLE_SCHEMA), src_column="subj", dst_column="obj",
-            iters=5))
-    if compute_entity_ids:
-        # dense 0..N-1 entity numbering in node_id order — the handoff
-        # table KG-embedding trainers consume (ops/index.py); the
-        # numbering is deterministic (unique sort key) so resumed runs
-        # reproduce it bit-for-bit from the same node set
-        from .ops.index import zip_with_index
-
-        whole_graph_table("entity_ids", "node_id", lambda: zip_with_index(
-            w_n.read().select_columns(["node_id", "node_type"]),
-            sort_key="node_id", id_col="entity_id"))
-    return report
+    )
+    return {"out_dir": out_dir, "tables": tables}
 
 
 def update_graph(
@@ -379,8 +328,6 @@ def update_graph(
       groups return the partials of the partitions they hold, and the
       other partitions' partials come from their mention files' ``tag``
       and ``conv_id`` columns.
-    - ``node_ranks`` and ``entity_ids`` lose every manifest; the next
-      :func:`build_graph` that asks for them derives them again.
 
     So the matcher's work follows the change, but the reads do not: the
     full input, and two columns of every other mention and edge file.
@@ -423,11 +370,6 @@ def main(argv=None) -> int:
                    help="path to a text file of conv_ids (one per line): "
                         "incrementally refresh ONLY their hash partitions "
                         "of an existing --out graph (update_graph)")
-    p.add_argument("--pagerank", action="store_true",
-                   help="also materialize node PageRank (out/node_ranks)")
-    p.add_argument("--entity-ids", action="store_true",
-                   help="also materialize dense 0..N-1 entity numbering "
-                        "(out/entity_ids, embedding-trainer handoff)")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="only for standalone runs; under ray job submit the cluster decides")
     p.add_argument("--object-store-gb", type=float, default=None,
@@ -509,8 +451,6 @@ def main(argv=None) -> int:
                 args.out,
                 num_partitions=args.num_partitions,
                 resume=not args.no_resume,
-                compute_pagerank=args.pagerank,
-                compute_entity_ids=args.entity_ids,
             )
         report["seconds"] = round(time.perf_counter() - t0, 2)
         print(json.dumps(report))

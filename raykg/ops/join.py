@@ -2,9 +2,9 @@
 
 The reference has no relational join (SURVEY.md §2.4) — its only join is
 the broadcast map-side semi-join of the ontology dictionary.  This module
-makes the pattern an explicit, reusable operator, plus the bucketed hash
-join for two large sides (the guide's portable pattern for when
-``Dataset.join`` isn't suitable).
+makes that pattern an explicit, reusable operator (:func:`semi_join`),
+plus the bucketed hash join for two large sides (the guide's portable
+pattern for when ``Dataset.join`` isn't suitable).
 """
 
 from __future__ import annotations
@@ -16,32 +16,6 @@ import pyarrow as pa
 
 import ray
 import ray.data
-
-
-def broadcast_join(
-    ds: "ray.data.Dataset",
-    small: "pa.Table | pd.DataFrame",
-    on: str,
-    how: str = "left",
-    suffix: str = "_r",
-) -> "ray.data.Dataset":
-    """Map-side join against a small broadcast table (``ray.put`` once, a
-    pandas merge per batch inside every task — no shuffle).
-
-    ``how`` is 'left' or 'inner'.  Right-side duplicate column names get
-    ``suffix``.
-    """
-    if isinstance(small, pa.Table):
-        small_df = small.to_pandas()
-    else:
-        small_df = pd.DataFrame(small)
-    ref = ray.put(small_df)
-
-    def join(batch: pd.DataFrame) -> pd.DataFrame:
-        rhs = ray.get(ref)
-        return batch.merge(rhs, on=on, how=how, suffixes=("", suffix))
-
-    return ds.map_batches(join, batch_format="pandas")
 
 
 def semi_join(

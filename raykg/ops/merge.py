@@ -119,14 +119,11 @@ def table_diff(
 ) -> "ray.data.Dataset":
     """Row-level diff of two keyed tables: ``(key, status)`` with status
     in {'only_left', 'only_right', 'changed'}; identical rows are
-    omitted.  The drill-down companion to
-    `ops/profile.table_checksum` — the checksum says WHETHER a copy
-    drifted, the diff says WHERE.
+    omitted: it says WHERE a copy drifted.
 
     One key-sharded exchange of side-tagged rows; each shard compares
-    with a single vectorized merge over the non-key columns (string
-    form, the checksum's canonicalization contract).  Keys must be
-    unique per side (primary-key tables)."""
+    with a single vectorized merge over the non-key columns in string
+    form.  Keys must be unique per side (primary-key tables)."""
     cols = [c for c in left.schema().names if c != key]
     if set(cols) != set(c for c in right.schema().names if c != key):
         raise ValueError("table_diff requires identical schemas")

@@ -22,7 +22,7 @@ explode emits all columns' rows from the same batch read.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import pandas as pd
@@ -198,109 +198,3 @@ def profile_columns(
         distinct.map_batches(join_side("d"), batch_format="pandas")
     )
     return sharded_groupby_apply(both, ["column"], merge, num_shards=1)
-
-
-_CKSUM_P = (1 << 61) - 1  # Mersenne prime; sums stay BIGINT-safe in SQL
-
-
-def table_checksum(
-    ds: "ray.data.Dataset",
-    columns: Sequence[str],
-    null_token: str = "<null>",
-) -> pd.DataFrame:
-    """Order-independent content checksum: one row ``(n_rows, checksum)``
-    with ``checksum = SUM(md5_60bit(c1 || '|' || c2 ...)) mod 2^61-1``.
-
-    Addition commutes, so the result is independent of partitioning and
-    row order — the cross-engine "did the copy/migration preserve every
-    row" validation.  The per-row hash uses the corpus-auditability md5
-    idiom from `ops/sample.py`, and every value is canonicalized as its
-    string form (callers pass int/string columns; float formatting is
-    engine-specific and excluded by contract), so a SQL engine computes
-    the IDENTICAL scalar:
-
-        SUM(CAST(('0x' || substr(md5(
-            COALESCE(CAST(c1 AS VARCHAR), '<null>') || '|' || ...), 1, 15))
-            AS BIGINT)) % 2305843009213693951
-
-    Scale shape: per-batch scalar partials (n, sum mod p) — nothing but
-    O(blocks) two-int rows ever move.
-    """
-    import hashlib
-
-    cols = list(columns)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        parts = [
-            df[c].astype(object).where(df[c].notna(), null_token).astype(str)
-            for c in cols
-        ]
-        rows = parts[0]
-        for p in parts[1:]:
-            rows = rows + "|" + p
-        s = 0
-        for r in rows:
-            s += int(hashlib.md5(r.encode("utf-8")).hexdigest()[:15], 16)
-        return pd.DataFrame({"n": [len(df)], "s": [s % _CKSUM_P]})
-
-    parts = ds.select_columns(cols).map_batches(
-        partial, batch_format="pandas"
-    ).take_all()
-    n = sum(int(p["n"]) for p in parts)
-    s = sum(int(p["s"]) for p in parts) % _CKSUM_P
-    return pd.DataFrame({"n_rows": [n], "checksum": [s]}).astype("int64")
-
-
-def table_checksum_sql(
-    table: str, columns: Sequence[str], null_token: str = "<null>"
-) -> str:
-    """DuckDB mirror of :func:`table_checksum`."""
-    expr = " || '|' || ".join(
-        f"COALESCE(CAST({c} AS VARCHAR), '{null_token}')" for c in columns
-    )
-    return f"""
-    SELECT CAST(COUNT(*) AS BIGINT) AS n_rows,
-           CAST(SUM(CAST(('0x' || substr(md5({expr}), 1, 15)) AS BIGINT))
-                % {_CKSUM_P} AS BIGINT) AS checksum
-    FROM {table}
-    """
-
-
-def histogram_fixed(
-    ds: "ray.data.Dataset",
-    column: str,
-    lo: float,
-    hi: float,
-    nbins: int,
-) -> "ray.data.Dataset":
-    """Fixed-width histogram: ``(bin, n)`` with ``bin =
-    floor((x - lo) * nbins / (hi - lo))`` clamped to ``[0, nbins-1]``
-    (values outside [lo, hi) land in the edge bins).  The bin expression
-    is plain IEEE double arithmetic evaluated identically by numpy and a
-    SQL engine (floor breaks no ties the engines disagree on for real
-    data), so the SQL mirror hash-matches.
-
-    Per-batch ``bincount`` partials (nbins ints per block) fold through
-    one tiny exchange — the classic zero-shuffle profile pass."""
-    from .agg import sharded_groupby_apply
-
-    span = float(hi) - float(lo)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch[column].to_numpy(zero_copy_only=False).astype(np.float64)
-        x = x[~np.isnan(x)]
-        b = np.floor((x - float(lo)) * nbins / span).astype(np.int64)
-        b = np.clip(b, 0, nbins - 1)
-        counts = np.bincount(b, minlength=nbins)
-        nz = np.nonzero(counts)[0]
-        return pa.table(
-            {"bin": pa.array(nz, type=pa.int64()),
-             "n": pa.array(counts[nz], type=pa.int64())}
-        )
-
-    return sharded_groupby_apply(
-        ds.select_columns([column]).map_batches(partial, batch_format="pyarrow"),
-        ["bin"],
-        lambda df: df.groupby("bin", sort=False, as_index=False)["n"].sum(),
-        4,
-    )

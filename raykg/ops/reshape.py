@@ -1,4 +1,5 @@
-"""Reshape operators: pivot (long -> wide) and melt (wide -> long).
+"""Reshape operators: pivot (long -> wide) and ordered string assembly
+(``collect_strings``).
 
 Pivot's distributed contract: the output schema must be FIXED before
 execution — every task has to emit the same columns, so the category
@@ -9,17 +10,13 @@ task happened to see).  Execution is per-batch pre-aggregation of
 ``(index, category) -> partial`` long rows — bounding the exchange to
 index-cardinality × |categories| regardless of input size — then one
 sharded vectorized pivot per index-hash shard.
-
-Melt is stateless and shuffle-free: each batch explodes its value
-columns with Arrow concat, one output row per (row, value column).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import pandas as pd
-import pyarrow as pa
 
 import ray.data
 
@@ -71,29 +68,6 @@ def pivot(
 
     long = ds.map_batches(partial, batch_format="pandas")
     return sharded_groupby_apply(long, [index], widen, num_shards=num_shards)
-
-
-def melt(
-    ds: "ray.data.Dataset",
-    id_vars: Sequence[str],
-    value_vars: Sequence[str],
-    var_name: str = "variable",
-    value_name: str = "value",
-) -> "ray.data.Dataset":
-    """Wide -> long: one output row per (input row, value column) — a
-    stateless per-batch Arrow explode, no shuffle."""
-    id_vars, value_vars = list(id_vars), list(value_vars)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        parts: List[pa.Table] = []
-        for v in value_vars:
-            cols = {c: batch[c] for c in id_vars}
-            cols[var_name] = pa.array([v] * batch.num_rows, type=pa.string())
-            cols[value_name] = batch[v]
-            parts.append(pa.table(cols))
-        return pa.concat_tables(parts)
-
-    return ds.map_batches(explode, batch_format="pyarrow")
 
 
 def collect_strings(

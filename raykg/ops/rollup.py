@@ -1,26 +1,12 @@
-"""ROLLUP / grouping-sets aggregation (SQL ``GROUP BY ROLLUP (k1, .., kn)``).
-
-``rollup_sum`` emits one row per group at EVERY prefix level — ``(k1,
-.., kn)``, ``(k1, .., k(n-1))``, .., ``(k1)``, and the grand total —
-with aggregated-out key columns set to NULL, exactly like the SQL
-construct.  Aggregates are the decomposable pair ``(sum, count)`` so
-every level folds from per-batch partials.
-
-Scale shape: per-batch partials pre-aggregate each full key combo
-(bounded by distinct combos per batch, not rows), then ONE exchange
-sharded by ``k1`` computes all non-grand levels in-shard — every prefix
-level shares the leading key, so all rows of any prefix group land in
-the same shard.  The grand total folds per-shard partials through a
-second, one-group exchange whose volume is ``num_shards`` rows.  No
-level ever re-reads the input.
+"""Subtree rollup up a radix hierarchy (:func:`hierarchy_rollup`): every
+row adds its value to its own node and to each ancestor computed from its
+id, and one exchange sharded by node folds the sums.
 
 The reference plugin has only per-document rollups (`SURVEY.md` A1-A3);
-this is the relational counterpart for the warehouse-style queries.
+this is the hierarchical counterpart.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 import numpy as np
 import pandas as pd
@@ -30,141 +16,6 @@ import ray
 import ray.data
 
 from .agg import sharded_groupby_apply
-
-
-def rollup_sum(
-    ds: "ray.data.Dataset",
-    keys: Sequence[str],
-    value: str,
-    num_shards: int = 32,
-) -> "ray.data.Dataset":
-    """``GROUP BY ROLLUP(keys)`` with ``sum(value) AS sum, count(*) AS n``;
-    NULL key columns mark aggregated-out levels.
-
-    Key columns must be non-null in the input (fill beforehand): a data
-    NULL would be indistinguishable from a rollup NULL — the standard
-    SQL caveat that ``GROUPING()`` exists to resolve."""
-    keys = list(keys)
-    if not keys:
-        raise ValueError("rollup needs at least one key")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys, sort=False, dropna=False).agg(
-            sum=(value, "sum"), n=(value, "size")
-        )
-        return g.reset_index()
-
-    partials = ds.select_columns(keys + [value]).map_batches(
-        partial, batch_format="pandas"
-    )
-
-    def levels(df: pd.DataFrame) -> pd.DataFrame:
-        out: List[pd.DataFrame] = []
-        for depth in range(len(keys), 0, -1):
-            g = (
-                df.groupby(keys[:depth], sort=False, dropna=False)
-                .agg(sum=("sum", "sum"), n=("n", "sum"))
-                .reset_index()
-            )
-            for k in keys[depth:]:
-                g[k] = None
-            out.append(g[keys + ["sum", "n"]])
-        return pd.concat(out, ignore_index=True)
-
-    # materialized: consumed twice (as output rows AND as grand-total
-    # partials) — without this the leading-key exchange would run twice
-    leveled = sharded_groupby_apply(
-        partials, [keys[0]], levels, num_shards
-    ).materialize()
-
-    def grand_partial(df: pd.DataFrame) -> pd.DataFrame:
-        # only full-depth rows (k2.. not NULL would double count) — depth
-        # is identified by keys[-1] non-null when n > 1 keys; with one
-        # key every row is full depth.  Use the deepest level rows.
-        if len(keys) > 1:
-            df = df[df[keys[-1]].notna()]
-        return pd.DataFrame(
-            {"sum": [df["sum"].sum()], "n": [df["n"].sum()], "_g": [0]}
-        )
-
-    def grand_fold(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {"sum": [df["sum"].sum()], "n": [df["n"].sum()]}
-        )
-        for k in keys:
-            out[k] = None
-        return out[keys + ["sum", "n"]]
-
-    grand = sharded_groupby_apply(
-        leveled.map_batches(grand_partial, batch_format="pandas"),
-        ["_g"],
-        lambda df: grand_fold(df),
-        1,
-    )
-
-    return leveled.union(grand)
-
-
-def cube_sum(
-    ds: "ray.data.Dataset",
-    keys: Sequence[str],
-    value: str,
-    num_shards: int = 32,
-) -> "ray.data.Dataset":
-    """``GROUP BY CUBE(keys)`` — one row per group of EVERY key subset
-    (all 2^n grouping sets, NULL marking aggregated-out keys), with
-    ``sum(value) AS sum, count(*) AS n``.
-
-    Scale shape: per-batch partials pre-aggregate the FINEST combo
-    (bounded by distinct combos per batch, not rows), each partial row
-    then expands to its 2^n grouping-set projections in a flat pandas
-    kernel, and ONE exchange sharded on the full (NULL-marked) key tuple
-    folds every set — unlike ROLLUP there is no shared leading key
-    across sets, so the expansion happens map-side where it multiplies
-    partials, not raw rows.  Exchange volume is
-    O(batch_combos x 2^n); like SQL CUBE this is meant for bounded-
-    cardinality dimension keys (status, priority, region — not ids).
-
-    Key columns must be non-null in the input (the standard
-    ``GROUPING()`` caveat, same as :func:`rollup_sum`).
-    """
-    keys = list(keys)
-    if not keys:
-        raise ValueError("cube needs at least one key")
-    n_keys = len(keys)
-    masks = list(range(1 << n_keys))
-
-    def partial_expand(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(keys, sort=False, dropna=False)
-            .agg(sum=(value, "sum"), n=(value, "size"))
-            .reset_index()
-        )
-        out: List[pd.DataFrame] = []
-        for mask in masks:
-            proj = g.copy()
-            for i, k in enumerate(keys):
-                if not (mask >> i) & 1:
-                    proj[k] = None
-            out.append(proj[keys + ["sum", "n"]])
-        return pd.concat(out, ignore_index=True)
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(keys, sort=False, dropna=False)[["sum", "n"]]
-            .sum()
-            .reset_index()
-        )
-        return g[keys + ["sum", "n"]]
-
-    return sharded_groupby_apply(
-        ds.select_columns(keys + [value]).map_batches(
-            partial_expand, batch_format="pandas"
-        ),
-        keys,
-        fold,
-        num_shards=num_shards,
-    )
 
 
 def hierarchy_rollup(

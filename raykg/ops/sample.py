@@ -136,56 +136,6 @@ def assign_splits(
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def weighted_bernoulli(
-    ds: "ray.data.Dataset",
-    key_column: str,
-    weight_column: str,
-    weight_denom: int,
-) -> "ray.data.Dataset":
-    """Probability-proportional row sampling: keep each row independently
-    with probability ``weight / weight_denom`` (integer weights), fully
-    deterministic via the md5 idiom — keep iff
-
-        h60(key) * weight_denom  <  weight * 2^60
-
-    which is EXACTLY ``u < w / denom`` for the uniform 60-bit hash u,
-    evaluated in integer arithmetic (no float division, no pow — the
-    float-free analogue of A-ES weighted sampling for the Bernoulli
-    case), so a SQL engine selects the identical row set.  Stateless
-    vectorized filter; zero exchanges; retry-reproducible."""
-    import hashlib
-
-    def keep(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.fromiter(
-            (
-                int(hashlib.md5(str(k).encode()).hexdigest()[:15], 16)
-                for k in df[key_column]
-            ),
-            dtype=np.int64,
-            count=len(df),
-        )
-        w = df[weight_column].to_numpy().astype(object)  # Python ints: no
-        # int64 overflow in w * 2^60
-        lhs = [int(x) * int(weight_denom) for x in h]
-        rhs = [int(x) << 60 for x in w]
-        mask = np.array([l < r for l, r in zip(lhs, rhs)], dtype=bool)
-        return df[mask]
-
-    return ds.map_batches(keep, batch_format="pandas")
-
-
-def weighted_bernoulli_sql(
-    table: str, key_column: str, weight_column: str, weight_denom: int
-) -> str:
-    """DuckDB mirror of :func:`weighted_bernoulli` (HUGEINT arithmetic)."""
-    return f"""
-    SELECT * FROM {table}
-    WHERE CAST(CAST(('0x' || substr(md5(CAST({key_column} AS VARCHAR)),
-                          1, 15)) AS BIGINT) AS HUGEINT) * {weight_denom}
-          < CAST({weight_column} AS HUGEINT) * (CAST(1 AS HUGEINT) << 60)
-    """
-
-
 def key_quantiles(
     ds: "ray.data.Dataset",
     key_column: str,

@@ -514,7 +514,7 @@ def q_incr_new_docs(sf_dir: str):
     re-delivered docs are genuinely dropped by the hash membership test —
     the anti-join is exercised, not vacuous.  Only md5 hex strings cross
     the wire, never bodies; at corpus-scale priors swap the broadcast
-    semi_join for the bucketed membership path in `ops/setops.py`."""
+    semi_join for `ops/join.bucketed_hash_join`."""
     import hashlib as _hl
 
     from ...ops.join import semi_join

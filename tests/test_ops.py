@@ -442,97 +442,6 @@ class TestTextOps:
         assert out["pred_lang"].tolist()[2] == "fr"
 
 
-class TestWeightedBernoulli:
-    def test_rates_track_weights_and_sql_identical(self, ray_session):
-        import duckdb
-        import numpy as np
-        import pandas as pd
-
-        from raykg.ops.sample import weighted_bernoulli, weighted_bernoulli_sql
-
-        rng = np.random.default_rng(73)
-        df = pd.DataFrame(
-            {"id": np.arange(4000), "w": rng.integers(0, 11, 4000)}
-        )
-        got = (
-            weighted_bernoulli(
-                ray.data.from_pandas(df).repartition(5), "id", "w", 10
-            )
-            .to_pandas()
-            .sort_values("id")
-            .reset_index(drop=True)
-        )
-        # w=0 never kept; w=10 always kept; w=5 ~half
-        by_w = got.groupby("w").size()
-        n_w = df.groupby("w").size()
-        assert 0 not in by_w.index
-        assert by_w.get(10, 0) == n_w[10]
-        assert abs(by_w[5] / n_w[5] - 0.5) < 0.1
-        con = duckdb.connect()
-        con.register("t", df)
-        want = (
-            con.sql(weighted_bernoulli_sql("t", "id", "w", 10))
-            .df()
-            .sort_values("id")
-            .reset_index(drop=True)
-        )
-        assert got["id"].tolist() == want["id"].tolist()
-import numpy as np
-import pandas as pd
-import ray.data
-
-from raykg.ops.bloom import BloomBuild, bloom_prefilter
-
-def test_bloom_prefilter_no_false_negatives_and_prunes(ray_session):
-    rng = np.random.default_rng(3)
-    small_keys = rng.choice(100_000, 200, replace=False).astype(np.int64)
-    big = pd.DataFrame({"k": rng.integers(0, 100_000, 5000).astype(np.int64),
-                        "v": np.arange(5000)})
-    small = ray.data.from_pandas(pd.DataFrame({"k": small_keys}))
-    out = bloom_prefilter(
-        ray.data.from_pandas(big).repartition(4), small, on="k",
-        n_bits=1 << 14,
-    ).to_pandas()
-    member = np.isin(big["k"].to_numpy(), small_keys)
-    # no false negatives: every true match survives
-    assert set(big[member]["v"]) <= set(out["v"])
-    # actually prunes: most non-members dropped at this sizing
-    assert len(out) < len(big) * 0.2
-
-
-def test_bloom_empty_small_side_drops_everything(ray_session):
-    # empty filtered dimension side: no key can match -> empty result,
-    # not a TypeError from subscripting Dataset.aggregate's None
-    big = pd.DataFrame({"k": np.arange(100, dtype=np.int64)})
-    small = ray.data.from_pandas(
-        pd.DataFrame({"k": np.array([], dtype=np.int64)})
-    )
-    out = bloom_prefilter(ray.data.from_pandas(big), small, on="k")
-    assert out.count() == 0
-    assert out.schema().names == ["k"]
-
-
-def test_bloom_tiny_filter_passes_everything_exactly_once(ray_session):
-    # degenerate n_bits: all-ones filter => pure pass-through, rows intact
-    big = pd.DataFrame({"k": np.arange(100, dtype=np.int64)})
-    small = ray.data.from_pandas(pd.DataFrame({"k": np.arange(50, dtype=np.int64)}))
-    out = bloom_prefilter(ray.data.from_pandas(big), small, on="k", n_bits=8)
-    assert sorted(out.to_pandas()["k"]) == sorted(big["k"])
-
-
-def test_morton_key_locality_and_roundtrip():
-    from raykg.ops.zorder import morton_key, spread_bits
-    x = np.array([0, 1, 2, 3, 1023], dtype=np.int64)
-    y = np.array([0, 1, 3, 0, 1023], dtype=np.int64)
-    z = morton_key(x, y)
-    # interleave identities: (x,y)=(1,1)->3, (3,0)->5, (2,3)->14
-    assert list(z[:4]) == [0, 3, 14, 5]
-    assert z[4] == (1 << 20) - 1
-    # de-interleave roundtrip via the spread masks
-    even = z.astype(np.uint64) & np.uint64(0x5555555555555555)
-    assert (spread_bits(x) == even).all()
-
-
 def test_readability_batch_counts_and_formula():
     import pyarrow as pa
     from raykg.ops.text import readability_batch

@@ -1,11 +1,11 @@
-"""Pivot (long -> wide, pinned schema) and melt (wide -> long)."""
+"""Pivot (long -> wide, pinned schema) and ordered string assembly."""
 
 import pytest
 
 import ray
 import ray.data
 
-from raykg.ops.reshape import melt, pivot
+from raykg.ops.reshape import pivot
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -46,15 +46,6 @@ class TestPivot:
     def test_non_decomposable_agg_rejected(self):
         with pytest.raises(ValueError, match="sum/count/min/max"):
             pivot(self._events(), "u", "t", categories=["click"], agg="mean")
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_melt_roundtrip_values():
-    ds = ray.data.from_items([{"id": 1, "a": 10, "b": 20}, {"id": 2, "a": 30, "b": 40}])
-    out = melt(ds, ["id"], ["a", "b"]).to_pandas().sort_values(["id", "variable"])
-    assert out["value"].tolist() == [10, 20, 30, 40]
-    assert out["variable"].tolist() == ["a", "b", "a", "b"]
-    assert len(out) == 4
 
 
 class TestCollectStrings:

@@ -74,18 +74,3 @@ def test_zipf_fit_matches_brute_force():
     assert abs(got["slope"][0].as_py() - slope) < 1e-6
     assert abs(got["intercept"][0].as_py() - intercept) < 1e-6
     assert got["slope"][0].as_py() < -0.5  # zipf-shaped
-
-
-def test_ntile_bucket_matches_sql_ntile():
-    import duckdb
-    from raykg.pipeline.queries.relational.tpch import _ntile_bucket
-
-    for n in (4, 5, 7, 23, 100):
-        ranks = np.arange(n)
-        got = _ntile_bucket(ranks, n, 5)
-        sql = duckdb.sql(
-            f"SELECT NTILE(5) OVER (ORDER BY r) FROM "
-            f"(SELECT unnest(generate_series(0, {n - 1})) AS r)"
-        ).fetchnumpy()
-        expect = list(sql.values())[0].astype(np.int64)
-        assert np.array_equal(got, expect), n

@@ -287,104 +287,15 @@ def test_job_rebuild_after_ontology_shrink_drops_stale_partitions(tmp_path):
     assert all(t["partitions"] == 0 for t in rerun["tables"].values())
 
 
-def test_job_pagerank_table(tmp_path):
-    from raykg.job import build_graph
-    from raykg.pipeline.config import PipelineConfig
-
-    cfg = PipelineConfig(language="en", category_column="category", concurrency=2)
-    out = str(tmp_path / "kg")
-    report = build_graph(
-        read_transcripts(SF), ONTO, cfg, out, num_partitions=4,
-        compute_pagerank=True,
-    )
-    assert report["tables"]["node_ranks"]["rows"] > 0
-    import ray.data as rd
-
-    ranks = rd.read_parquet(
-        [str(p) for p in (tmp_path / "kg" / "node_ranks").glob("part=*/data.parquet")]
-    ).to_pandas()
-    assert {"node", "pr"}.issubset(ranks.columns)  # + the writer's part key
-    assert abs(ranks["pr"].sum() - 1.0) < 1e-6  # mass conserved
-
-
-def test_job_entity_ids_table(tmp_path):
-    from raykg.job import build_graph
-    from raykg.pipeline.config import PipelineConfig
-
-    cfg = PipelineConfig(language="en", category_column="category", concurrency=2)
-    out = str(tmp_path / "kg")
-    report = build_graph(
-        read_transcripts(SF), ONTO, cfg, out, num_partitions=4,
-        compute_entity_ids=True,
-    )
-    n_nodes = report["tables"]["nodes"]["rows"]
-    assert report["tables"]["entity_ids"]["rows"] == n_nodes
-    import ray.data as rd
-
-    ids = rd.read_parquet(
-        [str(p) for p in (tmp_path / "kg" / "entity_ids").glob("part=*/data.parquet")]
-    ).to_pandas()
-    # dense 0..N-1 numbering, in node_id sort order
-    assert sorted(ids["entity_id"]) == list(range(n_nodes))
-    by_rank = ids.sort_values("entity_id")
-    assert by_rank["node_id"].tolist() == sorted(ids["node_id"].tolist())
-
-
-def test_job_pagerank_on_an_empty_input(tmp_path, ray_session):
-    """An input with no rows writes empty edges; the PageRank stage reads
-    them back as an empty table of the triple schema instead of failing
-    for want of a data file."""
+def test_job_on_an_empty_input(tmp_path, ray_session):
+    """An input with no rows builds every table, with empty edges,
+    instead of failing for want of a row or a data file."""
     from raykg.job import build_graph
 
     empty = ray.data.from_pandas(small_corpus().iloc[:0])
     report = build_graph(empty, [("Z", "zebra")], PipelineConfig(language="en", concurrency=1),
-                         str(tmp_path / "kg"), num_partitions=8,
-                         compute_pagerank=True, compute_entity_ids=True)
+                         str(tmp_path / "kg"), num_partitions=8)
     assert report["tables"]["edges"]["rows"] == 0
-    assert report["tables"]["node_ranks"] == {"rows": 0, "partitions": 2}
-    assert report["tables"]["entity_ids"]["rows"] == report["tables"]["nodes"]["rows"]
-
-
-def test_update_graph_makes_node_ranks_and_entity_ids_stale(tmp_path, ray_session):
-    """node_ranks and entity_ids are derived from the whole graph: after
-    an update adds a conversation, a resumed build that asks for them
-    derives them again, equal to a fresh build's, instead of keeping
-    the ones without the new conversation's nodes."""
-    from raykg.job import build_graph, update_graph
-
-    cfg = PipelineConfig(language="en", concurrency=1)
-    onto = [("Engine", "spark")]
-    base = pd.DataFrame([
-        {"conv_id": f"c{i}", "turn_idx": 0, "role": "user", "text": "I use spark",
-         "tool": None, "lang": "en"} for i in range(2)
-    ])
-    cur = pd.concat([base, pd.DataFrame([
-        {"conv_id": "c2", "turn_idx": 0, "role": "user", "text": "spark again",
-         "tool": "python", "lang": "en"}])], ignore_index=True)
-
-    def build(df, path):
-        return build_graph(ray.data.from_pandas(df), onto, cfg, str(path), num_partitions=8,
-                           compute_pagerank=True, compute_entity_ids=True)
-
-    def table(path, name, key):
-        return sorted(PartitionedWriter(str(path / name), 2).read().to_pandas()[key])
-
-    build(base, tmp_path / "inc")
-    update_graph(ray.data.from_pandas(cur), onto, cfg, str(tmp_path / "inc"), ["c2"],
-                 num_partitions=8)
-    build(cur, tmp_path / "inc")
-    nodes = table(tmp_path / "inc", "nodes", "node_id")
-    assert "tool:python" in nodes and "c2#0#spark" in nodes
-    assert table(tmp_path / "inc", "entity_ids", "node_id") == nodes
-    build(cur, tmp_path / "full")
-    assert table(tmp_path / "full", "nodes", "node_id") == nodes
-    assert table(tmp_path / "inc", "node_ranks", "node") == table(
-        tmp_path / "full", "node_ranks", "node")
-    a, b = (PartitionedWriter(str(tmp_path / p / "entity_ids"), 2).read().to_pandas()
-            .sort_values("entity_id").reset_index(drop=True) for p in ("inc", "full"))
-    pd.testing.assert_frame_equal(a, b)
-    rerun = build(cur, tmp_path / "inc")
-    assert rerun["tables"]["node_ranks"] == {"rows": 0, "partitions": 0}
 
 
 def test_triples_from_mentions_pinned_to_extract_triples(ray_session):

@@ -45,11 +45,17 @@ def test_job_closure_excludes_query_registry(reach):
     assert not leaked, f"the job/api closure imports the query registry: {leaked}"
     prep = sorted(PREP_MODULES & job)
     assert not prep, f"the job/api closure imports the prep chain: {prep}"
-    # the job's command line has no prep mode: argparse rejects the flag
-    r = subprocess.run([sys.executable, "-m", "raykg.job", "--prep", "--input", "x",
+
+
+@pytest.mark.parametrize("flag", ["--prep", "--pagerank", "--entity-ids"])
+def test_job_cli_rejects_removed_flags(flag):
+    """The job's command line has no prep mode and no whole-graph tables
+    (the registry's ``q_pagerank`` / ``q_node_ids`` compute those):
+    argparse rejects each removed flag."""
+    r = subprocess.run([sys.executable, "-m", "raykg.job", flag, "--input", "x",
                         "--out", "y"], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert r.returncode == 2, r.stderr[-2000:]
-    assert "unrecognized arguments: --prep" in r.stderr
+    assert f"unrecognized arguments: {flag}" in r.stderr
 
 
 def test_no_orphaned_modules(reach):
@@ -59,13 +65,12 @@ def test_no_orphaned_modules(reach):
     assert not orphans, f"modules no entry point reaches: {orphans}"
 
 
-# entry modules: their public names are the product surface
+# entry modules: their public names are the product surface (their
+# private helpers are checked like any other module's)
 ENTRY_MODULES = {"raykg.job", "raykg.pipeline.api"}
 # caller-less on purpose, with the reason
 UNCALLED_OK = {
     "raykg.core.ontology.match_sentences": "tests drive the sentence matcher through it",
-    "raykg.ops.sample.weighted_bernoulli_sql":
-        "the DuckDB mirror TestWeightedBernoulli compares the sampler against",
     "raykg.ops.merge.table_diff":
         "the reference test_fused_equals_composition checks apply_changeset_diff against",
 }
@@ -98,9 +103,10 @@ def _referenced_names(node):
 
 
 def _uncalled(reach, kind):
-    """Public top-level functions and classes of the modules ``kind``
-    ("job" or "registry") reaches that no non-test file refers to outside
-    their own definition."""
+    """Top-level functions and classes of the modules ``kind`` ("job" or
+    "registry") reaches that no non-test file refers to outside their own
+    definition: every private helper (``_name``; dunders aside), and every
+    public name except those of the entry modules."""
     trees = {}
     for path in _non_test_sources():
         with open(path) as f:
@@ -109,12 +115,17 @@ def _uncalled(reach, kind):
     files = reach.module_files()
     uncalled = []
     for mod, row in sorted(reach.reach().items()):
-        if row["reach"] != kind or mod in ENTRY_MODULES:
+        if row["reach"] != kind:
             continue
         for node in trees[files[mod]].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or f"{mod}.{node.name}" in UNCALLED_OK:
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not name.startswith("_") and mod in ENTRY_MODULES:
+                continue
+            if f"{mod}.{name}" in UNCALLED_OK:
                 continue
             own = _referenced_names(node).count(node.name)
             if uses[node.name] - own <= 0:
@@ -123,9 +134,9 @@ def _uncalled(reach, kind):
 
 
 def test_job_closure_has_no_uncalled_functions(reach):
-    """A public function or class of a job-closure module that nothing
-    calls is dead code the job carries; delete it with whatever stopped
-    calling it."""
+    """A function or class of a job-closure module that nothing calls is
+    dead code the job carries; delete it with whatever stopped calling
+    it."""
     uncalled = _uncalled(reach, "job")
     assert not uncalled, f"job-closure functions nothing calls: {uncalled}"
 
