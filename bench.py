@@ -136,12 +136,7 @@ def run_bench() -> dict:
     timed("nodes")
     n_turns = timed("transcripts")
     # training-data ops
-    timed("dedup_exact")
-    timed("minhash_pairs")
-    timed("jaccard_pairs")
-    timed("dup_clusters")
     timed("pagerank")
-    timed("prep_corpus")
     timed("token_counts")
     timed("quality")
     timed("decontam")
@@ -165,7 +160,6 @@ def run_bench() -> dict:
     # round-3 session additions
     timed("tag_lemma_nl")
     timed("hub_nodes")
-    timed("entity_resolve")
     timed("bpe_pairs")
     timed("concept_trends")
     timed("quality_gate")
@@ -194,20 +188,13 @@ def run_bench() -> dict:
     # round-4 third-session additions: sequences, readability/zipf
     timed("readability")
     timed("token_zipf", consume=len)
-    timed("canonical_docs")
     timed("source_card", consume=len)
     # round-4 fourth-session additions: CCNet boilerplate removal,
     # DSIR selection, temporal mention chains
     timed("boilerplate")
     timed("dsir_weights")
     timed("mention_chains")
-    timed("containment_pairs")
-    timed("winnow_fps")
-    timed("winnow_pairs")
-    timed("cdc_chunks")
-    timed("cdc_dedup")
     timed("dup_gram_rate")
-    timed("winnow_clusters")
     timed("mix_weights", consume=len)
     timed("source_kl", consume=len)
     timed("conv_latency")

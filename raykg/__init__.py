@@ -15,9 +15,9 @@ Parquet transcript tables, built on ``ray.data.Dataset`` pipelines:
                       TagActor map_batches stage, graph materialization
                       (triples / nodes / edges / concept scores),
                       partitioned+resumable parquet IO.
-- ``raykg.ops``       large-scale training-data operators: dedup (exact,
-                      MinHash-LSH, SimHash, n-gram Jaccard), text
-                      quality/language-id/token stats.
+- ``raykg.ops``       large-scale operators the KG job and the query
+                      registry share: sharded aggregation, joins, graph
+                      algorithms, text quality/language-id/token stats.
 """
 
 __version__ = "0.1.0"

@@ -8,13 +8,13 @@ with exactly this kind of cross-doc n-gram incidence): a doc with a
 high dup-gram rate is either boilerplate-heavy or a near-copy, and is
 what MinHash/winnowing pipelines should have caught.
 
-Scale shape (the ``ngram_jaccard_pairs`` index without the pair
-emission): each doc emits one (hash, doc_id, size) row per distinct
-n-gram; ONE hash-sharded exchange decides cross-doc incidence locally
-(every occurrence of a hash lands in the same shard), emitting per-doc
-PARTIAL dup counts; a final per-doc combine sums partials.  Gram text
-never moves — only 63-bit hashes (``ops/dedup._hash_shingles64``'s
-kernel, so the DuckDB oracle mirrors it exactly).
+Scale shape (an n-gram inverted index without pair emission): each
+doc emits one (hash, doc_id, size) row per distinct n-gram; ONE
+hash-sharded exchange decides cross-doc incidence locally (every
+occurrence of a hash lands in the same shard), emitting per-doc PARTIAL
+dup counts; a final per-doc combine sums partials.  Gram text never
+moves — only 63-bit hashes (the top 63 bits of the gram's md5, so the
+DuckDB oracle mirrors it exactly).
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ _WS = re.compile(r"\S+")
 
 def _distinct_gram_hashes(text: str, n: int) -> np.ndarray:
     """Sorted distinct 63-bit md5 hashes of the word n-grams; a doc with
-    0 < words < n contributes its whole text as one gram (the
-    jaccard/winnow family's short-doc convention)."""
+    0 < words < n contributes its whole text as one gram."""
     words = _WS.findall(text or "")
     if not words:
         return np.zeros(0, dtype=np.int64)

@@ -29,7 +29,7 @@ Scale shape — the exchanges move id-width rows only, never payloads:
 
 The reference plugin has no graph layer at all; this extends the KG
 side of the engine (`pipeline/graph.py`) the same way `ops/pagerank.py`
-and `ops/components.py` do.
+does.
 """
 
 from __future__ import annotations
@@ -433,7 +433,7 @@ def clustering_coefficients(
     left side; the ratio is an exact integer ratio so the division is the
     same double on both engines).
 
-    Engine gate (the house pattern — pagerank/components/walks):
+    Engine gate (the house pattern, as in pagerank):
     ``broadcast=True`` ships the node-sized triangle-count map once via
     ``ray.put`` and every degree batch attaches with a ``searchsorted``;
     above ``broadcast_max_nodes`` nodes the map stops being

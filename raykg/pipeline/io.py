@@ -263,20 +263,13 @@ class PartitionedWriter:
             files[p] = os.path.join(self._part_dir(p), "data.parquet")
         return files
 
-    def read(
-        self,
-        partitions: Optional[Set[int]] = None,
-        schema: Optional[pa.Schema] = None,
-    ) -> "ray.data.Dataset":
+    def read(self, partitions: Optional[Set[int]] = None) -> "ray.data.Dataset":
         """Read back every complete partition (or only ``partitions`` —
         partition pruning at the read, no post-filter).  Partitions whose
         manifest records zero rows (no input row hashed into them) have
-        no data file and are skipped; when that leaves no file, the result
-        is an empty dataset of ``schema`` (a slice with no rows is a
-        valid table, e.g. a corpus the ontology never matches)."""
+        no data file and are skipped; when that leaves no file,
+        ``ray.data.read_parquet`` raises ``ValueError``."""
         paths = list(self.data_files(partitions).values())
-        if not paths and schema is not None:
-            return ray.data.from_arrow(schema.empty_table())
         # partitioning=None: the part=NNNNN directory name is writer
         # bookkeeping — hive inference would resurrect it as a column and
         # collide with the next stage's routing column

@@ -1,4 +1,4 @@
-"""Text analysis, dedup, and training-data preparation over documents.
+"""Text analysis and training-data preparation over documents.
 
 Split from the former pipeline/queries.py monolith; definitions are
 verbatim.  Registers its queries/oracles into the shared registry.
@@ -13,7 +13,6 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ...ops import dedup as dedup_ops
 from ...ops import text as text_ops
 from ._shared import QUERIES, ORACLE_SQL
 
@@ -61,21 +60,6 @@ def q_bm25(sf_dir: str):
 
 # --- training-data ops -----------------------------------------------------
 
-def q_dedup_exact(sf_dir: str):
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return dedup_ops.exact_dedup_groups(docs)
-
-
-def q_dedup_keep_first(sf_dir: str):
-    """Full-row exact dedup: keep the min-doc_id row of every distinct text
-    (hash-partition + per-group first)."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
-    return dedup_ops.exact_dedup(docs)
-
 
 def q_token_counts(sf_dir: str):
     docs = ray.data.read_parquet(
@@ -107,37 +91,6 @@ def q_lang_id(sf_dir: str):
     return text_ops.add_lang_id(docs, concurrency=(1, 4)).select_columns(
         ["doc_id", "pred_lang"]
     )
-
-
-def q_minhash_pairs(sf_dir: str):
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    # concurrency=None: fixed pool sized to 3/4 of cluster CPUs (capped) —
-    # Ray 2.49's autoscaling pool sticks at min size under a busy upstream,
-    # and a pool >= the CPU count deadlocks the read stage
-    return dedup_ops.minhash_lsh_pairs(docs, threshold=0.4)
-
-
-def q_jaccard_pairs(sf_dir: str):
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    # inverted-index candidates: exact recall at ANY threshold (0.2 here is
-    # below what MinHash banding at 16 bands would reliably recall)
-    return dedup_ops.ngram_jaccard_pairs(docs, threshold=0.2)
-
-
-def q_dup_clusters(sf_dir: str):
-    """Duplicate clusters: connected components over the exact-Jaccard
-    near-dup pair graph, labeled by min doc id."""
-    from ...ops.components import connected_components
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    pairs = dedup_ops.ngram_jaccard_pairs(docs, threshold=0.2)
-    return connected_components(pairs).select_columns(["doc_id", "cluster_id"])
 
 
 def q_sample_det(sf_dir: str):
@@ -297,88 +250,6 @@ def q_mlm_pairs(sf_dir: str):
         )
 
     return docs.map_batches(mask, batch_format="pandas")
-
-
-PREP_MIN_QUALITY = 40
-
-
-def q_prep_corpus(sf_dir: str):
-    """End-to-end training-data prep: language filter -> quality filter ->
-    exact-Jaccard near-dup clustering -> keep each cluster's canonical
-    (min-id) doc -> token counts.  Every stage is the library operator a
-    100 TB run would use; the whole chain is one streaming Dataset plan
-    plus the two candidate-volume shuffles inside the near-dup step."""
-    import pyarrow.compute as _pc
-
-    from ...ops.components import connected_components, dedup_survivors
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    scored = text_ops.add_quality(
-        text_ops.add_lang_id(docs, concurrency=(1, 4))
-    )
-    kept = scored.map_batches(
-        lambda b: b.filter(
-            _pc.and_(
-                _pc.equal(b["pred_lang"], "en"),
-                _pc.greater_equal(b["quality_score"], PREP_MIN_QUALITY),
-            )
-        ).select(["doc_id", "text"]),
-        batch_format="pyarrow",
-    ).materialize()  # consumed twice (pair gen + survivors): without this
-    # the lang-id actor pool and quality stage execute twice
-    pairs = dedup_ops.ngram_jaccard_pairs(kept, threshold=0.2)
-    clusters = connected_components(pairs)
-    canonical = dedup_survivors(kept, clusters)
-    return text_ops.add_token_counts(canonical).select_columns(
-        ["doc_id", "n_tokens"]
-    )
-
-
-def q_simhash_pairs(sf_dir: str):
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return dedup_ops.simhash_near_pairs(docs, max_hamming=8)
-
-
-ENT_PLANT_OFFSET = 10_000_000
-
-
-def q_entity_resolve(sf_dir: str):
-    """Blocked fuzzy entity resolution over part names augmented with
-    DETERMINISTIC planted typos (drop the 6th character, id + 1e7 — min
-    name length in the table is 7, and dropping PAST the 4-char block
-    prefix keeps the typo inside its source's block).  Identical labels
-    collapse through the label-distinct stage; the typo variants attach
-    at Levenshtein distance 1.  The oracle mirrors every stage — lower()
-    normalization, min-id label representative, prefix-4 blocking,
-    levenshtein <= 2 pairs, recursive-CTE components, singleton
-    fallback to own representative."""
-    from raykg.ops import entity as entity_ops
-
-    parts = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"]
-    )
-
-    def with_typos(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["p_partkey"].to_pylist(), dtype=np.int64)
-        names = batch["p_name"].to_pylist()
-        typos = [s[:5] + s[6:] for s in names]
-        return pa.table(
-            {
-                "ent_id": pa.array(
-                    np.concatenate([ids, ids + ENT_PLANT_OFFSET]), type=pa.int64()
-                ),
-                "label": pa.array(names + typos, type=pa.string()),
-            }
-        )
-
-    ents = parts.map_batches(with_typos, batch_format="pyarrow")
-    return entity_ops.resolve_entities(
-        ents, id_column="ent_id", label_column="label", block_prefix=4, max_dist=2
-    )
 
 
 def q_bpe_pairs(sf_dir: str):
@@ -588,33 +459,6 @@ def q_lang_sample(sf_dir: str):
     return group_sample(docs, group_column="lang", key_column="doc_id", k=5)
 
 
-SUBSTR_K = 8  # window width in words: 50 tokens in Lee et al.'s production
-#               setting; 8 keeps the tiny-vocabulary sf corpora non-vacuous
-
-
-def q_dup_spans(sf_dir: str):
-    """Within-corpus exact-substring dedup profile (Lee et al. 2021):
-    per-doc count/spans/coverage of word 8-grams duplicated across >= 2
-    distinct documents."""
-    from ...ops.substring import duplicate_span_stats
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return duplicate_span_stats(docs, k=SUBSTR_K)
-
-
-def q_dedup_substring(sf_dir: str):
-    """Corpus rebuilt with every duplicated 8-gram span removed (all
-    occurrences; whitespace canonicalized)."""
-    from ...ops.substring import drop_duplicate_spans
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return drop_duplicate_spans(docs, k=SUBSTR_K)
-
-
 PACK_CAPACITY = 256  # tokens per packed sequence; docs are <= ~100 tokens
 PACK_SHARDS = 8
 MIX_WEIGHTS = {"en": 0.5, "fr": 2.0, "de": 1.25, "es": 0.0, "zh": 1.0}
@@ -665,41 +509,22 @@ QUERIES["doc_splits"] = q_doc_splits
 QUERIES["lm_scores"] = q_lm_scores
 QUERIES["incr_new_docs"] = q_incr_new_docs
 QUERIES["token_lift"] = q_token_lift
-QUERIES["dedup_exact"] = q_dedup_exact
-QUERIES["dedup_keep_first"] = q_dedup_keep_first
 QUERIES["token_counts"] = q_token_counts
 QUERIES["quality"] = q_quality
 QUERIES["fingerprint"] = q_fingerprint
 QUERIES["lang_id"] = q_lang_id
-QUERIES["minhash_pairs"] = q_minhash_pairs
-QUERIES["jaccard_pairs"] = q_jaccard_pairs
-QUERIES["dup_clusters"] = q_dup_clusters
-QUERIES["prep_corpus"] = q_prep_corpus
 QUERIES["sample_det"] = q_sample_det
 QUERIES["sample_stratified"] = q_sample_stratified
 QUERIES["ngram_top"] = q_ngram_top
-QUERIES["simhash_pairs"] = q_simhash_pairs
-QUERIES["entity_resolve"] = q_entity_resolve
 QUERIES["bpe_pairs"] = q_bpe_pairs
 QUERIES["decontam"] = q_decontam
 QUERIES["redact"] = q_redact
 QUERIES["repetition"] = q_repetition
 QUERIES["tfidf_top"] = q_tfidf_top
 QUERIES["lang_sample"] = q_lang_sample
-QUERIES["dup_spans"] = q_dup_spans
-QUERIES["dedup_substring"] = q_dedup_substring
 QUERIES["pack_docs"] = q_pack_docs
 QUERIES["mix_langs"] = q_mix_langs
 QUERIES["quality_gate"] = q_quality_gate
-ORACLE_SQL["dedup_exact"] = """
-        SELECT CAST(MIN(doc_id) AS BIGINT) AS doc_id,
-               CAST(COUNT(*) AS BIGINT) AS n_dups
-        FROM documents GROUP BY text
-    """
-ORACLE_SQL["dedup_keep_first"] = """
-        SELECT doc_id, text, lang FROM documents
-        QUALIFY row_number() OVER (PARTITION BY text ORDER BY doc_id) = 1
-    """
 ORACLE_SQL["token_counts"] = r"""
         SELECT doc_id,
                CAST(len(regexp_extract_all(text, '\w+|[^\w\s]')) AS BIGINT) AS n_tokens
@@ -737,157 +562,7 @@ ORACLE_SQL["lang_id"] = """
         SELECT doc_id, lang AS pred_lang FROM s
         QUALIFY row_number() OVER (PARTITION BY doc_id ORDER BY score DESC, prio) = 1
     """
-ORACLE_SQL["minhash_pairs"] = r"""
-        WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS ws FROM documents),
-        s AS (SELECT doc_id,
-                     CASE WHEN len(ws) >= 3 THEN list_distinct(list_transform(
-                              generate_series(1, len(ws) - 2),
-                              i -> ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]))
-                          WHEN len(ws) > 0 THEN [array_to_string(ws, ' ')]
-                          ELSE [] END AS sh
-              FROM w)
-        SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-               round(len(list_intersect(a.sh, b.sh))::DOUBLE /
-                     (len(a.sh) + len(b.sh) - len(list_intersect(a.sh, b.sh))), 6) AS jaccard
-        FROM s a, s b
-        WHERE a.doc_id < b.doc_id
-          AND len(list_intersect(a.sh, b.sh))::DOUBLE /
-              NULLIF(len(a.sh) + len(b.sh) - len(list_intersect(a.sh, b.sh)), 0) >= 0.4
-    """
-ORACLE_SQL["jaccard_pairs"] = r"""
-        WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS ws FROM documents),
-        s AS (SELECT doc_id,
-                     CASE WHEN len(ws) >= 3 THEN list_distinct(list_transform(
-                              generate_series(1, len(ws) - 2),
-                              i -> ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]))
-                          WHEN len(ws) > 0 THEN [array_to_string(ws, ' ')]
-                          ELSE [] END AS sh
-              FROM w)
-        SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-               round(len(list_intersect(a.sh, b.sh))::DOUBLE /
-                     (len(a.sh) + len(b.sh) - len(list_intersect(a.sh, b.sh))), 6) AS jaccard
-        FROM s a, s b
-        WHERE a.doc_id < b.doc_id
-          AND len(list_intersect(a.sh, b.sh))::DOUBLE /
-              NULLIF(len(a.sh) + len(b.sh) - len(list_intersect(a.sh, b.sh)), 0) >= 0.2
-    """
-ORACLE_SQL["dup_clusters"] = r"""
-        WITH RECURSIVE w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS ws FROM documents),
-        s AS (SELECT doc_id,
-                     CASE WHEN len(ws) >= 3 THEN list_distinct(list_transform(
-                              generate_series(1, len(ws) - 2),
-                              i -> ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]))
-                          WHEN len(ws) > 0 THEN [array_to_string(ws, ' ')]
-                          ELSE [] END AS sh
-              FROM w),
-        p AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b
-              FROM s a, s b
-              WHERE a.doc_id < b.doc_id
-                AND len(list_intersect(a.sh, b.sh))::DOUBLE /
-                    NULLIF(len(a.sh) + len(b.sh) - len(list_intersect(a.sh, b.sh)), 0) >= 0.2),
-        e AS (SELECT id_a AS src, id_b AS dst FROM p
-              UNION SELECT id_b, id_a FROM p),
-        cc(node, label) AS (
-            SELECT src, src FROM e
-            UNION
-            SELECT e.dst, cc.label FROM cc JOIN e ON e.src = cc.node
-        )
-        SELECT node AS doc_id, MIN(label) AS cluster_id
-        FROM cc GROUP BY node
-    """
-ORACLE_SQL["prep_corpus"] = r"""
-        WITH RECURSIVE lw AS (SELECT doc_id, text, str_split(lower(text), ' ') AS lws,
-                                     regexp_extract_all(text, '\S+') AS words
-                              FROM documents),
-        profiles(lang, prio, stops) AS (VALUES
-          ('en', 0, ['the','a','of','and','to','in','is','that','it','for']),
-          ('fr', 1, ['le','la','les','de','des','et','un','une','est','que']),
-          ('de', 2, ['der','die','das','und','ist','ein','eine','zu','den','nicht']),
-          ('es', 3, ['el','la','los','de','y','un','una','es','que','en']),
-          ('it', 4, ['il','la','di','e','un','una','che','per','con','del']),
-          ('pt', 5, ['o','a','os','de','e','um','uma','que','em','para'])),
-        ls AS (SELECT lw.doc_id, p.lang, p.prio,
-                      len(list_filter(lw.lws, x -> list_contains(p.stops, x))) AS score
-               FROM lw, profiles p),
-        pred AS (SELECT doc_id, lang AS pred_lang FROM ls
-                 QUALIFY row_number() OVER (PARTITION BY doc_id ORDER BY score DESC, prio) = 1),
-        kept AS (SELECT lw.doc_id, lw.text, lw.words FROM lw
-                 JOIN pred USING (doc_id)
-                 WHERE pred.pred_lang = 'en'
-                   AND (CASE WHEN len(lw.words) = 0 THEN 0
-                        ELSE (100 * len(list_distinct(lw.words))) // len(lw.words) END) >= 40),
-        s AS (SELECT doc_id,
-                     CASE WHEN len(words) >= 3 THEN list_distinct(list_transform(
-                              generate_series(1, len(words) - 2),
-                              i -> words[i] || ' ' || words[i+1] || ' ' || words[i+2]))
-                          WHEN len(words) > 0 THEN [array_to_string(words, ' ')]
-                          ELSE [] END AS sh
-              FROM kept),
-        p AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b
-              FROM s a, s b
-              WHERE a.doc_id < b.doc_id
-                AND len(list_intersect(a.sh, b.sh))::DOUBLE /
-                    NULLIF(len(a.sh) + len(b.sh) - len(list_intersect(a.sh, b.sh)), 0) >= 0.2),
-        e AS (SELECT id_a AS src, id_b AS dst FROM p
-              UNION SELECT id_b, id_a FROM p),
-        cc(node, label) AS (
-            SELECT src, src FROM e
-            UNION
-            SELECT e.dst, cc.label FROM cc JOIN e ON e.src = cc.node
-        ),
-        dropped AS (SELECT node FROM cc GROUP BY node HAVING node != MIN(label))
-        SELECT k.doc_id,
-               CAST(len(regexp_extract_all(k.text, '\w+|[^\w\s]')) AS BIGINT) AS n_tokens
-        FROM kept k
-        WHERE k.doc_id NOT IN (SELECT node FROM dropped)
-    """
-ORACLE_SQL["simhash_pairs"] = r"""
-        WITH w AS (SELECT doc_id, unnest(regexp_extract_all(text, '\S+')) AS word
-                   FROM documents),
-        h AS (SELECT doc_id, ('0x' || substr(md5(word), 1, 16))::UBIGINT AS hv FROM w),
-        bits AS (SELECT doc_id, b.b AS bit,
-                        SUM(CASE WHEN (hv >> b.b) & 1 = 1 THEN 1 ELSE -1 END) AS v
-                 FROM h, (SELECT unnest(generate_series(0, 63)) AS b) b
-                 GROUP BY doc_id, b.b),
-        sh AS (SELECT doc_id,
-                      SUM(CASE WHEN v > 0 THEN (1::UBIGINT << bit) ELSE 0::UBIGINT END)::UBIGINT AS simhash
-               FROM bits GROUP BY doc_id),
-        alldocs AS (SELECT d.doc_id, COALESCE(sh.simhash, 0::UBIGINT) AS simhash
-                    FROM documents d LEFT JOIN sh USING (doc_id))
-        SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-               CAST(bit_count(xor(a.simhash, b.simhash)) AS BIGINT) AS hamming
-        FROM alldocs a JOIN alldocs b ON a.doc_id < b.doc_id
-        WHERE bit_count(xor(a.simhash, b.simhash)) <= 8
-          AND (((a.simhash >> 0)  & 65535) = ((b.simhash >> 0)  & 65535)
-            OR ((a.simhash >> 16) & 65535) = ((b.simhash >> 16) & 65535)
-            OR ((a.simhash >> 32) & 65535) = ((b.simhash >> 32) & 65535)
-            OR ((a.simhash >> 48) & 65535) = ((b.simhash >> 48) & 65535))
-    """
 
-# entity_resolve: full mirror of the blocked-ER stages — planted-typo
-# augmentation (drop char 6), lower() normalization, min-id label
-# representative, prefix-4 block + levenshtein<=2 pairs over DISTINCT
-# labels, recursive-CTE min-label components, singletons -> own rep.
-ORACLE_SQL["entity_resolve"] = f"""
-    WITH RECURSIVE e0 AS (
-        SELECT p_partkey AS ent_id, lower(p_name) AS nm FROM part
-        UNION ALL
-        SELECT p_partkey + {ENT_PLANT_OFFSET},
-               lower(substr(p_name, 1, 5) || substr(p_name, 7)) FROM part),
-    lab AS (SELECT nm, MIN(ent_id) AS rep FROM e0 GROUP BY nm),
-    p AS (SELECT LEAST(a.rep, b.rep) AS ra, GREATEST(a.rep, b.rep) AS rb
-          FROM lab a JOIN lab b
-            ON substr(a.nm, 1, 4) = substr(b.nm, 1, 4)
-           AND a.nm < b.nm AND levenshtein(a.nm, b.nm) <= 2),
-    e AS (SELECT ra AS src, rb AS dst FROM p UNION SELECT rb, ra FROM p),
-    cc(node, label) AS (
-        SELECT src, src FROM e
-        UNION
-        SELECT e.dst, cc.label FROM cc JOIN e ON e.src = cc.node),
-    rc AS (SELECT node, MIN(label) AS cl FROM cc GROUP BY node)
-    SELECT e0.ent_id, CAST(COALESCE(rc.cl, lab.rep) AS BIGINT) AS canonical_id
-    FROM e0 JOIN lab USING (nm) LEFT JOIN rc ON rc.node = lab.rep
-"""
 
 # bpe_pairs: per-word adjacent character pairs — identical to the engine's
 # whitespace-masked codepoint-pair pass (pairs never straddle \S+ words)
@@ -1017,53 +692,6 @@ ORACLE_SQL["lang_sample"] = """
     SELECT doc_id, lang, rank FROM r WHERE rank <= 5
 """
 
-# exact-substring dedup: the gram/dup/hit chain is shared by both oracles.
-# SQL groups by gram TEXT where the engine groups by 64-bit window hash —
-# identical outcomes modulo ~n^2/2^64 collisions (the documented
-# inverted-index trade, same stance as the decontam oracle).
-_SUBSTR_HIT_CTES = rf"""
-    w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS ws
-          FROM documents),
-    g AS (SELECT doc_id, i,
-                 array_to_string(ws[i:i+{SUBSTR_K - 1}], ' ') AS gram
-          FROM w, UNNEST(generate_series(1, len(ws) - {SUBSTR_K - 1})) t(i)
-          WHERE len(ws) >= {SUBSTR_K}),
-    dup AS (SELECT gram FROM g GROUP BY gram
-            HAVING COUNT(DISTINCT doc_id) >= 2),
-    hit AS (SELECT g.doc_id, g.i FROM g JOIN dup USING (gram))
-"""
-
-ORACLE_SQL["dup_spans"] = f"""
-    WITH {_SUBSTR_HIT_CTES},
-    lagd AS (SELECT doc_id, i,
-                    lag(i) OVER (PARTITION BY doc_id ORDER BY i) AS pi
-             FROM hit)
-    SELECT doc_id,
-           CAST(COUNT(*) AS BIGINT) AS n_dup_grams,
-           CAST(SUM(CASE WHEN pi IS NULL OR i - pi > {SUBSTR_K}
-                         THEN 1 ELSE 0 END) AS BIGINT) AS n_dup_spans,
-           CAST(SUM(CASE WHEN pi IS NULL THEN {SUBSTR_K}
-                         ELSE LEAST(i - pi, {SUBSTR_K}) END) AS BIGINT)
-             AS dup_tokens
-    FROM lagd GROUP BY doc_id
-"""
-
-ORACLE_SQL["dedup_substring"] = f"""
-    WITH {_SUBSTR_HIT_CTES},
-    cov AS (SELECT DISTINCT doc_id, i + o AS j
-            FROM hit, UNNEST(generate_series(0, {SUBSTR_K - 1})) t2(o)),
-    tok AS (SELECT doc_id, j, ws[j] AS tokn
-            FROM w, UNNEST(generate_series(1, len(ws))) t3(j)),
-    kept AS (SELECT t.doc_id, t.j, t.tokn
-             FROM tok t LEFT JOIN cov c
-               ON t.doc_id = c.doc_id AND t.j = c.j
-             WHERE c.doc_id IS NULL)
-    SELECT d.doc_id,
-           COALESCE(k.txt, '') AS clean_text
-    FROM documents d
-    LEFT JOIN (SELECT doc_id, string_agg(tokn, ' ' ORDER BY j) AS txt
-               FROM kept GROUP BY doc_id) k USING (doc_id)
-"""
 
 # sequence packing: the greedy within-shard walk is a RECURSIVE CTE
 # advancing every shard one doc per iteration (depth = max docs/shard)
@@ -1347,63 +975,6 @@ ORACLE_SQL["token_zipf"] = r"""
 """
 
 
-def q_canonical_docs(sf_dir: str):
-    """Dedup consolidation: one canonical row per exact-duplicate text
-    group — the copy with the highest quality_score (ties toward the
-    smallest doc_id), with the group's total copy count attached.
-    Quality is the stateless integer score (`ops/text.quality_batch`);
-    selection is the sharded keep-best combine
-    (`ops/dedup.exact_dedup_best`) — batch pre-best, one exchange of
-    one row per distinct text per block."""
-    from ...ops.dedup import exact_dedup_best
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
-
-    def score(batch: pa.Table) -> pa.Table:
-        q = text_ops.quality_batch(batch, "text")
-        return q.select(["doc_id", "text", "lang", "quality_score"])
-
-    scored = docs.map_batches(score, batch_format="pyarrow")
-    out = exact_dedup_best(
-        scored, text_column="text", id_column="doc_id",
-        score_column="quality_score",
-    )
-
-    def typed(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "lang": batch["lang"],
-                "quality_score": pc.cast(batch["quality_score"], pa.int64()),
-                "n_dups": pc.cast(batch["n_dups"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(typed, batch_format="pyarrow")
-
-
-QUERIES["canonical_docs"] = q_canonical_docs
-ORACLE_SQL["canonical_docs"] = r"""
-    WITH w AS (SELECT doc_id, text, lang,
-                      regexp_extract_all(text, '\S+') AS words
-               FROM documents),
-    q AS (SELECT doc_id, text, lang,
-                 CAST(CASE WHEN len(words) = 0 THEN 0
-                      ELSE (100 * len(list_distinct(words))) // len(words)
-                      END AS BIGINT) AS quality_score,
-                 COUNT(*) OVER (PARTITION BY text) AS n_dups
-          FROM w)
-    SELECT doc_id, lang, quality_score, CAST(n_dups AS BIGINT) AS n_dups
-    FROM q
-    QUALIFY row_number() OVER (PARTITION BY text
-                               ORDER BY quality_score DESC, doc_id) = 1
-"""
-
-
 def q_source_card(sf_dir: str):
     """Per-source data card — the corpus datasheet row a training-data
     pipeline publishes per provenance: doc count, total chars/tokens,
@@ -1593,40 +1164,6 @@ ORACLE_SQL["dsir_weights"] = """
                 AS BIGINT) AS dsir_w
     FROM dw, tot
 """
-
-
-def q_containment_pairs(sf_dir: str):
-    """Broder containment near-dup pairs: c / min(|A|, |B|) over distinct
-    3-gram shingle sets — the asymmetric measure that catches a short doc
-    embedded in a long one (symmetric Jaccard dilutes those toward zero).
-    Same inverted-index plan as `jaccard_pairs` (ops/dedup.py), only the
-    per-pair denominator differs."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return dedup_ops.ngram_jaccard_pairs(
-        docs, threshold=0.5, score="containment"
-    )
-
-
-QUERIES["containment_pairs"] = q_containment_pairs
-ORACLE_SQL["containment_pairs"] = r"""
-        WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS ws FROM documents),
-        s AS (SELECT doc_id,
-                     CASE WHEN len(ws) >= 3 THEN list_distinct(list_transform(
-                              generate_series(1, len(ws) - 2),
-                              i -> ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]))
-                          WHEN len(ws) > 0 THEN [array_to_string(ws, ' ')]
-                          ELSE [] END AS sh
-              FROM w)
-        SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-               round(len(list_intersect(a.sh, b.sh))::DOUBLE /
-                     LEAST(len(a.sh), len(b.sh)), 6) AS containment
-        FROM s a, s b
-        WHERE a.doc_id < b.doc_id
-          AND len(list_intersect(a.sh, b.sh))::DOUBLE /
-              NULLIF(LEAST(len(a.sh), len(b.sh)), 0) >= 0.5
-    """
 
 
 def q_ccnet_buckets(sf_dir: str):
@@ -1827,183 +1364,6 @@ ORACLE_SQL["vocab_overlap"] = r"""
 
 
 # ---------------------------------------------------------------------------
-# Winnowing fingerprints (Schleimer et al. 2003 — MOSS)
-
-WINNOW_K = 4
-WINNOW_W = 5
-WINNOW_MIN_SHARED = 2
-WINNOW_MAX_BUCKET = 512
-
-
-def q_winnow_fps(sf_dir: str):
-    """Winnowed document fingerprints (MOSS): rightmost-minimal 63-bit
-    k-gram hash per sliding window of WINNOW_W hashes — expected density
-    2/(w+1) of the k-gram count, with the guarantee that any shared run
-    of >= WINNOW_W + WINNOW_K - 1 words yields a shared fingerprint.
-    Zero exchanges (ops/winnow.py)."""
-    from ...ops.winnow import winnow_fingerprints
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return winnow_fingerprints(docs, k=WINNOW_K, window=WINNOW_W)
-
-
-def q_winnow_pairs(sf_dir: str):
-    """MOSS overlap report: document pairs sharing >= WINNOW_MIN_SHARED
-    distinct winnowed fingerprints.  One exchange over the winnowed
-    (already ~2/(w+1)-density) fingerprint rows — the scale argument for
-    winnowing over the full shingle inverted index."""
-    from ...ops.winnow import winnow_pairs
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return winnow_pairs(
-        docs,
-        k=WINNOW_K,
-        window=WINNOW_W,
-        min_shared=WINNOW_MIN_SHARED,
-        max_bucket_members=WINNOW_MAX_BUCKET,
-    )
-
-
-QUERIES["winnow_fps"] = q_winnow_fps
-QUERIES["winnow_pairs"] = q_winnow_pairs
-
-# the fingerprint-selection CTE chain, shared by both oracles: word
-# k-grams (short-doc fallback = one whole-text gram, as in jaccard_pairs),
-# 63-bit md5 hashes, full windows of LEAST(w, n_grams) hashes, rightmost
-# position attaining the window minimum, distinct (pos, fp) per doc
-_WINNOW_SEL_CTE = f"""
-    w AS (SELECT doc_id, regexp_extract_all(text, '\\S+') AS ws FROM documents),
-    g AS (SELECT doc_id,
-                 CASE WHEN len(ws) >= {WINNOW_K} THEN list_transform(
-                          generate_series(1, len(ws) - {WINNOW_K - 1}),
-                          i -> ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]
-                               || ' ' || ws[i+3])
-                      WHEN len(ws) > 0 THEN [array_to_string(ws, ' ')]
-                      ELSE [] END AS gs
-          FROM w),
-    h AS (SELECT doc_id, CAST(r.i AS BIGINT) AS pos,
-                 CAST(('0x' || substr(md5(gs[r.i]), 1, 16))::UBIGINT >> 1
-                      AS BIGINT) AS fp
-          FROM g, LATERAL (SELECT unnest(generate_series(1, len(gs))) AS i) r),
-    n AS (SELECT doc_id, COUNT(*) AS ng FROM h GROUP BY doc_id),
-    win AS (SELECT h.doc_id, h.pos, h.fp,
-                   MIN(h.fp) OVER (PARTITION BY h.doc_id ORDER BY h.pos
-                                   ROWS BETWEEN {WINNOW_W - 1} PRECEDING
-                                   AND CURRENT ROW) AS wmin,
-                   COUNT(*) OVER (PARTITION BY h.doc_id ORDER BY h.pos
-                                  ROWS BETWEEN {WINNOW_W - 1} PRECEDING
-                                  AND CURRENT ROW) AS wn
-            FROM h),
-    e AS (SELECT win.doc_id, win.pos AS e, win.wmin,
-                 LEAST({WINNOW_W}, n.ng) AS weff
-          FROM win JOIN n USING (doc_id)
-          WHERE win.wn = LEAST({WINNOW_W}, n.ng)),
-    sel AS (SELECT e.doc_id, e.e, e.wmin, MAX(h.pos) AS spos
-            FROM e JOIN h ON h.doc_id = e.doc_id
-                         AND h.pos BETWEEN e.e - e.weff + 1 AND e.e
-                         AND h.fp = e.wmin
-            GROUP BY e.doc_id, e.e, e.wmin)
-"""
-
-ORACLE_SQL["winnow_fps"] = f"""
-    WITH {_WINNOW_SEL_CTE}
-    SELECT DISTINCT doc_id, spos AS pos, wmin AS fp FROM sel
-"""
-
-ORACLE_SQL["winnow_pairs"] = f"""
-    WITH {_WINNOW_SEL_CTE},
-    f AS (SELECT DISTINCT doc_id, wmin AS fp FROM sel),
-    ok AS (SELECT fp FROM f GROUP BY fp
-           HAVING COUNT(*) <= {WINNOW_MAX_BUCKET}),
-    ff AS (SELECT f.doc_id, f.fp FROM f JOIN ok USING (fp))
-    SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-           CAST(COUNT(*) AS BIGINT) AS shared
-    FROM ff a JOIN ff b ON a.fp = b.fp AND a.doc_id < b.doc_id
-    GROUP BY a.doc_id, b.doc_id
-    HAVING COUNT(*) >= {WINNOW_MIN_SHARED}
-"""
-
-
-# ---------------------------------------------------------------------------
-# Content-defined chunking (LBFS/FastCDC-style storage dedup)
-
-CDC_DIVISOR = 8
-
-
-def q_cdc_chunks(sf_dir: str):
-    """Content-defined chunks per document: a word ends a chunk iff its
-    32-bit md5 prefix % CDC_DIVISOR == 0 (word-granular Rabin-threshold
-    boundary, expected chunk = CDC_DIVISOR words) — edits only perturb
-    the chunks they touch, so snapshot re-crawls share chunk hashes.
-    Zero exchanges (ops/cdc.py)."""
-    from ...ops.cdc import cdc_chunks
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return cdc_chunks(docs, divisor=CDC_DIVISOR)
-
-
-def q_cdc_dedup(sf_dir: str):
-    """Per-source CDC storage-dedup profile: chunk/word totals plus how
-    many of them are corpus-wide duplicates (what a chunk store would
-    NOT store twice).  One hash-sharded exchange over (hash, source)
-    rows; chunk text never moves."""
-    from ...ops.cdc import cdc_dedup_stats
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
-    return cdc_dedup_stats(docs, divisor=CDC_DIVISOR)
-
-
-QUERIES["cdc_chunks"] = q_cdc_chunks
-QUERIES["cdc_dedup"] = q_cdc_dedup
-
-_CDC_CH_CTE = f"""
-    w AS (SELECT doc_id, source, regexp_extract_all(text, '\\S+') AS ws
-          FROM documents),
-    t AS (SELECT doc_id, source, CAST(r.i AS BIGINT) AS wpos, ws[r.i] AS w,
-                 CASE WHEN ('0x' || substr(md5(ws[r.i]), 1, 8))::UBIGINT
-                           % {CDC_DIVISOR} = 0 THEN 1 ELSE 0 END AS bnd
-          FROM w, LATERAL (SELECT unnest(generate_series(1, len(ws))) AS i) r),
-    c AS (SELECT doc_id, source, wpos, w,
-                 1 + COALESCE(SUM(bnd) OVER (PARTITION BY doc_id ORDER BY wpos
-                         ROWS BETWEEN UNBOUNDED PRECEDING
-                         AND 1 PRECEDING), 0) AS ci
-          FROM t),
-    ch AS (SELECT doc_id, source, CAST(ci AS BIGINT) AS chunk_idx,
-                  CAST(COUNT(*) AS BIGINT) AS n_words,
-                  CAST(('0x' || substr(md5(string_agg(w, ' ' ORDER BY wpos)),
-                                       1, 16))::UBIGINT >> 1
-                       AS BIGINT) AS chunk_hash
-           FROM c GROUP BY doc_id, source, ci)
-"""
-
-ORACLE_SQL["cdc_chunks"] = f"""
-    WITH {_CDC_CH_CTE}
-    SELECT doc_id, chunk_idx, n_words, chunk_hash FROM ch
-"""
-
-ORACLE_SQL["cdc_dedup"] = f"""
-    WITH {_CDC_CH_CTE},
-    cnt AS (SELECT chunk_hash, COUNT(*) AS m FROM ch GROUP BY chunk_hash)
-    SELECT ch.source,
-           CAST(COUNT(*) AS BIGINT) AS n_chunks,
-           CAST(SUM(ch.n_words) AS BIGINT) AS n_words,
-           CAST(COUNT(*) FILTER (WHERE cnt.m > 1) AS BIGINT) AS dup_chunks,
-           CAST(COALESCE(SUM(ch.n_words) FILTER (WHERE cnt.m > 1), 0)
-                AS BIGINT) AS dup_words
-    FROM ch JOIN cnt USING (chunk_hash)
-    GROUP BY ch.source
-"""
-
-
-# ---------------------------------------------------------------------------
 # Per-doc duplicate-n-gram rate (novelty / memorization-risk QA)
 
 DUPGRAM_N = 5
@@ -2048,53 +1408,6 @@ ORACLE_SQL["dup_gram_rate"] = f"""
                AS dup_rate
     FROM h JOIN cnt USING (fp)
     GROUP BY h.doc_id
-"""
-
-
-def q_winnow_clusters(sf_dir: str):
-    """Near-dup clusters over the MOSS pair graph: connected components
-    (min-label BSP, ops/components.py) of documents sharing >=
-    WINNOW_MIN_SHARED winnowed fingerprints — the cluster view of
-    winnow_pairs, as dup_clusters is to jaccard_pairs, but over the
-    ~2/(w+1)-density fingerprint index."""
-    from ...ops.components import connected_components
-    from ...ops.winnow import winnow_pairs
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    pairs = winnow_pairs(
-        docs,
-        k=WINNOW_K,
-        window=WINNOW_W,
-        min_shared=WINNOW_MIN_SHARED,
-        max_bucket_members=WINNOW_MAX_BUCKET,
-    )
-    return connected_components(pairs, id_a="id_a", id_b="id_b").select_columns(
-        ["doc_id", "cluster_id"]
-    )
-
-
-QUERIES["winnow_clusters"] = q_winnow_clusters
-ORACLE_SQL["winnow_clusters"] = f"""
-    WITH RECURSIVE {_WINNOW_SEL_CTE},
-    f AS (SELECT DISTINCT doc_id, wmin AS fp FROM sel),
-    ok AS (SELECT fp FROM f GROUP BY fp
-           HAVING COUNT(*) <= {WINNOW_MAX_BUCKET}),
-    ff AS (SELECT f.doc_id, f.fp FROM f JOIN ok USING (fp)),
-    p AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b
-          FROM ff a JOIN ff b ON a.fp = b.fp AND a.doc_id < b.doc_id
-          GROUP BY a.doc_id, b.doc_id
-          HAVING COUNT(*) >= {WINNOW_MIN_SHARED}),
-    ed AS (SELECT id_a AS src, id_b AS dst FROM p
-           UNION SELECT id_b, id_a FROM p),
-    cc(node, label) AS (
-        SELECT src, src FROM ed
-        UNION
-        SELECT ed.dst, cc.label FROM cc JOIN ed ON ed.src = cc.node
-    )
-    SELECT node AS doc_id, MIN(label) AS cluster_id
-    FROM cc GROUP BY node
 """
 
 

@@ -1,6 +1,6 @@
 """Property-based fuzz tests (hypothesis) for the pure-python kernels:
 tokenizer character conservation, normalization idempotence and the
-winnowing / CDC / novelty gram-hash kernels.  No Ray — these pin the
+novelty gram-hash kernel.  No Ray — these pin the
 kernels the distributed stages call per batch."""
 
 import numpy as np
@@ -33,63 +33,6 @@ def test_normalization_idempotent(text):
     once = normalize(text, ignore_case=True, ignore_diacritics=True)
     twice = normalize(once, ignore_case=True, ignore_diacritics=True)
     assert once == twice
-
-
-@settings(**SETTINGS)
-@given(
-    n=st.integers(0, 400),
-    vmax=st.integers(1, 50),
-    w=st.integers(1, 12),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_winnow_select_matches_bruteforce(n, vmax, w, seed):
-    """_select == the literal definition: rightmost argmin of every
-    sliding window of min(w, n) hashes, deduped."""
-    from raykg.ops.winnow import _select
-
-    h = np.random.default_rng(seed).integers(0, vmax, n).astype(np.int64)
-    got = _select(h, w).tolist()
-    if n == 0:
-        assert got == []
-        return
-    weff = min(w, n)
-    want = set()
-    for start in range(n - weff + 1):
-        win = h[start : start + weff]
-        m = win.min()
-        want.add(start + int(np.flatnonzero(win == m)[-1]))
-    assert got == sorted(want)
-
-
-@settings(**SETTINGS)
-@given(
-    nwords=st.integers(0, 200),
-    vocab=st.integers(1, 30),
-    divisor=st.integers(1, 16),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_cdc_boundary_chunking_invariants(nwords, vocab, divisor, seed):
-    """Chunks tile the word sequence exactly; every chunk ends on a
-    boundary word except possibly the last; concatenating chunk texts
-    reconstructs the document."""
-    from raykg.ops.cdc import _word_is_boundary
-
-    rng = np.random.default_rng(seed)
-    words = [f"w{i}" for i in rng.integers(0, vocab, nwords)]
-    bnd = _word_is_boundary(words, divisor)
-    assert bnd.shape == (nwords,)
-    ends = np.flatnonzero(bnd) + 1
-    if not len(ends) or (nwords and ends[-1] != nwords):
-        ends = np.r_[ends, nwords] if nwords else ends
-    starts = np.r_[0, ends[:-1]] if len(ends) else np.zeros(0, dtype=int)
-    rebuilt = []
-    for s, e in zip(starts, ends):
-        assert e > s
-        if e < nwords:
-            assert bnd[e - 1]
-        assert not bnd[s : e - 1].any()
-        rebuilt += words[s:e]
-    assert rebuilt == words
 
 
 @settings(**SETTINGS)

@@ -1,8 +1,8 @@
 """The KG job and API must not reach the scenario-query registry, and
 every module must be reached by one of the two (``scripts/reach.py``'s
-static import walk); every public function of a reached module must have
-a caller; every ``raykg`` import of a script must resolve; bench.py and
-README must agree with the registry."""
+static import walk); every public function and constant of a reached
+module must have a user; every ``raykg`` import of a script must
+resolve; bench.py and README must agree with the registry."""
 
 import ast
 import importlib.util
@@ -32,8 +32,8 @@ def _job_modules(table):
 
 
 # the LLM training-data prep chain: registry-only, never part of the KG job
-PREP_MODULES = {"raykg.ops.dedup", "raykg.ops.text", "raykg.ops.components",
-                "raykg.ops.pack", "raykg.ops.decontam", "raykg.core.token_attrs"}
+PREP_MODULES = {"raykg.ops.text", "raykg.ops.pack", "raykg.ops.decontam",
+                "raykg.core.token_attrs"}
 
 
 def test_job_closure_excludes_query_registry(reach):
@@ -73,6 +73,8 @@ UNCALLED_OK = {
     "raykg.core.ontology.match_sentences": "tests drive the sentence matcher through it",
     "raykg.ops.merge.table_diff":
         "the reference test_fused_equals_composition checks apply_changeset_diff against",
+    "raykg.core.lemma.LOOKUP_LEMMA_LANGUAGES":
+        "tests/test_core_match.py enumerates the lookup-table languages from it",
 }
 
 
@@ -102,11 +104,24 @@ def _referenced_names(node):
     return out
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a function or class, or
+    the plain names an assignment binds (subscript and attribute targets
+    such as ``QUERIES["x"] = ...`` bind none)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return []
+
+
 def _uncalled(reach, kind):
-    """Top-level functions and classes of the modules ``kind`` ("job" or
-    "registry") reaches that no non-test file refers to outside their own
-    definition: every private helper (``_name``; dunders aside), and every
-    public name except those of the entry modules."""
+    """Top-level functions, classes and constants of the modules ``kind``
+    ("job" or "registry") reaches that no non-test file refers to outside
+    their own definition: every private name (``_name``; dunders aside),
+    and every public name except those of the entry modules."""
     trees = {}
     for path in _non_test_sources():
         with open(path) as f:
@@ -118,34 +133,32 @@ def _uncalled(reach, kind):
         if row["reach"] != kind:
             continue
         for node in trees[files[mod]].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if not name.startswith("_") and mod in ENTRY_MODULES:
-                continue
-            if f"{mod}.{name}" in UNCALLED_OK:
-                continue
-            own = _referenced_names(node).count(node.name)
-            if uses[node.name] - own <= 0:
-                uncalled.append(f"{mod}.{node.name}")
+            for name in _defined_names(node):
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if not name.startswith("_") and mod in ENTRY_MODULES:
+                    continue
+                if f"{mod}.{name}" in UNCALLED_OK:
+                    continue
+                own = _referenced_names(node).count(name)
+                if uses[name] - own <= 0:
+                    uncalled.append(f"{mod}.{name}")
     return uncalled
 
 
 def test_job_closure_has_no_uncalled_functions(reach):
-    """A function or class of a job-closure module that nothing calls is
-    dead code the job carries; delete it with whatever stopped calling
-    it."""
+    """A function, class or constant of a job-closure module that nothing
+    uses is dead code the job carries; delete it with whatever stopped
+    using it."""
     uncalled = _uncalled(reach, "job")
-    assert not uncalled, f"job-closure functions nothing calls: {uncalled}"
+    assert not uncalled, f"job-closure names nothing uses: {uncalled}"
 
 
 def test_registry_has_no_uncalled_functions(reach):
     """The same for registry-only modules: a family cut must take the
-    functions only its queries called with it."""
+    functions and constants only its queries used with it."""
     uncalled = _uncalled(reach, "registry")
-    assert not uncalled, f"registry functions nothing calls: {uncalled}"
+    assert not uncalled, f"registry names nothing uses: {uncalled}"
 
 
 def _top_level_names(tree):
